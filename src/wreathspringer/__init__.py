@@ -61,6 +61,7 @@ from .springer import (
 )
 from .wreath import (
     BoundExceededError,
+    CheckFailed,
     WreathElement,
     WreathGroup,
     bruhat_leq_wreath,

@@ -27,6 +27,7 @@ from .reptheory import character_table, enumerate_IC
 from .springer import hu_index, psi, typeB_table, typeD_table, verify_springer
 from .wreath import (
     BoundExceededError,
+    CheckFailed,
     WreathGroup,
     bruhat_leq_wreath,
     cell_statistics,
@@ -280,6 +281,9 @@ def main(argv=None) -> int:
     except BoundExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except CheckFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

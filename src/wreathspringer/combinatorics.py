@@ -109,6 +109,19 @@ def perm_to_word(p: Perm) -> tuple[int, ...]:
     return tuple(reversed(reversed_word))
 
 
+def type_a_relations(letters) -> list[tuple[int, ...]]:
+    """Coxeter relations of type A, as words that equal the identity, for
+    generators given as (generator index, swapped position) pairs:
+    s^2 = e, (s s')^3 = e for neighbouring swaps, (s s')^2 = e otherwise."""
+    letters = list(letters)
+    relations = []
+    for k, (g, a) in enumerate(letters):
+        relations.append((g, g))
+        for h, b in letters[k + 1:]:
+            relations.append((g, h) * (3 if abs(a - b) == 1 else 2))
+    return relations
+
+
 # ---------------------------------------------------------------------------
 # type A Bruhat order
 

@@ -5,9 +5,13 @@ Symmetric-group irreducibles are built in Young's seminormal form: the
 basis is indexed by standard tableaux and the adjacent-transposition
 matrices have entries 1/axial-distance, so everything stays in exact
 rationals.  Wreath-product modules are built from these by the usual
-extension / inflation / induction steps, and every constructed
-representation is verified to satisfy its group's defining relations at
-construction time.
+extension / inflation / induction steps.
+
+A representation is the images of its group's generators.  Each group
+context carries a presentation: relations, and a normal-form word for
+every element.  Construction checks the relations on the images, and the
+matrix of an element is the product of the images along its word, so by
+von Dyck's theorem every constructed representation is a homomorphism.
 
 Degenerate-but-legal cases (m = 1, single-slot groups, empty partitions)
 are handled uniformly; matrices of dimension one are still matrices.
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import product
 from math import factorial, prod
 
@@ -34,6 +38,7 @@ from .combinatorics import (
     perm_compose,
     perm_inverse,
     perm_to_word,
+    type_a_relations,
 )
 from .matrices import (
     Matrix,
@@ -44,7 +49,7 @@ from .matrices import (
     trace,
 )
 from .orbits import Profile, gamma_of, orbit_label, validate_profile
-from .wreath import WreathElement, WreathGroup
+from .wreath import CheckFailed, WreathElement, WreathGroup, wreath_presentation
 
 SPECHT_DEGREE_BOUND = 7
 
@@ -108,6 +113,11 @@ class SymmetricGroup:
     def class_index(self, p: Perm) -> int:
         return self._type_index[cycle_type(p)]
 
+    @cached_property
+    def presentation(self):
+        """Type A Coxeter relations; reduced words are the normal form."""
+        return tuple(type_a_relations((i, i) for i in range(self.n - 1))), perm_to_word
+
     def mul(self, a, b):
         return perm_compose(a, b)
 
@@ -117,17 +127,13 @@ class SymmetricGroup:
 
 class WreathSubgroup:
     """Subgroup of a wreath context with full factor part and tops ranging
-    over a fixed subgroup of the slot permutations."""
+    over the subgroup generated by the adjacent swaps (a, a+1), a in
+    ``swaps``; ``tops`` lists that subgroup."""
 
-    def __init__(
-        self,
-        group: WreathGroup,
-        tops: tuple[Perm, ...],
-        top_generators: tuple[Perm, ...] = (),
-    ):
+    def __init__(self, group: WreathGroup, tops: tuple[Perm, ...], swaps: tuple[int, ...]):
         self.group = group
-        self.tops = tuple(sorted(set(tops)))
-        self.top_generators = top_generators
+        self.tops = tops
+        self.swaps = swaps
         self.order = factorial(group.m) ** group.d * len(self.tops)
         self.identity = group.identity
 
@@ -145,21 +151,13 @@ class WreathSubgroup:
 
     @cached_property
     def generators(self) -> tuple[WreathElement, ...]:
-        m, d = self.group.m, self.group.d
-        gens = [
-            self.group.gen_s(i, j)
-            for j in range(1, d + 1)
-            for i in range(1, m)
-        ]
-        ident = tuple(identity_perm(m) for _ in range(d))
-        gens += [WreathElement(ident, t) for t in self.top_generators]
-        return tuple(gens)
+        group = self.group
+        factor_gens = group.generators[: group.d * (group.m - 1)]
+        return factor_gens + tuple(group.gen_t(a + 1) for a in self.swaps)
 
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        return a.inverse()
+    @cached_property
+    def presentation(self):
+        return wreath_presentation(self.group.m, self.group.d, self.swaps)
 
 
 def young_subgroup(group: WreathGroup, counts: tuple[int, ...]) -> WreathSubgroup:
@@ -167,79 +165,56 @@ def young_subgroup(group: WreathGroup, counts: tuple[int, ...]) -> WreathSubgrou
     given sizes."""
     if sum(counts) != group.d:
         raise ValueError(f"block sizes {counts} do not sum to d={group.d}")
-    d = group.d
-    starts = []
-    pos = 0
-    for c in counts:
-        starts.append(pos)
-        pos += c
-    block_perm_lists = []
-    for start, size in zip(starts, counts):
-        locals_ = []
-        for q in all_perms(size):
-            locals_.append((start, q))
-        block_perm_lists.append(locals_)
-    tops = []
-    for combo in product(*block_perm_lists):
-        img = list(range(d))
-        for start, q in combo:
-            for i, v in enumerate(q):
-                img[start + i] = start + v
-        tops.append(tuple(img))
-    gens = []
-    for start, size in zip(starts, counts):
-        for i in range(size - 1):
-            gens.append(adjacent_transposition(d, start + i))
-    return WreathSubgroup(group, tuple(tops), tuple(gens))
-
-
-def full_subgroup(group: WreathGroup) -> WreathSubgroup:
-    return WreathSubgroup(
-        group,
-        all_perms(group.d),
-        tuple(adjacent_transposition(group.d, i) for i in range(group.d - 1)),
+    block_of = [b for b, size in enumerate(counts) for _ in range(size)]
+    tops = tuple(
+        p for p in all_perms(group.d) if all(block_of[v] == block_of[i] for i, v in enumerate(p))
     )
+    swaps = tuple(a for a in range(group.d - 1) if block_of[a] == block_of[a + 1])
+    return WreathSubgroup(group, tops, swaps)
 
 
 # ---------------------------------------------------------------------------
 # representations and characters
 
 class Representation:
-    """A matrix representation given by an element -> matrix rule.
+    """A matrix representation, stored as the images of its group's
+    generators.
 
-    `check` controls construction-time verification: "hom" re-multiplies
-    the rule against every (element, generator) pair, which forces the map
-    to be a homomorphism on the whole group; "none" skips (used when the
-    property holds by construction, e.g. restrictions)."""
+    Construction evaluates `matrix_fn` on ``group.generators`` only and
+    checks the group's defining relations (``group.presentation``) on those
+    images, raising `CheckFailed` if one fails.  The matrix of any element
+    is the product of the images along its normal-form word, so by von
+    Dyck's theorem `matrix` is a homomorphism on the whole group."""
 
-    def __init__(self, group, dim: int, matrix_fn, name: str = "", check: str = "hom"):
+    def __init__(self, group, dim: int, matrix_fn, name: str = ""):
         self.group = group
         self.dim = dim
         self.name = name
-        self._fn = matrix_fn
+        self.images = tuple(matrix_fn(g) for g in group.generators)
+        relations, self._word_of = group.presentation
         self._cache: dict = {}
-        if check == "hom":
-            self._verify_hom()
+        ident = identity_matrix(dim)
+        for relation in relations:
+            if self._product(relation) != ident:
+                raise CheckFailed(
+                    f"matrix rule for {name or 'representation'} is not a "
+                    f"homomorphism: relation {relation} fails"
+                )
 
     def __repr__(self):
         return f"Representation({self.name or 'unnamed'}, dim={self.dim})"
 
+    def _product(self, word) -> Matrix:
+        if not word:
+            return identity_matrix(self.dim)
+        return reduce(mat_mul, (self.images[k] for k in word))
+
     def matrix(self, x) -> Matrix:
         got = self._cache.get(x)
         if got is None:
-            got = self._fn(x)
+            got = self._product(self._word_of(x))
             self._cache[x] = got
         return got
-
-    def _verify_hom(self):
-        mul = self.group.mul
-        for x in self.group.elements:
-            mx = self.matrix(x)
-            for g in self.group.generators:
-                if mat_mul(mx, self.matrix(g)) != self.matrix(mul(x, g)):
-                    raise ValueError(
-                        f"matrix rule for {self.name or 'representation'} is not a homomorphism"
-                    )
 
 
 @dataclass(frozen=True)
@@ -347,21 +322,6 @@ def _seminormal_generators(lam: Partition) -> tuple[Matrix, ...]:
     return tuple(mats)
 
 
-def _verify_coxeter(mats: tuple[Matrix, ...], dim: int) -> None:
-    ident = identity_matrix(dim)
-    for i, g in enumerate(mats):
-        if mat_mul(g, g) != ident:
-            raise ValueError(f"generator {i} does not square to the identity")
-    for i in range(len(mats) - 1):
-        a, b = mats[i], mats[i + 1]
-        if mat_mul(mat_mul(a, b), a) != mat_mul(mat_mul(b, a), b):
-            raise ValueError(f"braid relation fails at {i}")
-    for i in range(len(mats)):
-        for j in range(i + 2, len(mats)):
-            if mat_mul(mats[i], mats[j]) != mat_mul(mats[j], mats[i]):
-                raise ValueError(f"commuting relation fails at ({i},{j})")
-
-
 @lru_cache(maxsize=None)
 def specht_rep(lam: Partition, degree_bound: int = SPECHT_DEGREE_BOUND) -> Representation:
     """The irreducible representation of the symmetric group attached to a
@@ -370,18 +330,10 @@ def specht_rep(lam: Partition, degree_bound: int = SPECHT_DEGREE_BOUND) -> Repre
     n = sum(lam)
     if n > degree_bound:
         raise ValueError(f"partition size {n} exceeds the degree bound {degree_bound}")
-    gens = _seminormal_generators(lam)
+    group = SymmetricGroup(n)
+    images = dict(zip(group.generators, _seminormal_generators(lam)))
     dim = len(standard_tableaux(lam))
-    _verify_coxeter(gens, dim)
-
-    def fn(p: Perm) -> Matrix:
-        out = identity_matrix(dim)
-        for i in perm_to_word(p):
-            out = mat_mul(out, gens[i])
-        return out
-
-    rep = Representation(SymmetricGroup(n), dim, fn, name=f"S{format_partition(lam)}", check="none")
-    return rep
+    return Representation(group, dim, images.__getitem__, name=f"S{format_partition(lam)}")
 
 
 def specht_char_value(lam: Partition, p: Perm) -> Fraction:
@@ -488,6 +440,18 @@ def place_matrix(dims: tuple[int, ...], u: Perm) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
+def block_permutation_matrix(blocks: list[tuple[int, Matrix]]) -> Matrix:
+    """The square matrix whose k-th column block holds the matrix
+    ``blocks[k][1]`` in row block ``blocks[k][0]``, zero elsewhere."""
+    size = len(blocks[0][1])
+    dim = len(blocks) * size
+    rows = [[Fraction(0)] * dim for _ in range(dim)]
+    for col_block, (row_block, sub) in enumerate(blocks):
+        for r, sub_row in enumerate(sub):
+            rows[row_block * size + r][col_block * size:(col_block + 1) * size] = sub_row
+    return tuple(tuple(row) for row in rows)
+
+
 def _slots_of_gamma(gamma: dict[Partition, int]) -> tuple[Partition, ...]:
     return tuple(
         nu for nu in sorted(gamma, reverse=True) for _ in range(gamma[nu])
@@ -512,7 +476,7 @@ def extend_to_wreath(group: WreathGroup, gamma: dict[Partition, int]) -> Represe
         )
         return mat_mul(factor_part, place_matrix(dims, x.top))
 
-    return Representation(sub, prod(dims), fn, name="extension", check="hom")
+    return Representation(sub, prod(dims), fn, name="extension")
 
 
 def inflate(group: WreathGroup, label: CliffordLabel) -> Representation:
@@ -534,12 +498,10 @@ def inflate(group: WreathGroup, label: CliffordLabel) -> Representation:
         mats = []
         for val, begin, size in blocks:
             local = tuple(x.top[begin + i] - begin for i in range(size))
-            if any(not 0 <= v < size for v in local):
-                raise ValueError("top permutation does not preserve the blocks")
             mats.append(specht_rep(val).matrix(local))
         return kron_all(mats)
 
-    return Representation(sub, dim, fn, name="inflation", check="hom")
+    return Representation(sub, dim, fn, name="inflation")
 
 
 def rep_tensor(a: Representation, b: Representation) -> Representation:
@@ -549,10 +511,10 @@ def rep_tensor(a: Representation, b: Representation) -> Representation:
     def fn(x):
         return kron(a.matrix(x), b.matrix(x))
 
-    return Representation(a.group, a.dim * b.dim, fn, name=f"{a.name}(x){b.name}", check="none")
+    return Representation(a.group, a.dim * b.dim, fn, name=f"{a.name}(x){b.name}")
 
 
-def induce(rho: Representation, group: WreathGroup, check: str = "hom") -> Representation:
+def induce(rho: Representation, group: WreathGroup) -> Representation:
     """Induction from a block wreath subgroup, in the block-permutation
     model over the minimal coset representatives of the tops."""
     sub = rho.group
@@ -565,29 +527,23 @@ def induce(rho: Representation, group: WreathGroup, check: str = "hom") -> Repre
         rep_of[w] = min(perm_compose(w, s) for s in top_list)
     transversal = sorted(set(rep_of.values()))
     row_of = {w: i for i, w in enumerate(transversal)}
-    block = rho.dim
-    dim = len(transversal) * block
 
     def fn(g: WreathElement) -> Matrix:
-        rows = [[Fraction(0)] * dim for _ in range(dim)]
-        for col_block, w in enumerate(transversal):
+        blocks = []
+        for w in transversal:
             moved = perm_compose(g.top, w)
             target = rep_of[moved]
             h_top = perm_compose(perm_inverse(target), moved)
             factors = tuple(g.factors[target[j]] for j in range(d))
-            sub_mat = rho.matrix(WreathElement(factors, h_top))
-            r0, c0 = row_of[target] * block, col_block * block
-            for r in range(block):
-                for c in range(block):
-                    rows[r0 + r][c0 + c] = sub_mat[r][c]
-        return tuple(tuple(row) for row in rows)
+            blocks.append((row_of[target], rho.matrix(WreathElement(factors, h_top))))
+        return block_permutation_matrix(blocks)
 
-    return Representation(group, dim, fn, name=f"Ind({rho.name})", check=check)
+    return Representation(group, len(transversal) * rho.dim, fn, name=f"Ind({rho.name})")
 
 
 def restrict(rho: Representation, sub: WreathSubgroup) -> Representation:
-    """Restriction to a subgroup: the same matrix rule, rechecked trivially."""
-    return Representation(sub, rho.dim, rho.matrix, name=f"Res({rho.name})", check="none")
+    """Restriction to a subgroup: the same matrices on its generators."""
+    return Representation(sub, rho.dim, rho.matrix, name=f"Res({rho.name})")
 
 
 _clifford_cache: dict = {}
@@ -616,7 +572,9 @@ def clifford_irrep(group: WreathGroup, label: CliffordLabel) -> Representation:
 
 class BimoduleModel:
     """Commuting left (wreath group) and right (block permutations) actions
-    on the induced tensor space attached to a Jordan profile."""
+    on the induced tensor space attached to a Jordan profile.  The right
+    action R reverses products, so it is held as the representation
+    x -> R(x.top^-1) of a block subgroup of Sigma_1 wr Sigma_d."""
 
     def __init__(self, group: WreathGroup, profile: Profile):
         validate_profile(profile)
@@ -627,9 +585,6 @@ class BimoduleModel:
             raise ValueError(f"profile {profile} does not match (m,d)=({m},{d})")
         gamma = gamma_of(self.profile)
         counts = tuple(gamma[nu] for nu in sorted(gamma, reverse=True))
-        right_sub = young_subgroup(group, counts)
-        self.right_tops = right_sub.tops
-        self._right_gens = right_sub.top_generators
         self._blocks = []
         start = 0
         for nu in sorted(gamma, reverse=True):
@@ -639,65 +594,39 @@ class BimoduleModel:
         lams = self.profile
         dims = tuple(hook_dim(lam) for lam in lams)
         reps = {lam: specht_rep(lam) for lam in set(lams)}
+        slotwise = Representation(
+            young_subgroup(group, (1,) * d),
+            prod(dims),
+            lambda x: kron_all(reps[lams[j]].matrix(x.factors[j]) for j in range(d)),
+            name="fiber",
+        )
+        self.left = induce(slotwise, group)
+        self.dim = self.left.dim
+
         cosets = all_perms(d)
         row_of = {w: i for i, w in enumerate(cosets)}
-        block = prod(dims)
-        self.dim = len(cosets) * block
 
-        def left_fn(g: WreathElement) -> Matrix:
-            rows = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-            for col_block, w in enumerate(cosets):
-                target = perm_compose(g.top, w)
-                sub_mat = kron_all(
-                    reps[lams[j]].matrix(g.factors[target[j]]) for j in range(d)
-                )
-                r0, c0 = row_of[target] * block, col_block * block
-                for r in range(block):
-                    for c in range(block):
-                        rows[r0 + r][c0 + c] = sub_mat[r][c]
-            return tuple(tuple(row) for row in rows)
+        def right_fn(x: WreathElement) -> Matrix:
+            # R(c) for c = x.top^-1: coset w goes to w c, with the tensor
+            # slots permuted by c^-1 = x.top
+            inner = place_matrix(dims, x.top)
+            c = perm_inverse(x.top)
+            return block_permutation_matrix([(row_of[perm_compose(w, c)], inner) for w in cosets])
 
-        self.left = Representation(group, self.dim, left_fn, name="fiber", check="hom")
+        self.right = Representation(
+            young_subgroup(WreathGroup(1, d), counts), self.dim, right_fn, name="fiber-right"
+        )
+        self.right_tops = self.right.group.tops
 
-        def right_fn(c: Perm) -> Matrix:
-            inner = place_matrix(dims, perm_inverse(c))
-            rows = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-            for col_block, w in enumerate(cosets):
-                target = perm_compose(w, c)
-                r0, c0 = row_of[target] * block, col_block * block
-                for r in range(block):
-                    for cc in range(block):
-                        rows[r0 + r][c0 + cc] = inner[r][cc]
-            return tuple(tuple(row) for row in rows)
-
-        self._right_fn = right_fn
-        self._right_cache: dict[Perm, Matrix] = {}
-        self._verify_bimodule()
+        for g in group.generators:
+            lg = self.left.matrix(g)
+            for rc in self.right.images:
+                if mat_mul(lg, rc) != mat_mul(rc, lg):
+                    raise CheckFailed("left and right actions do not commute")
 
     def right_matrix(self, c: Perm) -> Matrix:
-        got = self._right_cache.get(c)
-        if got is None:
-            got = self._right_fn(c)
-            self._right_cache[c] = got
-        return got
-
-    def _verify_bimodule(self):
-        # right action reverses products ...
-        ident = tuple(identity_perm(self.group.m) for _ in range(self.group.d))
-        right_gens = [WreathElement(ident, t).top for t in self._right_gens]
-        for c1 in right_gens:
-            for c2 in right_gens:
-                lhs = self.right_matrix(perm_compose(c1, c2))
-                rhs = mat_mul(self.right_matrix(c2), self.right_matrix(c1))
-                if lhs != rhs:
-                    raise ValueError("right action does not reverse products")
-        # ... and commutes with the left action
-        for g in self.group.generators:
-            lg = self.left.matrix(g)
-            for c in right_gens:
-                rc = self.right_matrix(c)
-                if mat_mul(lg, rc) != mat_mul(rc, lg):
-                    raise ValueError("left and right actions do not commute")
+        """R(c) for a block permutation c."""
+        return self.right.matrix(WreathElement(self.right.group.identity.factors, perm_inverse(c)))
 
     def right_character_value(self, psi: CliffordLabel, c: Perm) -> Fraction:
         """Character of the block-group irreducible labelled by psi at a

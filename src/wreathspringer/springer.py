@@ -20,7 +20,7 @@ from .reptheory import (
     isotypic_character,
     springer_module,
 )
-from .wreath import WreathGroup
+from .wreath import CheckFailed, WreathGroup
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def verify_springer(group: WreathGroup) -> SpringerReport:
     labels = enumerate_IS(m, d)
     clifford_labels = enumerate_IC(m, d)
     if sorted(str(s.psi) for s in labels) != sorted(str(c) for c in clifford_labels):
-        raise AssertionError("the two index sets are not in bijection")
+        raise CheckFailed("the two index sets are not in bijection")
     models: dict[Profile, object] = {}
     rows = []
     for slabel in labels:

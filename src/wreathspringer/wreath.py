@@ -9,7 +9,8 @@ which the top permutes the factor slots:
 The module also provides the block embedding into the symmetric group of
 degree m*d, the product Bruhat order (equal tops, factorwise type A
 comparison), Hasse diagrams with DOT/JSON emission, brute-force conjugacy
-classes, cell statistics of the length grading, generator words, and a
+classes, cell statistics of the length grading, generator words, the
+defining relations of the group and its block subgroups, and a
 signed-permutation model of the type B Coxeter group for order comparison.
 """
 
@@ -32,6 +33,8 @@ from .combinatorics import (
     perm_compose,
     perm_inverse,
     perm_length,
+    perm_to_word,
+    type_a_relations,
 )
 
 DEFAULT_MAX_ELEMENTS = 50_000
@@ -40,6 +43,10 @@ BOUND_ENV_VAR = "WREATHSPRINGER_MAX_ELEMENTS"
 
 class BoundExceededError(Exception):
     """Raised when a requested enumeration would exceed the configured bound."""
+
+
+class CheckFailed(Exception):
+    """Raised when a mathematical check fails (the CLI exits with code 1)."""
 
 
 @dataclass(frozen=True)
@@ -106,12 +113,36 @@ def wreath_identity(m: int, d: int) -> WreathElement:
     return WreathElement(tuple(identity_perm(m) for _ in range(d)), identity_perm(d))
 
 
-def wreath_mul(a: WreathElement, b: WreathElement) -> WreathElement:
-    return a * b
+def wreath_presentation(m: int, d: int, swaps: tuple[int, ...]):
+    """Presentation ``(relations, word_of)`` of Sigma_m wr T, T the subgroup
+    of Sigma_d generated by the adjacent swaps (a, a+1), a in ``swaps``.
 
+    Generators: s_i^(j) slot by slot, then t_a in the order of ``swaps``.
+    Relations, as words equal to the identity: type A in each slot,
+    commutation across slots, type A on the t_a, and the slot action
+    t_a s_i^(j) t_a = s_i^(t_a(j)).  ``word_of`` gives the factors' reduced
+    words slot by slot, then the top's reduced word.
+    """
+    k = m - 1
+    top = {a: d * k + n for n, a in enumerate(swaps)}
+    relations = [
+        rel for j in range(d) for rel in type_a_relations((j * k + i, i) for i in range(k))
+    ]
+    relations += [
+        (x, y) * 2 for x in range(d * k) for y in range(x + 1, d * k) if x // k != y // k
+    ]
+    relations += type_a_relations((top[a], a) for a in swaps)
+    for a in swaps:
+        moved = adjacent_transposition(d, a)
+        relations += [
+            (top[a], j * k + i, top[a], moved[j] * k + i) for j in range(d) for i in range(k)
+        ]
 
-def wreath_inv(a: WreathElement) -> WreathElement:
-    return a.inverse()
+    def word_of(x: WreathElement) -> tuple[int, ...]:
+        factor_word = (j * k + i for j, f in enumerate(x.factors) for i in perm_to_word(f))
+        return (*factor_word, *(top[a] for a in perm_to_word(x.top)))
+
+    return tuple(relations), word_of
 
 
 def embed_md(x: WreathElement) -> Perm:
@@ -216,6 +247,10 @@ class WreathGroup:
     @property
     def generators(self) -> tuple[WreathElement, ...]:
         return tuple(g for _, g in self.named_generators)
+
+    @cached_property
+    def presentation(self):
+        return wreath_presentation(self.m, self.d, tuple(range(self.d - 1)))
 
     def mul(self, a: WreathElement, b: WreathElement) -> WreathElement:
         return a * b

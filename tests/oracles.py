@@ -4,7 +4,8 @@ Everything here is implemented from first principles, separately from the
 package code paths it checks: rim-hook recursion for symmetric-group
 characters, brute-force standard-tableau enumeration, Cayley-graph word
 lengths, the subword criterion for the Bruhat order, the induced-character
-sum, and signed-permutation conjugacy for the even-signed groups.
+sum, signed-permutation conjugacy for the even-signed groups, the
+exhaustive homomorphism check, and Todd-Coxeter coset enumeration.
 """
 
 from fractions import Fraction
@@ -158,3 +159,106 @@ def even_signed_class_count(d):
         remaining -= cls
         count += 1
     return count
+
+
+# -- representations ------------------------------------------------------------
+
+def _mat_mul(a, b):
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a
+    )
+
+
+def is_homomorphism(matrix, elements, generators, mul):
+    """rho(x) rho(g) == rho(x g) for every element x and generator g; as the
+    generators generate the group, this makes rho a homomorphism."""
+    return all(
+        _mat_mul(matrix(x), matrix(g)) == matrix(mul(x, g))
+        for x in elements
+        for g in generators
+    )
+
+
+# -- presentations (Todd-Coxeter, HLT strategy) ------------------------------
+
+def coset_count(n_gens, relations, bound=200_000):
+    """Order of the group generated by involutions 0..n_gens-1 subject to
+    `relations` (words equal to the identity), by enumerating the cosets of
+    the trivial subgroup.  Each generator must square to the identity in
+    the relations, so one table column per generator suffices.  Raises
+    RuntimeError once more than `bound` cosets have been defined."""
+    relations = [tuple(r) for r in relations]
+    for g in range(n_gens):
+        if (g, g) not in relations:
+            raise ValueError(f"generator {g} is not declared an involution")
+    table = [[None] * n_gens]
+    parent = [0]
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    def define(c, g):
+        if len(table) >= bound:
+            raise RuntimeError(f"more than {bound} cosets")
+        table.append([None] * n_gens)
+        parent.append(len(parent))
+        table[c][g] = len(table) - 1
+        table[-1][g] = c
+
+    def merge(a, b, queue):
+        a, b = sorted((find(a), find(b)))
+        if a != b:
+            parent[b] = a
+            queue.append(b)
+
+    def coincidence(a, b):
+        queue = []
+        merge(a, b, queue)
+        for dead in queue:  # grows while it is walked
+            for g in range(n_gens):
+                other = table[dead][g]
+                if other is None:
+                    continue
+                table[other][g] = None
+                e, f = find(dead), find(other)
+                if table[e][g] is not None:
+                    merge(f, table[e][g], queue)
+                elif table[f][g] is not None:
+                    merge(e, table[f][g], queue)
+                else:
+                    table[e][g], table[f][g] = f, e
+
+    def scan_and_fill(c, word):
+        f, b, i, j = c, c, 0, len(word) - 1
+        while True:
+            while i <= j and table[f][word[i]] is not None:
+                f, i = table[f][word[i]], i + 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and table[b][word[j]] is not None:
+                b, j = table[b][word[j]], j - 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if i == j:
+                table[f][word[i]], table[b][word[i]] = b, f
+                return
+            define(f, word[i])
+
+    c = 0
+    while c < len(table):
+        for word in relations:
+            if parent[c] != c:
+                break
+            scan_and_fill(c, word)
+        if parent[c] == c:
+            for g in range(n_gens):
+                if table[c][g] is None:
+                    define(c, g)
+        c += 1
+    return sum(1 for c in range(len(table)) if parent[c] == c)

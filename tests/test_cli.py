@@ -1,6 +1,9 @@
 import json
+from math import prod
 
+from wreathspringer import reptheory
 from wreathspringer.cli import main
+from wreathspringer.matrices import identity_matrix
 
 
 def run(capsys, *argv):
@@ -94,6 +97,16 @@ def test_verify_bound_exceeded(capsys):
     code, _, err = run(capsys, "verify", "--m", "9", "--d", "9")
     assert code == 2
     assert "bound" in err
+
+
+def test_math_failure_exits_1(capsys, monkeypatch):
+    # tensor slots that never move break the slot action of the extension
+    monkeypatch.setattr(reptheory, "place_matrix", lambda dims, u: identity_matrix(prod(dims)))
+    monkeypatch.setattr(reptheory, "_clifford_cache", {})
+    code, out, err = run(capsys, "tables", "--kind", "chars", "--m", "3", "--d", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "not a homomorphism" in err
 
 
 def test_usage_error(capsys):
