@@ -23,7 +23,7 @@ import sys
 from .combinatorics import bruhat_leq_typeA, format_partition
 from .convolution import verify_relations
 from .orbits import all_profiles, check_dimension_property, orbit_report
-from .reptheory import character_table, enumerate_IC
+from .reptheory import character_table, clifford_irrep, enumerate_IC
 from .springer import hu_index, psi, typeB_table, typeD_table, verify_springer
 from .wreath import (
     BoundExceededError,
@@ -120,8 +120,10 @@ def cmd_tables(args) -> int:
     fmt = args.format
     if args.kind == "irreps":
         group = WreathGroup(args.m, args.d)
+        group.check_bound()
         rows = [
-            [str(label), str(dim)] for label, dim, _ in character_table(group)
+            [str(label), str(clifford_irrep(group, label).dim)]
+            for label in enumerate_IC(args.m, args.d)
         ]
         header = ["label", "dim"]
         payload = {

@@ -263,7 +263,7 @@ class RelationReport:
 PRODUCTS_CHECK_LIMIT = 2000  # max basis-index count for the quadratic-cost check
 
 
-def verify_relations(group: WreathGroup, products_limit: int = PRODUCTS_CHECK_LIMIT) -> RelationReport:
+def verify_relations(group: WreathGroup) -> RelationReport:
     """Machine-check the defining relations of the group inside the class
     algebra, in the forms that stay within the computable products:
 
@@ -273,7 +273,7 @@ def verify_relations(group: WreathGroup, products_limit: int = PRODUCTS_CHECK_LI
     * braid / commuting: the slot swaps satisfy the symmetric-group braid
       relations;
     * products: w -> y_bar_sum(w) respects multiplication by pure-top
-      elements on either side (skipped above `products_limit` indices).
+      elements on either side (skipped above `PRODUCTS_CHECK_LIMIT` indices).
 
     Any undefined product raises UndefinedProductError: these checks are
     guaranteed computable, so an undefined result is an implementation bug.
@@ -334,13 +334,13 @@ def verify_relations(group: WreathGroup, products_limit: int = PRODUCTS_CHECK_LI
     outcome("commuting", failures, comm_count)
 
     index_count = group.order * len(all_perms(d))
-    if index_count > products_limit:
+    if index_count > PRODUCTS_CHECK_LIMIT:
         checks.append(
             Check(
                 "products",
                 "skipped",
                 0,
-                f"{index_count} basis indices exceed the limit {products_limit}",
+                f"{index_count} basis indices exceed the limit {PRODUCTS_CHECK_LIMIT}",
             )
         )
     else:

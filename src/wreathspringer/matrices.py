@@ -39,13 +39,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_pow(a: Matrix, k: int) -> Matrix:
-    out = identity_matrix(len(a))
-    for _ in range(k):
-        out = mat_mul(out, a)
-    return out
-
-
 def trace(a: Matrix) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), _ZERO)
 

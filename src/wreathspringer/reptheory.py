@@ -49,7 +49,7 @@ from .matrices import (
     trace,
 )
 from .orbits import Profile, gamma_of, orbit_label, validate_profile
-from .wreath import CheckFailed, WreathElement, WreathGroup, wreath_presentation
+from .wreath import CheckFailed, WreathElement, WreathGroup
 
 SPECHT_DEGREE_BOUND = 7
 
@@ -68,6 +68,12 @@ class SymmetricGroup:
 
     def __repr__(self):
         return f"SymmetricGroup({self.n})"
+
+    def __eq__(self, other):
+        return isinstance(other, SymmetricGroup) and self.n == other.n
+
+    def __hash__(self):
+        return hash(self.n)
 
     @cached_property
     def elements(self) -> tuple[Perm, ...]:
@@ -123,54 +129,6 @@ class SymmetricGroup:
 
     def inv(self, a):
         return perm_inverse(a)
-
-
-class WreathSubgroup:
-    """Subgroup of a wreath context with full factor part and tops ranging
-    over the subgroup generated by the adjacent swaps (a, a+1), a in
-    ``swaps``; ``tops`` lists that subgroup."""
-
-    def __init__(self, group: WreathGroup, tops: tuple[Perm, ...], swaps: tuple[int, ...]):
-        self.group = group
-        self.tops = tops
-        self.swaps = swaps
-        self.order = factorial(group.m) ** group.d * len(self.tops)
-        self.identity = group.identity
-
-    def __repr__(self):
-        return f"WreathSubgroup(m={self.group.m}, d={self.group.d}, tops={len(self.tops)})"
-
-    @cached_property
-    def elements(self) -> tuple[WreathElement, ...]:
-        m, d = self.group.m, self.group.d
-        return tuple(
-            WreathElement(fs, top)
-            for top in self.tops
-            for fs in product(all_perms(m), repeat=d)
-        )
-
-    @cached_property
-    def generators(self) -> tuple[WreathElement, ...]:
-        group = self.group
-        factor_gens = group.generators[: group.d * (group.m - 1)]
-        return factor_gens + tuple(group.gen_t(a + 1) for a in self.swaps)
-
-    @cached_property
-    def presentation(self):
-        return wreath_presentation(self.group.m, self.group.d, self.swaps)
-
-
-def young_subgroup(group: WreathGroup, counts: tuple[int, ...]) -> WreathSubgroup:
-    """The wreath subgroup whose tops preserve consecutive blocks of the
-    given sizes."""
-    if sum(counts) != group.d:
-        raise ValueError(f"block sizes {counts} do not sum to d={group.d}")
-    block_of = [b for b, size in enumerate(counts) for _ in range(size)]
-    tops = tuple(
-        p for p in all_perms(group.d) if all(block_of[v] == block_of[i] for i, v in enumerate(p))
-    )
-    swaps = tuple(a for a in range(group.d - 1) if block_of[a] == block_of[a + 1])
-    return WreathSubgroup(group, tops, swaps)
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +281,13 @@ def _seminormal_generators(lam: Partition) -> tuple[Matrix, ...]:
 
 
 @lru_cache(maxsize=None)
-def specht_rep(lam: Partition, degree_bound: int = SPECHT_DEGREE_BOUND) -> Representation:
+def specht_rep(lam: Partition) -> Representation:
     """The irreducible representation of the symmetric group attached to a
     partition, in Young's seminormal form over exact rationals."""
     lam = tuple(lam)
     n = sum(lam)
-    if n > degree_bound:
-        raise ValueError(f"partition size {n} exceeds the degree bound {degree_bound}")
+    if n > SPECHT_DEGREE_BOUND:
+        raise ValueError(f"partition size {n} exceeds the degree bound {SPECHT_DEGREE_BOUND}")
     group = SymmetricGroup(n)
     images = dict(zip(group.generators, _seminormal_generators(lam)))
     dim = len(standard_tableaux(lam))
@@ -426,18 +384,14 @@ def place_matrix(dims: tuple[int, ...], u: Perm) -> Matrix:
     if u == identity_perm(len(u)):
         return identity_matrix(prod(dims))
     uinv = perm_inverse(u)
-    for i in range(len(dims)):
-        if dims[uinv[i]] != dims[i]:
-            raise ValueError("slot dimensions are not constant along the permutation")
-    total = prod(dims)
-    rows = [[Fraction(0)] * total for _ in range(total)]
-    for col, k in enumerate(product(*[range(dm) for dm in dims])):
-        target = tuple(k[uinv[i]] for i in range(len(dims)))
-        flat = 0
-        for v, dm in zip(target, dims):
-            flat = flat * dm + v
-        rows[flat][col] = Fraction(1)
-    return tuple(tuple(row) for row in rows)
+    if any(dims[uinv[i]] != dims[i] for i in range(len(dims))):
+        raise ValueError("slot dimensions are not constant along the permutation")
+    basis = list(product(*[range(dm) for dm in dims]))
+    row_of = {k: r for r, k in enumerate(basis)}
+    one = ((Fraction(1),),)
+    return block_permutation_matrix(
+        [(row_of[tuple(k[uinv[i]] for i in range(len(dims)))], one) for k in basis]
+    )
 
 
 def block_permutation_matrix(blocks: list[tuple[int, Matrix]]) -> Matrix:
@@ -466,7 +420,7 @@ def extend_to_wreath(group: WreathGroup, gamma: dict[Partition, int]) -> Represe
     if len(slots) != group.d:
         raise ValueError(f"gamma totals {len(slots)}, expected d={group.d}")
     counts = tuple(gamma[nu] for nu in sorted(gamma, reverse=True))
-    sub = young_subgroup(group, counts)
+    sub = WreathGroup(group.m, group.d, counts)
     dims = tuple(hook_dim(nu) for nu in slots)
     reps = {nu: specht_rep(nu) for nu in gamma}
 
@@ -485,7 +439,7 @@ def inflate(group: WreathGroup, label: CliffordLabel) -> Representation:
     module."""
     gamma = label.gamma()
     counts = tuple(gamma[nu] for nu in sorted(gamma, reverse=True))
-    sub = young_subgroup(group, counts)
+    sub = WreathGroup(group.m, group.d, counts)
     blocks = []
     start = 0
     for nu in sorted(gamma, reverse=True):
@@ -505,7 +459,7 @@ def inflate(group: WreathGroup, label: CliffordLabel) -> Representation:
 
 
 def rep_tensor(a: Representation, b: Representation) -> Representation:
-    if getattr(a.group, "tops", None) != getattr(b.group, "tops", None):
+    if a.group != b.group:
         raise ValueError("tensor factors must live over the same subgroup")
 
     def fn(x):
@@ -515,16 +469,17 @@ def rep_tensor(a: Representation, b: Representation) -> Representation:
 
 
 def induce(rho: Representation, group: WreathGroup) -> Representation:
-    """Induction from a block wreath subgroup, in the block-permutation
+    """Induction from a Young wreath subgroup, in the block-permutation
     model over the minimal coset representatives of the tops."""
     sub = rho.group
-    if not isinstance(sub, WreathSubgroup) or sub.group.m != group.m or sub.group.d != group.d:
+    if (
+        not isinstance(sub, WreathGroup)
+        or (sub.m, sub.d) != (group.m, group.d)
+        or not set(sub.tops) <= set(group.tops)
+    ):
         raise ValueError("subgroup is not contained in the target group")
     d = group.d
-    top_list = sub.tops
-    rep_of: dict[Perm, Perm] = {}
-    for w in all_perms(d):
-        rep_of[w] = min(perm_compose(w, s) for s in top_list)
+    rep_of = {w: min(perm_compose(w, s) for s in sub.tops) for w in group.tops}
     transversal = sorted(set(rep_of.values()))
     row_of = {w: i for i, w in enumerate(transversal)}
 
@@ -541,29 +496,17 @@ def induce(rho: Representation, group: WreathGroup) -> Representation:
     return Representation(group, len(transversal) * rho.dim, fn, name=f"Ind({rho.name})")
 
 
-def restrict(rho: Representation, sub: WreathSubgroup) -> Representation:
-    """Restriction to a subgroup: the same matrices on its generators."""
-    return Representation(sub, rho.dim, rho.matrix, name=f"Res({rho.name})")
-
-
-_clifford_cache: dict = {}
-
-
+@lru_cache(maxsize=None)
 def clifford_irrep(group: WreathGroup, label: CliffordLabel) -> Representation:
     """The irreducible of the wreath group attached to a multipartition:
     induce the extension tensored with the inflation up from the block
     subgroup."""
     if label.m != group.m or label.d != group.d:
         raise ValueError(f"label {label} does not match (m,d)=({group.m},{group.d})")
-    key = (group.m, group.d, label)
-    cached = _clifford_cache.get(key)
-    if cached is not None:
-        return cached
     ext = extend_to_wreath(group, label.gamma())
     inf = inflate(group, label)
     rep = induce(rep_tensor(ext, inf), group)
     rep.name = f"L{label}"
-    _clifford_cache[key] = rep
     return rep
 
 
@@ -595,7 +538,7 @@ class BimoduleModel:
         dims = tuple(hook_dim(lam) for lam in lams)
         reps = {lam: specht_rep(lam) for lam in set(lams)}
         slotwise = Representation(
-            young_subgroup(group, (1,) * d),
+            WreathGroup(m, d, (1,) * d),
             prod(dims),
             lambda x: kron_all(reps[lams[j]].matrix(x.factors[j]) for j in range(d)),
             name="fiber",
@@ -614,7 +557,7 @@ class BimoduleModel:
             return block_permutation_matrix([(row_of[perm_compose(w, c)], inner) for w in cosets])
 
         self.right = Representation(
-            young_subgroup(WreathGroup(1, d), counts), self.dim, right_fn, name="fiber-right"
+            WreathGroup(1, d, counts), self.dim, right_fn, name="fiber-right"
         )
         self.right_tops = self.right.group.tops
 
@@ -638,19 +581,15 @@ class BimoduleModel:
         return value
 
 
-_bimodule_cache: dict = {}
-
-
 def springer_module(group: WreathGroup, profile) -> BimoduleModel:
     """The fiber bimodule of a Jordan profile: the induced tensor of the
     slotwise Specht modules, with the commuting block-permutation action
-    on the right."""
-    key = (group.m, group.d, orbit_label(profile))
-    cached = _bimodule_cache.get(key)
-    if cached is None:
-        cached = BimoduleModel(group, profile)
-        _bimodule_cache[key] = cached
-    return cached
+    on the right.  Profiles in the same slot-permutation orbit share one
+    model."""
+    return _bimodule(group, orbit_label(profile))
+
+
+_bimodule = lru_cache(maxsize=None)(BimoduleModel)
 
 
 def isotypic_character(model: BimoduleModel, psi: CliffordLabel) -> Character:

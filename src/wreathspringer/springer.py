@@ -112,14 +112,9 @@ def verify_springer(group: WreathGroup) -> SpringerReport:
     clifford_labels = enumerate_IC(m, d)
     if sorted(str(s.psi) for s in labels) != sorted(str(c) for c in clifford_labels):
         raise CheckFailed("the two index sets are not in bijection")
-    models: dict[Profile, object] = {}
     rows = []
     for slabel in labels:
-        model = models.get(slabel.orbit)
-        if model is None:
-            model = springer_module(group, slabel.orbit)
-            models[slabel.orbit] = model
-        geo = isotypic_character(model, slabel.psi)
+        geo = isotypic_character(springer_module(group, slabel.orbit), slabel.psi)
         alg = char_of(clifford_irrep(group, psi_inv(slabel)))
         rows.append((slabel, geo.values == alg.values))
     return SpringerReport(m, d, tuple(rows), len(group.conjugacy_classes))

@@ -10,7 +10,7 @@ The module also provides the block embedding into the symmetric group of
 degree m*d, the product Bruhat order (equal tops, factorwise type A
 comparison), Hasse diagrams with DOT/JSON emission, brute-force conjugacy
 classes, cell statistics of the length grading, generator words, the
-defining relations of the group and its block subgroups, and a
+defining relations of the group and of its Young wreath subgroups, and a
 signed-permutation model of the type B Coxeter group for order comparison.
 """
 
@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
-from math import factorial
+from math import factorial, prod
 
 from .combinatorics import (
     Perm,
@@ -113,38 +113,6 @@ def wreath_identity(m: int, d: int) -> WreathElement:
     return WreathElement(tuple(identity_perm(m) for _ in range(d)), identity_perm(d))
 
 
-def wreath_presentation(m: int, d: int, swaps: tuple[int, ...]):
-    """Presentation ``(relations, word_of)`` of Sigma_m wr T, T the subgroup
-    of Sigma_d generated by the adjacent swaps (a, a+1), a in ``swaps``.
-
-    Generators: s_i^(j) slot by slot, then t_a in the order of ``swaps``.
-    Relations, as words equal to the identity: type A in each slot,
-    commutation across slots, type A on the t_a, and the slot action
-    t_a s_i^(j) t_a = s_i^(t_a(j)).  ``word_of`` gives the factors' reduced
-    words slot by slot, then the top's reduced word.
-    """
-    k = m - 1
-    top = {a: d * k + n for n, a in enumerate(swaps)}
-    relations = [
-        rel for j in range(d) for rel in type_a_relations((j * k + i, i) for i in range(k))
-    ]
-    relations += [
-        (x, y) * 2 for x in range(d * k) for y in range(x + 1, d * k) if x // k != y // k
-    ]
-    relations += type_a_relations((top[a], a) for a in swaps)
-    for a in swaps:
-        moved = adjacent_transposition(d, a)
-        relations += [
-            (top[a], j * k + i, top[a], moved[j] * k + i) for j in range(d) for i in range(k)
-        ]
-
-    def word_of(x: WreathElement) -> tuple[int, ...]:
-        factor_word = (j * k + i for j, f in enumerate(x.factors) for i in perm_to_word(f))
-        return (*factor_word, *(top[a] for a in perm_to_word(x.top)))
-
-    return tuple(relations), word_of
-
-
 def embed_md(x: WreathElement) -> Perm:
     """Block embedding into the symmetric group of degree m*d: factor i
     permutes within block i, the top permutes the d blocks."""
@@ -176,25 +144,47 @@ def wreath_downset(x: WreathElement) -> list[WreathElement]:
 
 
 class WreathGroup:
-    """Enumeration context for Sigma_m wr Sigma_d.
+    """Enumeration context for Sigma_m wr T, where T is the Young subgroup
+    of Sigma_d that preserves consecutive blocks of the sizes ``blocks``
+    (default ``(d,)``, the whole of Sigma_d).
 
-    Caches (elements, words, conjugacy classes) are built once on first use
-    and are immutable afterwards; build before sharing across threads.
+    Two contexts are equal when their (m, d, blocks) are.  Caches (tops,
+    elements, words, conjugacy classes) are built once on first use and are
+    immutable afterwards; build before sharing across threads.
     """
 
-    def __init__(self, m: int, d: int, max_elements: int | None = None):
+    def __init__(
+        self, m: int, d: int, blocks: tuple[int, ...] | None = None, max_elements: int | None = None
+    ):
         if m < 1 or d < 1:
             raise ValueError("m and d must be positive")
+        blocks = (d,) if blocks is None else tuple(blocks)
+        if sum(blocks) != d or min(blocks) < 1:
+            raise ValueError(f"block sizes {blocks} are not positive or do not sum to d={d}")
         self.m = m
         self.d = d
+        self.blocks = blocks
         if max_elements is None:
             max_elements = int(os.environ.get(BOUND_ENV_VAR, DEFAULT_MAX_ELEMENTS))
         self.max_elements = max_elements
-        self.order = factorial(m) ** d * factorial(d)
+        self.order = factorial(m) ** d * prod(factorial(c) for c in blocks)
         self.identity = wreath_identity(m, d)
+        self._block_of = tuple(b for b, size in enumerate(blocks) for _ in range(size))
+        # adjacent swaps (a, a+1), 0-based, that stay inside one block
+        self.swaps = tuple(a for a in range(d - 1) if self._block_of[a] == self._block_of[a + 1])
 
     def __repr__(self):
-        return f"WreathGroup(m={self.m}, d={self.d})"
+        if self.blocks == (self.d,):
+            return f"WreathGroup(m={self.m}, d={self.d})"
+        return f"WreathGroup(m={self.m}, d={self.d}, blocks={self.blocks})"
+
+    def __eq__(self, other):
+        return isinstance(other, WreathGroup) and (self.m, self.d, self.blocks) == (
+            other.m, other.d, other.blocks
+        )
+
+    def __hash__(self):
+        return hash((self.m, self.d, self.blocks))
 
     def check_bound(self) -> None:
         if self.order > self.max_elements:
@@ -204,12 +194,20 @@ class WreathGroup:
             )
 
     @cached_property
+    def tops(self) -> tuple[Perm, ...]:
+        """The permutations of the d slots that preserve every block, sorted."""
+        block_of = self._block_of
+        return tuple(
+            p for p in all_perms(self.d) if all(block_of[v] == block_of[i] for i, v in enumerate(p))
+        )
+
+    @cached_property
     def elements(self) -> tuple[WreathElement, ...]:
         """All elements, sorted by (top, factors)."""
         self.check_bound()
         out = [
             WreathElement(fs, top)
-            for top in all_perms(self.d)
+            for top in self.tops
             for fs in product(all_perms(self.m), repeat=self.d)
         ]
         out.sort(key=WreathElement.key)
@@ -229,6 +227,8 @@ class WreathGroup:
         """t_k: the k-th adjacent transposition acting on the d slots (1-based)."""
         if not 1 <= k <= self.d - 1:
             raise ValueError(f"generator t{k} out of range for d={self.d}")
+        if k - 1 not in self.swaps:
+            raise ValueError(f"generator t{k} crosses the blocks {self.blocks}")
         return WreathElement(
             tuple(identity_perm(self.m) for _ in range(self.d)),
             adjacent_transposition(self.d, k - 1),
@@ -241,7 +241,7 @@ class WreathGroup:
             for j in range(1, self.d + 1)
             for i in range(1, self.m)
         ]
-        gens += [(f"t{k}", self.gen_t(k)) for k in range(1, self.d)]
+        gens += [(f"t{a + 1}", self.gen_t(a + 1)) for a in self.swaps]
         return tuple(gens)
 
     @property
@@ -250,7 +250,35 @@ class WreathGroup:
 
     @cached_property
     def presentation(self):
-        return wreath_presentation(self.m, self.d, tuple(range(self.d - 1)))
+        """``(relations, word_of)`` for the generators in the order of
+        `named_generators`: the s_i^(j) slot by slot, then the t_a.
+
+        Relations, as words equal to the identity: type A in each slot,
+        commutation across slots, type A on the t_a, and the slot action
+        t_a s_i^(j) t_a = s_i^(t_a(j)).  ``word_of`` gives the factors'
+        reduced words slot by slot, then the top's reduced word.
+        """
+        m, d, swaps = self.m, self.d, self.swaps
+        k = m - 1
+        top = {a: d * k + n for n, a in enumerate(swaps)}
+        relations = [
+            rel for j in range(d) for rel in type_a_relations((j * k + i, i) for i in range(k))
+        ]
+        relations += [
+            (x, y) * 2 for x in range(d * k) for y in range(x + 1, d * k) if x // k != y // k
+        ]
+        relations += type_a_relations((top[a], a) for a in swaps)
+        for a in swaps:
+            moved = adjacent_transposition(d, a)
+            relations += [
+                (top[a], j * k + i, top[a], moved[j] * k + i) for j in range(d) for i in range(k)
+            ]
+
+        def word_of(x: WreathElement) -> tuple[int, ...]:
+            factor_word = (j * k + i for j, f in enumerate(x.factors) for i in perm_to_word(f))
+            return (*factor_word, *(top[a] for a in perm_to_word(x.top)))
+
+        return tuple(relations), word_of
 
     def mul(self, a: WreathElement, b: WreathElement) -> WreathElement:
         return a * b

@@ -102,7 +102,7 @@ def test_verify_bound_exceeded(capsys):
 def test_math_failure_exits_1(capsys, monkeypatch):
     # tensor slots that never move break the slot action of the extension
     monkeypatch.setattr(reptheory, "place_matrix", lambda dims, u: identity_matrix(prod(dims)))
-    monkeypatch.setattr(reptheory, "_clifford_cache", {})
+    reptheory.clifford_irrep.cache_clear()
     code, out, err = run(capsys, "tables", "--kind", "chars", "--m", "3", "--d", "2")
     assert code == 1
     assert out == ""

@@ -10,10 +10,16 @@ from wreathspringer.matrices import (
     kron,
     kron_all,
     mat_mul,
-    mat_pow,
     mat_rank,
     trace,
 )
+
+
+def mat_pow(a, k):
+    out = identity_matrix(len(a))
+    for _ in range(k):
+        out = mat_mul(out, a)
+    return out
 
 
 def echelon_rank(rows):

@@ -21,7 +21,6 @@ from wreathspringer.reptheory import (
     rep_tensor,
     specht_rep,
     springer_module,
-    young_subgroup,
 )
 from wreathspringer.wreath import CheckFailed, WreathGroup
 
@@ -31,9 +30,9 @@ W = WreathGroup
 
 GROUPS = [
     *(W(m, d) for m, d in [(1, 3), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3)]),
-    young_subgroup(W(2, 3), (2, 1)),
-    young_subgroup(W(2, 3), (1, 1, 1)),
-    young_subgroup(W(3, 3), (1, 2)),
+    W(2, 3, (2, 1)),
+    W(2, 3, (1, 1, 1)),
+    W(3, 3, (1, 2)),
     *(SymmetricGroup(n) for n in (3, 4, 5)),
 ]
 

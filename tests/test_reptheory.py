@@ -25,10 +25,8 @@ from wreathspringer.reptheory import (
     inflate,
     isotypic_character,
     rep_tensor,
-    restrict,
     specht_rep,
     springer_module,
-    young_subgroup,
 )
 from wreathspringer.wreath import WreathGroup
 
@@ -76,6 +74,8 @@ def test_specht_characters_match_rim_hook_oracle():
 def test_specht_degree_bound():
     with pytest.raises(ValueError):
         specht_rep((5, 3))
+    with pytest.raises(ValueError):
+        specht_rep((8,))
 
 
 def test_specht_orthogonality_degree4():
@@ -185,7 +185,7 @@ def test_induce_from_whole_group_keeps_character():
 
 def test_induce_trivial_from_factor_part():
     g = WreathGroup(2, 2)
-    sub = young_subgroup(g, (1, 1))  # trivial top group
+    sub = WreathGroup(2, 2, (1, 1))  # trivial top group
     triv = Representation(sub, 1, lambda x: ((Fraction(1),),), name="trivial")
     induced = induce(triv, g)
     assert induced.dim == factorial(2)
@@ -200,6 +200,11 @@ def test_induce_trivial_from_factor_part():
             g.inv,
         )
         assert chi.value_at(rep_el) == expected
+
+
+def restrict(rho, sub):
+    """Restriction to a subgroup: the same matrices on its generators."""
+    return Representation(sub, rho.dim, rho.matrix, name=f"Res({rho.name})")
 
 
 def test_frobenius_reciprocity_random_pairs():
@@ -249,6 +254,41 @@ def test_clifford_count_matches_classes():
         assert len(enumerate_IC(m, d)) == len(g.conjugacy_classes)
 
 
+def test_clifford_irrep_cached_per_group_value():
+    label = clifford_label(2, {(2,): (1,), (1, 1): (1,)})
+    assert clifford_irrep(WreathGroup(2, 2), label) is clifford_irrep(WreathGroup(2, 2), label)
+
+
+def test_young_subgroup_characters_orthonormal_23():
+    g = WreathGroup(2, 3)
+    by_gamma: dict = {}
+    for label in enumerate_IC(2, 3):
+        by_gamma.setdefault(tuple(label.gamma().items()), []).append(label)
+    for labels in by_gamma.values():
+        gamma = labels[0].gamma()
+        chars = [
+            char_of(rep_tensor(extend_to_wreath(g, gamma), inflate(g, label))) for label in labels
+        ]
+        assert {chi.group.blocks for chi in chars} == {tuple(gamma.values())}
+        for i, chi1 in enumerate(chars):
+            for j, chi2 in enumerate(chars):
+                assert chi1.inner(chi2) == (1 if i == j else 0)
+
+
+def test_tensor_and_induce_reject_other_groups():
+    g = WreathGroup(2, 2)
+    ext = extend_to_wreath(g, {(2,): 1, (1, 1): 1})  # over blocks (1, 1)
+    with pytest.raises(ValueError):
+        rep_tensor(ext, extend_to_wreath(g, {(2,): 2}))
+    with pytest.raises(ValueError):
+        induce(ext, WreathGroup(3, 2))
+    with pytest.raises(ValueError):
+        induce(extend_to_wreath(g, {(2,): 2}), WreathGroup(2, 2, (1, 1)))
+    with pytest.raises(ValueError):
+        induce(specht_rep((2,)), g)
+    assert rep_tensor(specht_rep((2, 1)), specht_rep((1, 1, 1))).dim == 2
+
+
 def test_clifford_label_group_mismatch():
     g = WreathGroup(2, 2)
     with pytest.raises(ValueError):
@@ -279,6 +319,11 @@ def test_springer_module_single_slot():
     model = springer_module(g, ((2, 1),))
     assert model.dim == hook_dim((2, 1))
     assert model.right_tops == (identity_perm(1),)
+
+
+def test_springer_module_keys_on_the_orbit():
+    g = WreathGroup(2, 2)
+    assert springer_module(g, [(1, 1), (2,)]) is springer_module(g, ((2,), (1, 1)))
 
 
 def test_springer_module_mixed_pair():

@@ -120,6 +120,48 @@ def test_generator_basic():
         WreathGroup(2, 2).gen_t(2)
 
 
+def test_young_wreath_subgroup():
+    g = WreathGroup(2, 3, (2, 1))
+    assert g.swaps == (0,)
+    assert g.tops == ((0, 1, 2), (1, 0, 2))
+    assert g.order == len(g.elements) == 2**3 * 2
+    assert [name for name, _ in g.named_generators] == ["s1^1", "s1^2", "s1^3", "t1"]
+    assert g.gen_t(1) == WreathGroup(2, 3).gen_t(1)
+    with pytest.raises(ValueError, match="crosses the blocks"):
+        g.gen_t(2)
+    with pytest.raises(ValueError):
+        g.parse_word("t2")
+    with pytest.raises(ValueError, match="do not sum"):
+        WreathGroup(2, 3, (1, 1))
+    with pytest.raises(ValueError):
+        WreathGroup(2, 3, (3, 0))
+
+
+def test_young_subgroup_equality_and_classes():
+    assert WreathGroup(2, 3, [3]) == WreathGroup(2, 3)
+    assert hash(WreathGroup(2, 3, (2, 1))) == hash(WreathGroup(2, 3, (2, 1)))
+    assert WreathGroup(2, 3, (2, 1)) != WreathGroup(2, 3, (1, 2))
+    assert WreathGroup(2, 3) != WreathGroup(3, 2)
+    # Sigma_2 wr Sigma_1 x Sigma_2 wr Sigma_1 is abelian of order 4
+    g = WreathGroup(2, 2, (1, 1))
+    assert g.class_sizes == (1, 1, 1, 1)
+    assert sum(WreathGroup(2, 3, (2, 1)).class_sizes) == 16
+
+
+def test_order_and_bound_need_no_enumeration(monkeypatch):
+    import wreathspringer.wreath as wreath
+
+    def refuse(n):
+        raise AssertionError(f"all_perms({n}) called")
+
+    monkeypatch.setattr(wreath, "all_perms", refuse)
+    g = WreathGroup(2, 10)
+    assert g.order == 2**10 * factorial(10)
+    assert WreathGroup(2, 10, (4, 6)).order == 2**10 * factorial(4) * factorial(6)
+    with pytest.raises(BoundExceededError):
+        g.check_bound()
+
+
 def test_generator_conjugation_shifts_slots():
     g = WreathGroup(3, 3)
     for k in range(1, 3):
