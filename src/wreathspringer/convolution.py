@@ -20,9 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from .combinatorics import Perm, all_perms, perm_compose
+from .matrices import mat_rank
 from .wreath import WreathElement, WreathGroup, wreath_downset
 
 
@@ -62,10 +64,6 @@ class AlgebraVector:
     def basis(cls, idx: BasisIndex) -> "AlgebraVector":
         return cls({idx: Fraction(1)})
 
-    @property
-    def terms(self) -> dict[BasisIndex, Fraction]:
-        return dict(self._terms)
-
     def items(self):
         return sorted(self._terms.items(), key=lambda kv: kv[0].key())
 
@@ -79,10 +77,7 @@ class AlgebraVector:
         return not self._terms
 
     def __add__(self, other: "AlgebraVector") -> "AlgebraVector":
-        out = dict(self._terms)
-        for idx, coeff in other._terms.items():
-            out[idx] = out.get(idx, Fraction(0)) + coeff
-        return AlgebraVector(out)
+        return _collect(chain(self._terms.items(), other._terms.items()))
 
     def __sub__(self, other: "AlgebraVector") -> "AlgebraVector":
         return self + (-1) * other
@@ -99,6 +94,14 @@ class AlgebraVector:
             return "AlgebraVector(0)"
         bits = [f"{c}*[{idx.w.factors},{idx.w.top};{idx.tau}]" for idx, c in self.items()]
         return "AlgebraVector(" + " + ".join(bits) + ")"
+
+
+def _collect(pairs) -> AlgebraVector:
+    """Sum (index, coefficient) pairs into one vector."""
+    out: dict[BasisIndex, Fraction] = {}
+    for idx, coeff in pairs:
+        out[idx] = out.get(idx, 0) + coeff
+    return AlgebraVector(out)
 
 
 @dataclass(frozen=True)
@@ -137,19 +140,29 @@ def convolve_basis(a: BasisIndex, b: BasisIndex) -> ProductResult:
 
 def convolve(a: AlgebraVector, b: AlgebraVector) -> ProductResult:
     """Bilinear extension of convolve_basis.  Undefined as soon as any
-    needed basis product is undefined, reporting every blocking pair."""
-    total = AlgebraVector.zero()
+    needed basis product is undefined, reporting every blocking pair.
+
+    Only chaining pairs (b.tau == a.tau * top(a.w)) are visited; every other
+    basis product is zero."""
+    if a._terms and b._terms:
+        first = next(iter(a._terms)).w
+        for idx in chain(a._terms, b._terms):
+            first._check_compatible(idx.w)
+    by_tau: dict[Perm, list] = {}
+    for ib, cb in b._terms.items():
+        by_tau.setdefault(ib.tau, []).append((ib, cb))
+    terms = []
     blockers = []
-    for ia, ca in a.items():
-        for ib, cb in b.items():
+    for ia, ca in a._terms.items():
+        for ib, cb in by_tau.get(perm_compose(ia.tau, ia.w.top), ()):
             res = convolve_basis(ia, ib)
             if res.defined:
-                total = total + (ca * cb) * res.vector
+                terms.extend((idx, ca * cb * c) for idx, c in res.vector._terms.items())
             else:
                 blockers.extend(res.blockers)
     if blockers:
         return ProductResult(None, tuple(sorted(set(blockers), key=lambda p: (p[0].key(), p[1].key()))))
-    return ProductResult(total)
+    return ProductResult(_collect(terms))
 
 
 def convolve_chain(*vectors: AlgebraVector) -> ProductResult:
@@ -187,20 +200,18 @@ def y_plain_sum(group: WreathGroup, w: WreathElement) -> AlgebraVector:
 
 def involution_T(a: AlgebraVector) -> AlgebraVector:
     """The factor-swap anti-involution: [Y_{w,tau}] -> [Y_{w^-1, tau*top(w)}]."""
-    out: dict[BasisIndex, Fraction] = {}
-    for idx, coeff in a.items():
-        target = BasisIndex(idx.w.inverse(), perm_compose(idx.tau, idx.w.top))
-        out[target] = out.get(target, Fraction(0)) + coeff
-    return AlgebraVector(out)
+    return _collect(
+        (BasisIndex(idx.w.inverse(), perm_compose(idx.tau, idx.w.top)), coeff)
+        for idx, coeff in a._terms.items()
+    )
 
 
 def pi0_act(eta: Perm, a: AlgebraVector) -> AlgebraVector:
     """Component shuffle: [Y_{w,tau}] -> [Y_{w, eta*tau}], extended linearly."""
-    out: dict[BasisIndex, Fraction] = {}
-    for idx, coeff in a.items():
-        target = BasisIndex(idx.w, perm_compose(eta, idx.tau))
-        out[target] = out.get(target, Fraction(0)) + coeff
-    return AlgebraVector(out)
+    return _collect(
+        (BasisIndex(idx.w, perm_compose(eta, idx.tau)), coeff)
+        for idx, coeff in a._terms.items()
+    )
 
 
 def basis_indices(group: WreathGroup) -> list[BasisIndex]:
@@ -212,13 +223,11 @@ def basis_indices(group: WreathGroup) -> list[BasisIndex]:
 def class_span_rank(group: WreathGroup) -> int:
     """Rank over the rationals of the coefficient matrix of the vectors
     y_bar_sum(w), one row per group element."""
-    from .matrices import mat_rank
-
     columns = {idx: k for k, idx in enumerate(basis_indices(group))}
     rows = []
     for w in group.elements:
         row = [0] * len(columns)
-        for idx, coeff in y_bar_sum(group, w).items():
+        for idx, coeff in y_bar_sum(group, w)._terms.items():
             row[columns[idx]] = coeff
         rows.append(row)
     return mat_rank(rows)
@@ -282,79 +291,57 @@ def verify_relations(group: WreathGroup) -> RelationReport:
     m, d = group.m, group.d
     checks = []
 
-    def outcome(name: str, failures: list[str], instances: int) -> None:
+    def check(name: str, cases) -> None:
+        # each case is (label, lhs, rhs); label() is only called on a failure
+        failures = []
+        instances = 0
+        for label, lhs, rhs in cases:
+            instances += 1
+            if lhs != rhs:
+                failures.append(label())
         status = "fail" if failures else "pass"
         checks.append(Check(name, status, instances, "; ".join(failures[:3])))
 
-    ybs_e = y_bar_sum(group, group.identity)
+    def mul(*vectors: AlgebraVector) -> AlgebraVector:
+        return convolve_chain(*vectors).expect()
 
-    failures = []
-    quad_count = 0
-    for k in range(1, d):
-        t = y_bar_sum(group, group.gen_t(k))
-        quad_count += 1
-        if convolve(t, t).expect() != ybs_e:
-            failures.append(f"t{k}^2")
-    outcome("quadratic", failures, quad_count)
+    t = {k: y_bar_sum(group, group.gen_t(k)) for k in range(1, d)}
+    e = y_bar_sum(group, group.identity)
+    check("quadratic", ((lambda: f"t{k}^2", mul(t[k], t[k]), e) for k in range(1, d)))
 
-    failures = []
-    wreath_count = 0
-    for k in range(1, d):
-        yt = y_plain_sum(group, group.gen_t(k))
-        ye = y_plain_sum(group, group.identity)
-        for i in range(1, m):
-            wreath_count += 1
-            ys_lo = y_plain_sum(group, group.gen_s(i, k))
-            ys_hi = y_plain_sum(group, group.gen_s(i, k + 1))
-            lhs = convolve(yt, ys_lo).expect() + convolve(yt, ye).expect()
-            rhs = convolve(ys_hi, yt).expect() + convolve(ye, yt).expect()
-            if lhs != rhs:
-                failures.append(f"t{k} s{i}")
-    outcome("wreath", failures, wreath_count)
-
-    failures = []
-    braid_count = 0
-    for k in range(1, d - 1):
-        braid_count += 1
-        a = y_bar_sum(group, group.gen_t(k))
-        b = y_bar_sum(group, group.gen_t(k + 1))
-        if convolve_chain(a, b, a).expect() != convolve_chain(b, a, b).expect():
-            failures.append(f"t{k} t{k + 1} t{k}")
-    outcome("braid", failures, braid_count)
-
-    failures = []
-    comm_count = 0
-    for k in range(1, d):
-        for l in range(k + 2, d):
-            comm_count += 1
-            a = y_bar_sum(group, group.gen_t(k))
-            b = y_bar_sum(group, group.gen_t(l))
-            if convolve(a, b).expect() != convolve(b, a).expect():
-                failures.append(f"t{k} t{l}")
-    outcome("commuting", failures, comm_count)
+    tp = {k: y_plain_sum(group, group.gen_t(k)) for k in range(1, d)}
+    ep = y_plain_sum(group, group.identity)
+    check("wreath", (
+        (
+            lambda: f"t{k} s{i}",
+            mul(tp[k], y_plain_sum(group, group.gen_s(i, k))) + mul(tp[k], ep),
+            mul(y_plain_sum(group, group.gen_s(i, k + 1)), tp[k]) + mul(ep, tp[k]),
+        )
+        for k in range(1, d)
+        for i in range(1, m)
+    ))
+    check("braid", (
+        (lambda: f"t{k} t{k + 1} t{k}", mul(t[k], t[k + 1], t[k]), mul(t[k + 1], t[k], t[k + 1]))
+        for k in range(1, d - 1)
+    ))
+    check("commuting", (
+        (lambda: f"t{k} t{l}", mul(t[k], t[l]), mul(t[l], t[k]))
+        for k in range(1, d)
+        for l in range(k + 2, d)
+    ))
 
     index_count = group.order * len(all_perms(d))
     if index_count > PRODUCTS_CHECK_LIMIT:
-        checks.append(
-            Check(
-                "products",
-                "skipped",
-                0,
-                f"{index_count} basis indices exceed the limit {PRODUCTS_CHECK_LIMIT}",
-            )
-        )
+        detail = f"{index_count} basis indices exceed the limit {PRODUCTS_CHECK_LIMIT}"
+        checks.append(Check("products", "skipped", 0, detail))
     else:
-        failures = []
-        prod_count = 0
         sums = {w: y_bar_sum(group, w) for w in group.elements}
         tops = [w for w in group.elements if w.has_trivial_factors()]
-        for w in group.elements:
-            for sigma in tops:
-                prod_count += 2
-                if convolve(sums[w], sums[sigma]).expect() != sums[w * sigma]:
-                    failures.append(f"{group.word(w)} * {group.word(sigma)}")
-                if convolve(sums[sigma], sums[w]).expect() != sums[sigma * w]:
-                    failures.append(f"{group.word(sigma)} * {group.word(w)}")
-        outcome("products", failures, prod_count)
+        check("products", (
+            (lambda: f"{group.word(x)} * {group.word(y)}", mul(sums[x], sums[y]), sums[x * y])
+            for w in group.elements
+            for sigma in tops
+            for x, y in ((w, sigma), (sigma, w))
+        ))
 
     return RelationReport(m, d, tuple(checks))

@@ -43,6 +43,15 @@ def trace(a: Matrix) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), _ZERO)
 
 
+def trace_of_product(a: Matrix, b: Matrix) -> Fraction:
+    """trace(a b) without forming the product: the sum of a[i][j] * b[j][i]."""
+    if len(a[0]) != len(b) or len(a) != len(b[0]):
+        raise ValueError(
+            f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])} is not square"
+        )
+    return sum((x * y for row, col in zip(a, zip(*b)) for x, y in zip(row, col) if x), _ZERO)
+
+
 def is_zero_matrix(a: Matrix) -> bool:
     return all(x == 0 for row in a for x in row)
 

@@ -47,6 +47,7 @@ from .matrices import (
     kron_all,
     mat_mul,
     trace,
+    trace_of_product,
 )
 from .orbits import Profile, gamma_of, orbit_label, validate_profile
 from .wreath import CheckFailed, WreathElement, WreathGroup
@@ -608,7 +609,7 @@ def isotypic_character(model: BimoduleModel, psi: CliffordLabel) -> Character:
         for c in model.right_tops:
             chi = model.right_character_value(psi, perm_inverse(c))
             if chi:
-                total += chi * trace(mat_mul(left_mat, model.right_matrix(c)))
+                total += chi * trace_of_product(left_mat, model.right_matrix(c))
         values.append(total / size)
     return Character(group, tuple(values))
 

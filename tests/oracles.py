@@ -5,11 +5,14 @@ package code paths it checks: rim-hook recursion for symmetric-group
 characters, brute-force standard-tableau enumeration, Cayley-graph word
 lengths, the subword criterion for the Bruhat order, the induced-character
 sum, signed-permutation conjugacy for the even-signed groups, the
-exhaustive homomorphism check, and Todd-Coxeter coset enumeration.
+exhaustive homomorphism check, Todd-Coxeter coset enumeration, and the
+all-pairs bilinear extension of the basis convolution.
 """
 
 from fractions import Fraction
 from itertools import permutations, product
+
+from wreathspringer.convolution import AlgebraVector, ProductResult, convolve_basis
 
 
 # -- symmetric group characters (rim-hook recursion) ------------------------
@@ -262,3 +265,23 @@ def coset_count(n_gens, relations, bound=200_000):
                     define(c, g)
         c += 1
     return sum(1 for c in range(len(table)) if parent[c] == c)
+
+
+# -- class algebra ----------------------------------------------------------------
+
+def convolve_all_pairs(a, b):
+    """convolve() by visiting every basis pair, chaining or not, and adding
+    each product into a fresh running total."""
+    total = AlgebraVector.zero()
+    blockers = []
+    for ia, ca in a.items():
+        for ib, cb in b.items():
+            res = convolve_basis(ia, ib)
+            if res.defined:
+                total = total + (ca * cb) * res.vector
+            else:
+                blockers.extend(res.blockers)
+    if blockers:
+        key = lambda p: (p[0].key(), p[1].key())
+        return ProductResult(None, tuple(sorted(set(blockers), key=key)))
+    return ProductResult(total)

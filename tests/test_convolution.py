@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from oracles import convolve_all_pairs
+from wreathspringer import cli, convolution
 from wreathspringer.combinatorics import all_perms, identity_perm, perm_compose, perm_inverse
 from wreathspringer.convolution import (
     AlgebraVector,
@@ -138,6 +141,66 @@ def test_convolve_collects_all_blockers():
     res = convolve(v, v)
     assert not res.defined
     assert res.blockers == ((s, s),)
+
+
+def test_convolve_matches_all_pairs_oracle_on_class_sums():
+    g = WreathGroup(2, 2)
+    sums = [y_bar_sum(g, w) for w in g.elements]
+    blocked = 0
+    for a in sums:
+        for b in sums:
+            res = convolve(a, b)
+            assert res == convolve_all_pairs(a, b)
+            blocked += not res.defined
+    assert 0 < blocked < len(sums) ** 2
+
+
+def test_convolve_matches_all_pairs_oracle_on_mixed_coefficients():
+    rng = random.Random(7)
+    coeffs = [Fraction(3), Fraction(-3), Fraction(1, 2), Fraction(-2, 3)]
+    for m, d in [(2, 2), (3, 2)]:
+        g = WreathGroup(m, d)
+        indices = basis_indices(g)
+        sums = [y_bar_sum(g, w) for w in g.elements if w.has_trivial_factors()]
+        vectors = [sums[0] - sums[1], 2 * sums[1] - sums[0] + sums[1]]
+        for _ in range(8):
+            a, b = AlgebraVector.basis(rng.choice(indices)), AlgebraVector.basis(rng.choice(indices))
+            vectors.append(3 * a - 3 * a + Fraction(1, 2) * b)
+            vectors.append(sum((rng.choice(coeffs) * AlgebraVector.basis(rng.choice(indices))
+                                for _ in range(5)), AlgebraVector.zero()))
+        outcomes = set()
+        for a in vectors:
+            for b in vectors:
+                res = convolve(a, b)
+                assert res == convolve_all_pairs(a, b)
+                outcomes.add("blocked" if not res.defined else res.vector.is_zero())
+        assert outcomes == {"blocked", True, False}
+
+
+def test_convolve_visits_only_chaining_pairs(monkeypatch):
+    g = WreathGroup(2, 2)
+    t = y_bar_sum(g, g.gen_t(1))
+    visited = []
+
+    def counting(a, b):
+        visited.append((a, b))
+        return convolve_basis(a, b)
+
+    monkeypatch.setattr(convolution, "convolve_basis", counting)
+    assert convolve(t, t).expect() == y_bar_sum(g, g.identity)
+    chaining = [
+        (a, b) for a in t.support() for b in t.support()
+        if perm_compose(a.tau, a.w.top) == b.tau
+    ]
+    assert sorted(visited, key=lambda p: (p[0].key(), p[1].key())) == chaining
+    assert len(chaining) < len(t.support()) ** 2
+
+
+def test_convolve_rejects_mixed_contexts():
+    v22 = y_bar_sum(WreathGroup(2, 2), WreathGroup(2, 2).identity)
+    for other in [WreathGroup(3, 2), WreathGroup(2, 3)]:
+        with pytest.raises(ValueError):
+            convolve(v22, y_bar_sum(other, other.identity))
 
 
 def test_quadratic_identity():
@@ -286,6 +349,28 @@ def test_verify_relations_32():
     by_name = {c.name: c for c in report.checks}
     assert by_name["quadratic"].status == "pass"
     assert by_name["wreath"].instances == 2
+
+
+def test_failed_relation_report(monkeypatch, capsys):
+    # reversing every defined nonzero basis product breaks only `products`
+    def reversed_product(a, b):
+        res = convolve_basis(a, b)
+        if res.defined and not res.vector.is_zero():
+            return ProductResult(AlgebraVector.basis(BasisIndex(b.w * a.w, a.tau)))
+        return res
+
+    monkeypatch.setattr(convolution, "convolve_basis", reversed_product)
+    report = verify_relations(WreathGroup(2, 2))
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["products"] == convolution.Check(
+        "products", "fail", 32, "s1^2 * t1; t1 * s1^2; s1^1 * t1"
+    )
+    assert [c.name for c in report.checks if c.status == "pass"] == [
+        "quadratic", "wreath", "braid", "commuting"
+    ]
+    assert not report.all_pass
+    assert cli.main(["verify", "--scope", "algebra", "--m", "2", "--d", "2"]) == 1
+    capsys.readouterr()
 
 
 def test_braid_triple_products_directly():

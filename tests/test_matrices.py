@@ -12,6 +12,7 @@ from wreathspringer.matrices import (
     mat_mul,
     mat_rank,
     trace,
+    trace_of_product,
 )
 
 
@@ -92,3 +93,18 @@ def test_rank_matches_echelon_oracle():
             for _ in range(rows)
         ]
         assert mat_rank(m) == echelon_rank(m)
+
+
+def test_trace_of_product_matches_full_product():
+    rng = random.Random(5)
+    for _ in range(40):
+        n, k = rng.randint(1, 5), rng.randint(1, 5)
+        a = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k)] for _ in range(n)]
+        b = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(k)]
+        a, b = as_matrix(a), as_matrix(b)
+        assert trace_of_product(a, b) == trace(mat_mul(a, b))
+    assert trace_of_product(as_matrix([[0, 0]]), as_matrix([[0], [0]])) == 0
+    with pytest.raises(ValueError):
+        trace_of_product(identity_matrix(2), identity_matrix(3))
+    with pytest.raises(ValueError):
+        trace_of_product(as_matrix([[1, 2]]), as_matrix([[1, 2]]))
