@@ -101,14 +101,13 @@ def cmd_verify(args) -> int:
             }
         )
     if args.scope in ("dimensions", "all"):
-        bad = [
-            p for p in all_profiles(group.m, group.d) if not check_dimension_property(p)
-        ]
+        profiles = all_profiles(group.m, group.d)
+        bad = [p for p in profiles if not check_dimension_property(p)]
         checks.append(
             {
                 "name": "dimension_property",
                 "status": "fail" if bad else "pass",
-                "instances": len(all_profiles(group.m, group.d)),
+                "instances": len(profiles),
             }
         )
     status = "pass" if all(c["status"] != "fail" for c in checks) else "fail"

@@ -94,19 +94,24 @@ def cycle_type(p: Perm) -> Partition:
     return tuple(sorted(lengths, reverse=True))
 
 
+@lru_cache(maxsize=None)
 def perm_to_word(p: Perm) -> tuple[int, ...]:
-    """A reduced word for p in adjacent transpositions (0-based indices),
-    with perm_length(p) letters; identity gives the empty word."""
-    q = list(p)
-    reversed_word = []
+    """The lexicographically smallest reduced word for p in adjacent
+    transpositions (0-based indices), with perm_length(p) letters; the
+    identity gives the empty word.
+
+    s_i is a left descent of p exactly when i is a descent of p^-1, so
+    bubble-sorting p^-1 by its first descent each time records the greedy
+    smallest left descents in order: p = s_{i1} * s_{i2} * ... * s_{ik}.
+    """
+    q = list(perm_inverse(p))
+    word = []
     while True:
         i = next((k for k in range(len(q) - 1) if q[k] > q[k + 1]), None)
         if i is None:
-            break
+            return tuple(word)
         q[i], q[i + 1] = q[i + 1], q[i]
-        reversed_word.append(i)
-    # p * s_{i1} * ... * s_{ik} = e, hence p = s_{ik} * ... * s_{i1}
-    return tuple(reversed(reversed_word))
+        word.append(i)
 
 
 def type_a_relations(letters) -> list[tuple[int, ...]]:
@@ -126,18 +131,22 @@ def type_a_relations(letters) -> list[tuple[int, ...]]:
 # type A Bruhat order
 
 @lru_cache(maxsize=None)
-def bruhat_downset(w: Perm) -> frozenset[Perm]:
-    """All u with u <= w in the strong Bruhat order.
-
-    Recurses over the covers of w: the elements w*t, t a transposition,
-    whose length drops by exactly one.
-    """
-    out = {w}
+def lower_covers(w: Perm) -> tuple[Perm, ...]:
+    """The elements covered by w in the strong Bruhat order: the w*t, t a
+    transposition, whose length is one less than that of w."""
     lw = perm_length(w)
-    for t in transpositions(len(w)):
-        u = perm_compose(w, t)
-        if perm_length(u) == lw - 1:
-            out |= bruhat_downset(u)
+    return tuple(
+        u for u in (perm_compose(w, t) for t in transpositions(len(w))) if perm_length(u) == lw - 1
+    )
+
+
+@lru_cache(maxsize=None)
+def bruhat_downset(w: Perm) -> frozenset[Perm]:
+    """All u with u <= w in the strong Bruhat order, recursing over the
+    lower covers of w."""
+    out = {w}
+    for u in lower_covers(w):
+        out |= bruhat_downset(u)
     return frozenset(out)
 
 

@@ -311,11 +311,13 @@ def verify_relations(group: WreathGroup) -> RelationReport:
 
     tp = {k: y_plain_sum(group, group.gen_t(k)) for k in range(1, d)}
     ep = y_plain_sum(group, group.identity)
+    # the identity terms t_k * e and e * t_k do not depend on i
+    tp_e = {k: (mul(tp[k], ep), mul(ep, tp[k])) for k in range(1, d)} if m > 1 else {}
     check("wreath", (
         (
             lambda: f"t{k} s{i}",
-            mul(tp[k], y_plain_sum(group, group.gen_s(i, k))) + mul(tp[k], ep),
-            mul(y_plain_sum(group, group.gen_s(i, k + 1)), tp[k]) + mul(ep, tp[k]),
+            mul(tp[k], y_plain_sum(group, group.gen_s(i, k))) + tp_e[k][0],
+            mul(y_plain_sum(group, group.gen_s(i, k + 1)), tp[k]) + tp_e[k][1],
         )
         for k in range(1, d)
         for i in range(1, m)

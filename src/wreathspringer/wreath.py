@@ -17,7 +17,6 @@ signed-permutation model of the type B Coxeter group for order comparison.
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
@@ -30,6 +29,7 @@ from .combinatorics import (
     bruhat_downset,
     bruhat_leq_typeA,
     identity_perm,
+    lower_covers,
     perm_compose,
     perm_inverse,
     perm_length,
@@ -88,12 +88,6 @@ class WreathElement:
             perm_inverse(self.factors[self.top[i]]) for i in range(self.d)
         )
         return WreathElement(new_factors, perm_inverse(self.top))
-
-    def is_identity(self) -> bool:
-        ident = identity_perm(self.m)
-        return self.top == identity_perm(self.d) and all(
-            f == ident for f in self.factors
-        )
 
     def has_trivial_factors(self) -> bool:
         ident = identity_perm(self.m)
@@ -205,13 +199,11 @@ class WreathGroup:
     def elements(self) -> tuple[WreathElement, ...]:
         """All elements, sorted by (top, factors)."""
         self.check_bound()
-        out = [
+        return tuple(
             WreathElement(fs, top)
             for top in self.tops
             for fs in product(all_perms(self.m), repeat=self.d)
-        ]
-        out.sort(key=WreathElement.key)
-        return tuple(out)
+        )
 
     # -- generators ---------------------------------------------------------
 
@@ -256,7 +248,8 @@ class WreathGroup:
         Relations, as words equal to the identity: type A in each slot,
         commutation across slots, type A on the t_a, and the slot action
         t_a s_i^(j) t_a = s_i^(t_a(j)).  ``word_of`` gives the factors'
-        reduced words slot by slot, then the top's reduced word.
+        lex-smallest reduced words slot by slot, then the top's: the
+        lex-smallest shortest word of the element in this generator order.
         """
         m, d, swaps = self.m, self.d, self.swaps
         k = m - 1
@@ -290,18 +283,13 @@ class WreathGroup:
 
     @cached_property
     def _words(self) -> dict[WreathElement, str]:
-        """Shortest word per element, breadth-first over the generators."""
-        self.check_bound()
-        words = {self.identity: "e"}
-        queue = deque([self.identity])
-        while queue:
-            x = queue.popleft()
-            for name, g in self.named_generators:
-                y = x * g
-                if y not in words:
-                    words[y] = name if x.is_identity() else words[x] + " " + name
-                    queue.append(y)
-        return words
+        """The presentation's normal-form word per element ("e" for the
+        identity).  Every generator changes sum_j l(f_j) + l(top) by exactly
+        one, so this is the lex-smallest shortest word in the order of
+        `named_generators`."""
+        names = [name for name, _ in self.named_generators]
+        word_of = self.presentation[1]
+        return {x: " ".join(names[k] for k in word_of(x)) or "e" for x in self.elements}
 
     def word(self, x: WreathElement) -> str:
         return self._words[x]
@@ -376,12 +364,8 @@ def hasse_covers(group: WreathGroup) -> list[tuple[WreathElement, WreathElement]
     """
     covers = []
     for y in group.elements:
-        for slot in range(group.d):
-            f = y.factors[slot]
-            lf = perm_length(f)
-            for u in bruhat_downset(f):
-                if perm_length(u) != lf - 1:
-                    continue
+        for slot, f in enumerate(y.factors):
+            for u in lower_covers(f):
                 factors = list(y.factors)
                 factors[slot] = u
                 covers.append((WreathElement(tuple(factors), y.top), y))
@@ -538,21 +522,13 @@ def coxeterB_leq(u_word, w_word, d: int) -> bool:
 
 def wreath_to_typeB(group: WreathGroup) -> dict[WreathElement, SignedPerm]:
     """The identification of Sigma_2 wr Sigma_d with the type B group of
-    rank d: s1^(1) goes to the sign flip, t_k to the k-th swap.  Computed by
-    breadth-first search over the shared generating set."""
+    rank d: s1^(1) goes to the sign flip, t_k to the k-th swap, hence
+    s1^(j) to the sign flip on letter j, and x sends letter j to
+    x.top(j) with a sign exactly when the factor in slot x.top(j) is the
+    swap."""
     if group.m != 2:
         raise ValueError("the type B identification requires m = 2")
-    pairs = [(group.gen_s(1, 1), typeB_generator(group.d, 0))]
-    pairs += [
-        (group.gen_t(k), typeB_generator(group.d, k)) for k in range(1, group.d)
-    ]
-    images = {group.identity: signed_identity(group.d)}
-    queue = deque([group.identity])
-    while queue:
-        x = queue.popleft()
-        for g, img in pairs:
-            y = x * g
-            if y not in images:
-                images[y] = signed_mul(images[x], img)
-                queue.append(y)
-    return images
+    return {
+        x: tuple(-(t + 1) if x.factors[t] != (0, 1) else t + 1 for t in x.top)
+        for x in group.elements
+    }

@@ -3,12 +3,14 @@
 Everything here is implemented from first principles, separately from the
 package code paths it checks: rim-hook recursion for symmetric-group
 characters, brute-force standard-tableau enumeration, Cayley-graph word
-lengths, the subword criterion for the Bruhat order, the induced-character
+lengths, breadth-first generator words and type B images of wreath
+elements, the subword criterion for the Bruhat order, the induced-character
 sum, signed-permutation conjugacy for the even-signed groups, the
 exhaustive homomorphism check, Todd-Coxeter coset enumeration, and the
 all-pairs bilinear extension of the basis convolution.
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -111,6 +113,45 @@ def subword_downset(w):
                 p = tuple(q)
         out.add(p)
     return out
+
+
+# -- breadth-first search over wreath generators ---------------------------------
+
+def bfs_words(group):
+    """Shortest word per element of a WreathGroup, breadth-first over
+    `named_generators` in their order: the first word found is the
+    lex-smallest shortest one."""
+    words = {group.identity: "e"}
+    queue = deque([group.identity])
+    while queue:
+        x = queue.popleft()
+        for name, g in group.named_generators:
+            y = x * g
+            if y not in words:
+                words[y] = name if x == group.identity else words[x] + " " + name
+                queue.append(y)
+    return words
+
+
+def bfs_typeB(group):
+    """The signed permutation of each element of Sigma_2 wr Sigma_d, found
+    breadth-first from s1^(1) -> sign flip on letter 1, t_k -> swap k."""
+    d = group.d
+    pairs = [(group.gen_s(1, 1), (-1,) + tuple(range(2, d + 1)))]
+    for k in range(1, d):
+        swap = list(range(1, d + 1))
+        swap[k - 1], swap[k] = swap[k], swap[k - 1]
+        pairs.append((group.gen_t(k), tuple(swap)))
+    images = {group.identity: tuple(range(1, d + 1))}
+    queue = deque([group.identity])
+    while queue:
+        x = queue.popleft()
+        for g, img in pairs:
+            y = x * g
+            if y not in images:
+                images[y] = _signed_mul(images[x], img)
+                queue.append(y)
+    return images
 
 
 # -- induced characters --------------------------------------------------------

@@ -11,6 +11,7 @@ from wreathspringer.combinatorics import (
     conjugate_partition,
     hook_dim,
     identity_perm,
+    lower_covers,
     n_stat,
     partitions_of,
     perm_compose,
@@ -19,8 +20,9 @@ from wreathspringer.combinatorics import (
     perm_to_word,
     adjacent_transposition,
 )
+from wreathspringer.wreath import WreathGroup
 
-from oracles import bfs_word_lengths, count_syt_brute, subword_downset
+from oracles import bfs_word_lengths, bfs_words, count_syt_brute, subword_downset
 
 
 @st.composite
@@ -91,7 +93,24 @@ def test_perm_to_word_is_reduced():
             assert q == p
 
 
+def test_perm_to_word_is_the_breadth_first_word():
+    # Sigma_1 wr Sigma_n is Sigma_n on the generators t1, ..., t(n-1)
+    for n in range(1, 7):
+        g = WreathGroup(1, n)
+        for x, word in bfs_words(g).items():
+            expected = () if word == "e" else tuple(int(t[1:]) - 1 for t in word.split())
+            assert perm_to_word(x.top) == expected
+
+
 # -- Bruhat order
+
+def test_lower_covers_are_the_downset_one_level_down():
+    for n in range(1, 6):
+        for w in all_perms(n):
+            expected = {u for u in bruhat_downset(w) if perm_length(u) == perm_length(w) - 1}
+            assert set(lower_covers(w)) == expected
+            assert len(lower_covers(w)) == len(expected)
+
 
 def test_bruhat_bottom_element():
     for w in all_perms(4):

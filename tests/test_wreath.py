@@ -23,7 +23,7 @@ from wreathspringer.wreath import (
     wreath_to_typeB,
 )
 
-from oracles import subword_downset
+from oracles import bfs_typeB, bfs_words, subword_downset
 
 
 def random_element(rng, m, d):
@@ -294,6 +294,31 @@ def test_word_roundtrip():
             assert g.parse_word(g.word(x)) == x
 
 
+@pytest.mark.parametrize(
+    "group",
+    [WreathGroup(m, d) for m, d in [(1, 3), (2, 2), (3, 2), (2, 3), (3, 3), (2, 4), (4, 2), (2, 5)]]
+    + [WreathGroup(2, 3, (2, 1)), WreathGroup(3, 3, (1, 2)), WreathGroup(2, 4, (2, 2))],
+    ids=repr,
+)
+def test_word_is_the_breadth_first_word(group):
+    expected = bfs_words(group)
+    assert len(expected) == group.order
+    for x in group.elements:
+        assert group.word(x) == expected[x]
+
+
+@pytest.mark.parametrize(
+    "group",
+    [WreathGroup(m, d) for m, d in [(1, 3), (2, 3), (3, 2), (3, 4)]]
+    + [WreathGroup(2, 3, (2, 1)), WreathGroup(3, 3, (1, 2)), WreathGroup(2, 4, (2, 2))],
+    ids=repr,
+)
+def test_elements_are_in_key_order(group):
+    keys = [x.key() for x in group.elements]
+    assert keys == sorted(keys)
+    assert len(set(keys)) == group.order
+
+
 def test_parse_word_errors():
     g = WreathGroup(2, 2)
     with pytest.raises(ValueError):
@@ -377,3 +402,14 @@ def test_wreath_order_coarser_than_typeB():
     # the slot swap stays comparable with its upper neighbours in both orders
     t, s1t = g.gen_t(1), g.gen_s(1, 1) * g.gen_t(1)
     assert bruhat_leq_wreath(t, s1t) and typeB_leq(images[t], images[s1t])
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_wreath_to_typeB_matches_breadth_first_images(d):
+    g = WreathGroup(2, d)
+    assert wreath_to_typeB(g) == bfs_typeB(g)
+
+
+def test_wreath_to_typeB_requires_m_2():
+    with pytest.raises(ValueError):
+        wreath_to_typeB(WreathGroup(3, 2))
