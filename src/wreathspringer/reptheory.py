@@ -7,11 +7,13 @@ matrices have entries 1/axial-distance, so everything stays in exact
 rationals.  Wreath-product modules are built from these by the usual
 extension / inflation / induction steps.
 
-A representation is the images of its group's generators.  Each group
-context carries a presentation: relations, and a normal-form word for
-every element.  Construction checks the relations on the images, and the
-matrix of an element is the product of the images along its word, so by
-von Dyck's theorem every constructed representation is a homomorphism.
+There is one group class, `WreathGroup`; the symmetric group of degree n
+is ``WreathGroup(1, n)``.  A representation is the images of its group's
+generators.  The group carries a presentation: relations, and a
+normal-form word for every element.  Construction checks the relations on
+the images, and the matrix of an element is the product of the images
+along its word, so by von Dyck's theorem every constructed representation
+is a homomorphism.
 
 Degenerate-but-legal cases (m = 1, single-slot groups, empty partitions)
 are handled uniformly; matrices of dimension one are still matrices.
@@ -21,24 +23,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import product
-from math import factorial, prod
+from math import prod
 
 from .combinatorics import (
     Partition,
     Perm,
-    adjacent_transposition,
     all_perms,
-    cycle_type,
     format_partition,
     hook_dim,
     identity_perm,
     partitions_of,
     perm_compose,
     perm_inverse,
-    perm_to_word,
-    type_a_relations,
 )
 from .matrices import (
     Matrix,
@@ -53,83 +51,6 @@ from .orbits import Profile, gamma_of, orbit_label, validate_profile
 from .wreath import CheckFailed, WreathElement, WreathGroup
 
 SPECHT_DEGREE_BOUND = 7
-
-
-# ---------------------------------------------------------------------------
-# group contexts
-
-class SymmetricGroup:
-    """Class data for a symmetric group: representatives by cycle type, so
-    no element enumeration is needed for characters."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.order = factorial(n)
-        self.identity = identity_perm(n)
-
-    def __repr__(self):
-        return f"SymmetricGroup({self.n})"
-
-    def __eq__(self, other):
-        return isinstance(other, SymmetricGroup) and self.n == other.n
-
-    def __hash__(self):
-        return hash(self.n)
-
-    @cached_property
-    def elements(self) -> tuple[Perm, ...]:
-        return all_perms(self.n)
-
-    @cached_property
-    def generators(self) -> tuple[Perm, ...]:
-        return tuple(adjacent_transposition(self.n, i) for i in range(self.n - 1))
-
-    @cached_property
-    def class_types(self) -> tuple[Partition, ...]:
-        return partitions_of(self.n)
-
-    @cached_property
-    def class_reps(self) -> tuple[Perm, ...]:
-        reps = []
-        for mu in self.class_types:
-            img = list(range(self.n))
-            offset = 0
-            for length in mu:
-                for i in range(length - 1):
-                    img[offset + i] = offset + i + 1
-                img[offset + length - 1] = offset
-                offset += length
-            reps.append(tuple(img))
-        return tuple(reps)
-
-    @cached_property
-    def class_sizes(self) -> tuple[int, ...]:
-        sizes = []
-        for mu in self.class_types:
-            z = 1
-            for part in set(mu):
-                count = mu.count(part)
-                z *= part**count * factorial(count)
-            sizes.append(self.order // z)
-        return tuple(sizes)
-
-    @cached_property
-    def _type_index(self) -> dict[Partition, int]:
-        return {mu: k for k, mu in enumerate(self.class_types)}
-
-    def class_index(self, p: Perm) -> int:
-        return self._type_index[cycle_type(p)]
-
-    @cached_property
-    def presentation(self):
-        """Type A Coxeter relations; reduced words are the normal form."""
-        return tuple(type_a_relations((i, i) for i in range(self.n - 1))), perm_to_word
-
-    def mul(self, a, b):
-        return perm_compose(a, b)
-
-    def inv(self, a):
-        return perm_inverse(a)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +115,7 @@ class Character:
         group = self.group
         total = Fraction(0)
         for k, rep in enumerate(group.class_reps):
-            total += group.class_sizes[k] * self.values[k] * other.value_at(group.inv(rep))
+            total += group.class_sizes[k] * self.values[k] * other.value_at(rep.inverse())
         return total / group.order
 
 
@@ -283,20 +204,24 @@ def _seminormal_generators(lam: Partition) -> tuple[Matrix, ...]:
 
 @lru_cache(maxsize=None)
 def specht_rep(lam: Partition) -> Representation:
-    """The irreducible representation of the symmetric group attached to a
-    partition, in Young's seminormal form over exact rationals."""
+    """The irreducible representation of the symmetric group
+    ``WreathGroup(1, n)`` attached to a partition of n, in Young's
+    seminormal form over exact rationals."""
     lam = tuple(lam)
     n = sum(lam)
     if n > SPECHT_DEGREE_BOUND:
         raise ValueError(f"partition size {n} exceeds the degree bound {SPECHT_DEGREE_BOUND}")
-    group = SymmetricGroup(n)
+    group = WreathGroup(1, n)
     images = dict(zip(group.generators, _seminormal_generators(lam)))
     dim = len(standard_tableaux(lam))
     return Representation(group, dim, images.__getitem__, name=f"S{format_partition(lam)}")
 
 
-def specht_char_value(lam: Partition, p: Perm) -> Fraction:
-    return trace(specht_rep(lam).matrix(p))
+def specht_matrix(lam: Partition, p: Perm) -> Matrix:
+    """The matrix of a bare permutation of degree |lam| on the Specht module."""
+    if len(p) != sum(lam):
+        raise ValueError(f"permutation of degree {len(p)} does not act on S{format_partition(lam)}")
+    return specht_rep(lam).matrix(WreathElement(((0,),) * len(p), p))
 
 
 # ---------------------------------------------------------------------------
@@ -417,18 +342,18 @@ def extend_to_wreath(group: WreathGroup, gamma: dict[Partition, int]) -> Represe
     """The extension of the factorwise module to the block wreath subgroup:
     factors act slotwise on a tensor of Specht modules (one slot per count),
     tops in the block subgroup permute equal slots."""
+    for nu in gamma:
+        if nu not in partitions_of(group.m):
+            raise ValueError(f"key {nu} does not partition m={group.m}")
     slots = _slots_of_gamma(gamma)
     if len(slots) != group.d:
         raise ValueError(f"gamma totals {len(slots)}, expected d={group.d}")
     counts = tuple(gamma[nu] for nu in sorted(gamma, reverse=True))
     sub = WreathGroup(group.m, group.d, counts)
     dims = tuple(hook_dim(nu) for nu in slots)
-    reps = {nu: specht_rep(nu) for nu in gamma}
 
     def fn(x: WreathElement) -> Matrix:
-        factor_part = kron_all(
-            reps[slots[j]].matrix(x.factors[j]) for j in range(group.d)
-        )
+        factor_part = kron_all(specht_matrix(slots[j], x.factors[j]) for j in range(group.d))
         return mat_mul(factor_part, place_matrix(dims, x.top))
 
     return Representation(sub, prod(dims), fn, name="extension")
@@ -437,7 +362,9 @@ def extend_to_wreath(group: WreathGroup, gamma: dict[Partition, int]) -> Represe
 def inflate(group: WreathGroup, label: CliffordLabel) -> Representation:
     """Inflation of the block-group module through the top quotient: the
     factor part acts trivially, each top block acts by its own Specht
-    module."""
+    module.  Only the label's multiplicities and values are read, so at
+    m = 1 this is the irreducible of the Young subgroup of Sigma_d that
+    the label's values name, block by block."""
     gamma = label.gamma()
     counts = tuple(gamma[nu] for nu in sorted(gamma, reverse=True))
     sub = WreathGroup(group.m, group.d, counts)
@@ -453,7 +380,7 @@ def inflate(group: WreathGroup, label: CliffordLabel) -> Representation:
         mats = []
         for val, begin, size in blocks:
             local = tuple(x.top[begin + i] - begin for i in range(size))
-            mats.append(specht_rep(val).matrix(local))
+            mats.append(specht_matrix(val, local))
         return kron_all(mats)
 
     return Representation(sub, dim, fn, name="inflation")
@@ -529,19 +456,13 @@ class BimoduleModel:
             raise ValueError(f"profile {profile} does not match (m,d)=({m},{d})")
         gamma = gamma_of(self.profile)
         counts = tuple(gamma[nu] for nu in sorted(gamma, reverse=True))
-        self._blocks = []
-        start = 0
-        for nu in sorted(gamma, reverse=True):
-            self._blocks.append((nu, start, gamma[nu]))
-            start += gamma[nu]
 
         lams = self.profile
         dims = tuple(hook_dim(lam) for lam in lams)
-        reps = {lam: specht_rep(lam) for lam in set(lams)}
         slotwise = Representation(
             WreathGroup(m, d, (1,) * d),
             prod(dims),
-            lambda x: kron_all(reps[lams[j]].matrix(x.factors[j]) for j in range(d)),
+            lambda x: kron_all(specht_matrix(lams[j], x.factors[j]) for j in range(d)),
             name="fiber",
         )
         self.left = induce(slotwise, group)
@@ -560,26 +481,12 @@ class BimoduleModel:
         self.right = Representation(
             WreathGroup(1, d, counts), self.dim, right_fn, name="fiber-right"
         )
-        self.right_tops = self.right.group.tops
 
         for g in group.generators:
             lg = self.left.matrix(g)
             for rc in self.right.images:
                 if mat_mul(lg, rc) != mat_mul(rc, lg):
                     raise CheckFailed("left and right actions do not commute")
-
-    def right_matrix(self, c: Perm) -> Matrix:
-        """R(c) for a block permutation c."""
-        return self.right.matrix(WreathElement(self.right.group.identity.factors, perm_inverse(c)))
-
-    def right_character_value(self, psi: CliffordLabel, c: Perm) -> Fraction:
-        """Character of the block-group irreducible labelled by psi at a
-        block permutation: the product of local Specht traces."""
-        value = Fraction(1)
-        for nu, start, size in self._blocks:
-            local = tuple(c[start + i] - start for i in range(size))
-            value *= specht_char_value(psi.value(nu), local)
-        return value
 
 
 def springer_module(group: WreathGroup, profile) -> BimoduleModel:
@@ -601,16 +508,18 @@ def isotypic_character(model: BimoduleModel, psi: CliffordLabel) -> Character:
             f"label {psi} is not an irreducible of the right group of {model.profile}"
         )
     group = model.group
-    size = len(model.right_tops)
+    right = model.right
+    psi_rep = inflate(WreathGroup(1, group.d), psi)
+    terms = []
+    for x in right.group.elements:
+        chi = trace(psi_rep.matrix(x))
+        if chi:
+            terms.append((chi, right.matrix(x)))
     values = []
     for rep in group.class_reps:
         left_mat = model.left.matrix(rep)
-        total = Fraction(0)
-        for c in model.right_tops:
-            chi = model.right_character_value(psi, perm_inverse(c))
-            if chi:
-                total += chi * trace_of_product(left_mat, model.right_matrix(c))
-        values.append(total / size)
+        total = sum((chi * trace_of_product(left_mat, r) for chi, r in terms), Fraction(0))
+        values.append(total / right.group.order)
     return Character(group, tuple(values))
 
 

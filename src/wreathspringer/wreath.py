@@ -273,12 +273,6 @@ class WreathGroup:
 
         return tuple(relations), word_of
 
-    def mul(self, a: WreathElement, b: WreathElement) -> WreathElement:
-        return a * b
-
-    def inv(self, a: WreathElement) -> WreathElement:
-        return a.inverse()
-
     # -- words --------------------------------------------------------------
 
     @cached_property

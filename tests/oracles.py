@@ -5,7 +5,8 @@ package code paths it checks: rim-hook recursion for symmetric-group
 characters, brute-force standard-tableau enumeration, Cayley-graph word
 lengths, breadth-first generator words and type B images of wreath
 elements, the subword criterion for the Bruhat order, the induced-character
-sum, signed-permutation conjugacy for the even-signed groups, the
+sum, Macdonald's centralizer orders in Sigma_m wr Sigma_d,
+signed-permutation conjugacy for the even-signed groups, the
 exhaustive homomorphism check, Todd-Coxeter coset enumeration, and the
 all-pairs bilinear extension of the basis convolution.
 """
@@ -13,6 +14,7 @@ all-pairs bilinear extension of the basis convolution.
 from collections import deque
 from fractions import Fraction
 from itertools import permutations, product
+from math import factorial, prod
 
 from wreathspringer.convolution import AlgebraVector, ProductResult, convolve_basis
 
@@ -165,6 +167,55 @@ def induced_character_value(g, group_elements, h_elements, h_char, mul, inv):
         if conj in h_set:
             total += h_char(conj)
     return total / len(h_elements)
+
+
+# -- wreath conjugacy classes (Macdonald, Symmetric Functions, I, App. B) -------
+
+def _cycle_type(p):
+    seen, lengths = set(), []
+    for i in range(len(p)):
+        length, j = 0, i
+        while j not in seen:
+            seen.add(j)
+            j = p[j]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def wreath_class_label(x):
+    """The sorted pairs (r, rho), one per cycle of x.top: r is the cycle's
+    length and rho the cycle type of the factor that x^r has on the cycle's
+    slots, i.e. of the product of the factors around the cycle."""
+    powers = [x]  # powers[k] = x^(k+1)
+    seen, label = set(), []
+    for i in range(len(x.top)):
+        if i in seen:
+            continue
+        cycle, j = [i], x.top[i]
+        while j != i:
+            cycle.append(j)
+            j = x.top[j]
+        seen.update(cycle)
+        r = len(cycle)
+        while len(powers) < r:
+            powers.append(powers[-1] * x)
+        label.append((r, _cycle_type(powers[r - 1].factors[i])))
+    return tuple(sorted(label))
+
+
+def wreath_centralizer_order(label):
+    """z = prod over distinct pairs (r, rho) occurring k times of
+    (r * z_rho)^k * k!, where z_rho is the centralizer order of cycle type
+    rho in the symmetric group."""
+    z = 1
+    for pair in set(label):
+        r, rho = pair
+        k = label.count(pair)
+        z_rho = prod(i ** rho.count(i) * factorial(rho.count(i)) for i in set(rho))
+        z *= (r * z_rho) ** k * factorial(k)
+    return z
 
 
 # -- even-signed permutation groups ---------------------------------------------

@@ -1,21 +1,21 @@
 import random
 from fractions import Fraction
 from math import factorial, prod
+from operator import mul
 
 import pytest
 
 from wreathspringer.combinatorics import (
+    cycle_type,
     hook_dim,
     identity_perm,
     partitions_of,
-    perm_inverse,
 )
 from wreathspringer.matrices import identity_matrix, trace
 from wreathspringer.orbits import all_orbit_labels, gamma_of
 from wreathspringer.reptheory import (
     CliffordLabel,
     Representation,
-    SymmetricGroup,
     char_of,
     clifford_irrep,
     clifford_label,
@@ -25,10 +25,11 @@ from wreathspringer.reptheory import (
     inflate,
     isotypic_character,
     rep_tensor,
+    specht_matrix,
     specht_rep,
     springer_module,
 )
-from wreathspringer.wreath import WreathGroup
+from wreathspringer.wreath import WreathElement, WreathGroup
 
 from oracles import induced_character_value, mn_character
 
@@ -52,8 +53,9 @@ def test_specht_21_character():
     rep = specht_rep((2, 1))
     assert rep.dim == 2
     chi = char_of(rep)
-    # classes ordered (3), (2,1), (1,1,1)
-    assert chi.values == (Fraction(-1), Fraction(0), Fraction(2))
+    g = rep.group
+    three_cycle = g.gen_t(1) * g.gen_t(2)
+    assert (chi.value_at(three_cycle), chi.value_at(g.gen_t(1)), chi.dim) == (-1, 0, 2)
 
 
 def test_specht_dims_match_hook_formula():
@@ -64,11 +66,11 @@ def test_specht_dims_match_hook_formula():
 
 def test_specht_characters_match_rim_hook_oracle():
     for n in range(1, 6):
-        group = SymmetricGroup(n)
+        group = WreathGroup(1, n)
         for lam in partitions_of(n):
             chi = char_of(specht_rep(lam))
-            for k, mu in enumerate(group.class_types):
-                assert chi.values[k] == mn_character(lam, mu)
+            for rep in group.class_reps:
+                assert chi.value_at(rep) == mn_character(lam, cycle_type(rep.top))
 
 
 def test_specht_degree_bound():
@@ -87,18 +89,29 @@ def test_specht_orthogonality_degree4():
 
 
 def test_regular_representation_character():
-    group = SymmetricGroup(3)
+    group = WreathGroup(1, 3)
     elements = group.elements
     index = {p: i for i, p in enumerate(elements)}
 
     def fn(p):
         rows = [[Fraction(0)] * 6 for _ in range(6)]
         for x in elements:
-            rows[index[group.mul(p, x)]][index[x]] = Fraction(1)
+            rows[index[p * x]][index[x]] = Fraction(1)
         return tuple(tuple(r) for r in rows)
 
     chi = char_of(Representation(group, 6, fn, name="regular"))
-    assert chi.values == (Fraction(0), Fraction(0), Fraction(6))
+    for x in elements:
+        assert chi.value_at(x) == (6 if x == group.identity else 0)
+
+
+def test_specht_matrix_reads_a_bare_permutation():
+    rep = specht_rep((2, 1))
+    for p in rep.group.tops:
+        assert specht_matrix((2, 1), p) == rep.matrix(WreathElement(((0,),) * 3, p))
+    with pytest.raises(ValueError):
+        specht_matrix((2, 1), (1, 0))
+    with pytest.raises(ValueError):
+        specht_matrix((2,), (0, 1, 2))
 
 
 # -- labels
@@ -157,6 +170,13 @@ def test_extension_dimension():
     assert rep.dim == hook_dim((2, 1)) ** 2 == 4
 
 
+def test_extension_rejects_keys_that_do_not_partition_m():
+    with pytest.raises(ValueError, match=r"key \(2, 1\) does not partition m=2"):
+        extend_to_wreath(WreathGroup(2, 1), {(2, 1): 1})
+    with pytest.raises(ValueError, match=r"key \(3,\) does not partition m=2"):
+        extend_to_wreath(WreathGroup(2, 2), {(3,): 1, (1, 1): 1})
+
+
 def test_inflation_trivial_values():
     g = WreathGroup(2, 2)
     rep = inflate(g, clifford_label(2, {(2,): (2,)}))
@@ -171,6 +191,22 @@ def test_inflation_kills_factor_part():
     assert rep.dim == hook_dim((2, 1)) == 2
     for j in range(1, 4):
         assert rep.matrix(g.gen_s(1, j)) == identity_matrix(2)
+
+
+@pytest.mark.parametrize("m,d", [(m, d) for m in (2, 3) for d in (1, 2, 3, 4)])
+def test_inflation_to_sigma_1_is_the_young_subgroup_irreducible(m, d):
+    # the right group's characters: at m = 1 the inflation of a label is the
+    # outer tensor of its values over the blocks, one block per key
+    for psi in enumerate_IC(m, d):
+        rep = inflate(WreathGroup(1, d), psi)
+        gamma = psi.gamma()
+        for x in rep.group.elements:
+            expected, start = 1, 0
+            for nu in sorted(gamma, reverse=True):
+                local = tuple(x.top[start + i] - start for i in range(gamma[nu]))
+                expected *= mn_character(psi.value(nu), cycle_type(local))
+                start += gamma[nu]
+            assert trace(rep.matrix(x)) == expected, (psi, x)
 
 
 def test_induce_from_whole_group_keeps_character():
@@ -196,8 +232,8 @@ def test_induce_trivial_from_factor_part():
             g.elements,
             sub.elements,
             lambda h: Fraction(1),
-            g.mul,
-            g.inv,
+            mul,
+            WreathElement.inverse,
         )
         assert chi.value_at(rep_el) == expected
 
@@ -225,8 +261,8 @@ def test_frobenius_reciprocity_random_pairs():
         rho = rep_tensor(extend_to_wreath(g, gamma), inflate(g, lab_h))
         sigma = clifford_irrep(g, lab_g)
         sub = rho.group
-        lhs = inner_over(g.elements, induce(rho, g), sigma, g.inv)
-        rhs = inner_over(sub.elements, rho, restrict(sigma, sub), g.inv)
+        lhs = inner_over(g.elements, induce(rho, g), sigma, WreathElement.inverse)
+        rhs = inner_over(sub.elements, rho, restrict(sigma, sub), WreathElement.inverse)
         assert lhs == rhs
 
 
@@ -297,28 +333,34 @@ def test_clifford_label_group_mismatch():
 
 # -- the fiber bimodule
 
+def right_multiplicity(model, psi):
+    """Multiplicity of the right group's irreducible psi in the bimodule:
+    the inner product of its character, read from the inflation to
+    Sigma_1 wr Sigma_d, with the right action's character."""
+    right = model.right
+    psi_rep = inflate(WreathGroup(1, model.group.d), psi)
+    assert psi_rep.group == right.group
+    return sum(
+        trace(psi_rep.matrix(x)) * trace(right.matrix(x)) for x in right.group.elements
+    ) / right.group.order
+
+
 def test_springer_module_equal_pair():
     g = WreathGroup(2, 2)
     model = springer_module(g, ((2,), (2,)))
     assert model.dim == 2
     # right action is the regular representation of the two-element group
-    size = len(model.right_tops)
-    assert size == 2
+    assert model.right.group.order == 2
     for psi_part, expected in [((2,), 1), ((1, 1), 1)]:
         psi = clifford_label(2, {(2,): psi_part})
-        mult = sum(
-            model.right_character_value(psi, perm_inverse(c))
-            * trace(model.right_matrix(c))
-            for c in model.right_tops
-        ) / size
-        assert mult == expected
+        assert right_multiplicity(model, psi) == expected
 
 
 def test_springer_module_single_slot():
     g = WreathGroup(3, 1)
     model = springer_module(g, ((2, 1),))
     assert model.dim == hook_dim((2, 1))
-    assert model.right_tops == (identity_perm(1),)
+    assert model.right.group.tops == (identity_perm(1),)
 
 
 def test_springer_module_keys_on_the_orbit():
@@ -330,7 +372,7 @@ def test_springer_module_mixed_pair():
     g = WreathGroup(2, 2)
     model = springer_module(g, ((2,), (1, 1)))
     assert model.dim == 2
-    assert model.right_tops == (identity_perm(2),)
+    assert model.right.group.tops == (identity_perm(2),)
 
 
 def test_right_action_regular_pattern():
@@ -340,16 +382,10 @@ def test_right_action_regular_pattern():
         for label in all_orbit_labels(m, d):
             model = springer_module(g, label)
             gamma = gamma_of(label)
-            size = len(model.right_tops)
             for psi in enumerate_IC(m, d):
                 if psi.gamma() != gamma:
                     continue
-                mult = sum(
-                    model.right_character_value(psi, perm_inverse(c))
-                    * trace(model.right_matrix(c))
-                    for c in model.right_tops
-                ) / size
-                assert mult >= 1
+                assert right_multiplicity(model, psi) >= 1
 
 
 def test_isotypic_trivial_right_group_gives_full_character():

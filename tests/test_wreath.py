@@ -23,7 +23,13 @@ from wreathspringer.wreath import (
     wreath_to_typeB,
 )
 
-from oracles import bfs_typeB, bfs_words, subword_downset
+from oracles import (
+    bfs_typeB,
+    bfs_words,
+    subword_downset,
+    wreath_centralizer_order,
+    wreath_class_label,
+)
 
 
 def random_element(rng, m, d):
@@ -344,6 +350,21 @@ def test_conjugacy_classes_partition_the_group():
     seen = [x for cls in g.conjugacy_classes for x in cls]
     assert len(seen) == g.order
     assert len(set(seen)) == g.order
+
+
+@pytest.mark.parametrize(
+    "group",
+    [WreathGroup(1, n) for n in range(1, 7)]
+    + [WreathGroup(m, d) for m, d in [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3)]],
+    ids=repr,
+)
+def test_conjugacy_class_sizes_match_centralizer_orders(group):
+    labels = []
+    for cls in group.conjugacy_classes:
+        (label,) = {wreath_class_label(x) for x in cls}
+        assert len(cls) * wreath_centralizer_order(label) == group.order, label
+        labels.append(label)
+    assert len(set(labels)) == len(labels)
 
 
 # -- cell statistics
