@@ -1,14 +1,19 @@
-"""Dense exact-rational matrices.
+"""Exact-rational matrices: dense, and block-monomial.
 
-Matrices are tuples of tuples of `fractions.Fraction`. Everything in this
-package stays at desk scale (a few dozen rows at most), so clarity beats
-asymptotics; the one algorithm that needs care is the rank, which uses
-fraction-free (Bareiss) elimination over the integers to avoid denominator
-churn.
+A dense matrix is a tuple of tuples of `fractions.Fraction`.  Every module
+the package builds is induced from a subgroup, so its matrices have one
+nonzero block per coset, placed by a permutation of the cosets;
+`BlockMonomial` stores exactly that and multiplies block by block, so a
+product costs O(cosets * block^3) instead of O((cosets * block)^3), and a
+trace reads only the cosets the permutation fixes (the Frobenius formula
+for induced characters).  A dense matrix is its one-coset case.  The rank
+uses fraction-free (Bareiss) elimination over the integers to avoid
+denominator churn.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -29,13 +34,16 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The product; only pairs of nonzero entries are multiplied, as most
+    entries of Specht and permutation blocks are zero."""
     if len(a[0]) != len(b):
         raise ValueError(
             f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}"
         )
     bt = tuple(zip(*b))
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+        tuple(sum((x * y for x, y in zip(row, col) if x and y), _ZERO) for col in bt)
+        for row in a
     )
 
 
@@ -49,7 +57,9 @@ def trace_of_product(a: Matrix, b: Matrix) -> Fraction:
         raise ValueError(
             f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])} is not square"
         )
-    return sum((x * y for row, col in zip(a, zip(*b)) for x, y in zip(row, col) if x), _ZERO)
+    return sum(
+        (x * y for row, col in zip(a, zip(*b)) for x, y in zip(row, col) if x and y), _ZERO
+    )
 
 
 def is_zero_matrix(a: Matrix) -> bool:
@@ -70,6 +80,79 @@ def kron_all(ms) -> Matrix:
     for m in ms:
         out = kron(out, m)
     return out
+
+
+def permute_columns(a: Matrix, order) -> Matrix:
+    """The matrix whose column c is column ``order[c]`` of a: a times the
+    permutation matrix that sends basis vector c to ``order[c]``."""
+    return tuple(tuple(row[k] for k in order) for row in a)
+
+
+@dataclass(frozen=True)
+class BlockMonomial:
+    """A square matrix with one nonzero block per column block: column
+    block k holds the square matrix ``blocks[k]`` in row block ``perm[k]``,
+    and ``perm`` is a permutation of the block indices (the cosets).
+
+    Products, traces and equality are exact and read the blocks only; the
+    block products go through `mat_mul`.  `dense` gives the full matrix."""
+
+    perm: tuple[int, ...]
+    blocks: tuple[Matrix, ...]
+
+    @classmethod
+    def one_coset(cls, a: Matrix) -> "BlockMonomial":
+        """A dense matrix as the case of a single block."""
+        return cls((0,), (a,))
+
+    @classmethod
+    def identity(cls, cosets: int, size: int) -> "BlockMonomial":
+        return cls(tuple(range(cosets)), (identity_matrix(size),) * cosets)
+
+    def __matmul__(self, other: "BlockMonomial") -> "BlockMonomial":
+        # column block k of other lands in row block j = other.perm[k],
+        # which self sends to self.perm[j] through self.blocks[j]
+        if len(self.perm) != len(other.perm):
+            raise ValueError(f"coset mismatch: {len(self.perm)} times {len(other.perm)}")
+        perm, blocks = self.perm, self.blocks
+        return BlockMonomial(
+            tuple(perm[j] for j in other.perm),
+            tuple(mat_mul(blocks[j], b) for j, b in zip(other.perm, other.blocks)),
+        )
+
+    def trace(self) -> Fraction:
+        """The sum of the block traces over the fixed cosets."""
+        return sum(
+            (trace(b) for k, (j, b) in enumerate(zip(self.perm, self.blocks)) if j == k),
+            _ZERO,
+        )
+
+    def trace_of_product(self, other: "BlockMonomial") -> Fraction:
+        """trace(self @ other) without forming it: the cosets k with
+        self.perm[other.perm[k]] == k, each contributing the trace of its
+        block product."""
+        if len(self.perm) != len(other.perm):
+            raise ValueError(f"coset mismatch: {len(self.perm)} times {len(other.perm)}")
+        perm, blocks = self.perm, self.blocks
+        return sum(
+            (
+                trace_of_product(blocks[j], b)
+                for k, (j, b) in enumerate(zip(other.perm, other.blocks))
+                if perm[j] == k
+            ),
+            _ZERO,
+        )
+
+    def dense(self) -> Matrix:
+        if len(self.perm) == 1:
+            return self.blocks[0]
+        size = len(self.blocks[0])
+        dim = len(self.perm) * size
+        rows = [[_ZERO] * dim for _ in range(dim)]
+        for k, (j, block) in enumerate(zip(self.perm, self.blocks)):
+            for r, block_row in enumerate(block):
+                rows[j * size + r][k * size:(k + 1) * size] = block_row
+        return tuple(tuple(row) for row in rows)
 
 
 def mat_rank(rows) -> int:

@@ -5,7 +5,9 @@ Symmetric-group irreducibles are built in Young's seminormal form: the
 basis is indexed by standard tableaux and the adjacent-transposition
 matrices have entries 1/axial-distance, so everything stays in exact
 rationals.  Wreath-product modules are built from these by the usual
-extension / inflation / induction steps.
+extension / inflation / induction steps.  Every matrix is a
+`BlockMonomial`: an induced module has one block per coset, and a dense
+matrix (a Specht image, a Kronecker product) is the one-coset case.
 
 There is one group class, `WreathGroup`; the symmetric group of degree n
 is ``WreathGroup(1, n)``.  A representation is the images of its group's
@@ -26,6 +28,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
 from math import prod
+from operator import matmul
 
 from .combinatorics import (
     Partition,
@@ -39,13 +42,12 @@ from .combinatorics import (
     perm_inverse,
 )
 from .matrices import (
+    BlockMonomial,
     Matrix,
     identity_matrix,
     kron,
     kron_all,
-    mat_mul,
-    trace,
-    trace_of_product,
+    permute_columns,
 )
 from .orbits import Profile, gamma_of, orbit_label, validate_profile
 from .wreath import CheckFailed, WreathElement, WreathGroup
@@ -64,18 +66,22 @@ class Representation:
     checks the group's defining relations (``group.presentation``) on those
     images, raising `CheckFailed` if one fails.  The matrix of any element
     is the product of the images along its normal-form word, so by von
-    Dyck's theorem `matrix` is a homomorphism on the whole group."""
+    Dyck's theorem `matrix` is a homomorphism on the whole group.
 
-    def __init__(self, group, dim: int, matrix_fn, name: str = ""):
+    ``matrix_fn`` returns a `BlockMonomial` with ``cosets`` blocks of size
+    ``dim // cosets``; the relation check compares each relation's product
+    with the identity of that shape exactly."""
+
+    def __init__(self, group, dim: int, matrix_fn, name: str = "", cosets: int = 1):
         self.group = group
         self.dim = dim
         self.name = name
         self.images = tuple(matrix_fn(g) for g in group.generators)
         relations, self._word_of = group.presentation
         self._cache: dict = {}
-        ident = identity_matrix(dim)
+        self._one = BlockMonomial.identity(cosets, dim // cosets)
         for relation in relations:
-            if self._product(relation) != ident:
+            if self._product(relation) != self._one:
                 raise CheckFailed(
                     f"matrix rule for {name or 'representation'} is not a "
                     f"homomorphism: relation {relation} fails"
@@ -84,12 +90,12 @@ class Representation:
     def __repr__(self):
         return f"Representation({self.name or 'unnamed'}, dim={self.dim})"
 
-    def _product(self, word) -> Matrix:
+    def _product(self, word) -> BlockMonomial:
         if not word:
-            return identity_matrix(self.dim)
-        return reduce(mat_mul, (self.images[k] for k in word))
+            return self._one
+        return reduce(matmul, (self.images[k] for k in word))
 
-    def matrix(self, x) -> Matrix:
+    def matrix(self, x) -> BlockMonomial:
         got = self._cache.get(x)
         if got is None:
             got = self._product(self._word_of(x))
@@ -122,7 +128,7 @@ class Character:
 def char_of(rho: Representation) -> Character:
     """Traces on the class representatives."""
     return Character(
-        rho.group, tuple(trace(rho.matrix(rep)) for rep in rho.group.class_reps)
+        rho.group, tuple(rho.matrix(rep).trace() for rep in rho.group.class_reps)
     )
 
 
@@ -212,7 +218,7 @@ def specht_rep(lam: Partition) -> Representation:
     if n > SPECHT_DEGREE_BOUND:
         raise ValueError(f"partition size {n} exceeds the degree bound {SPECHT_DEGREE_BOUND}")
     group = WreathGroup(1, n)
-    images = dict(zip(group.generators, _seminormal_generators(lam)))
+    images = dict(zip(group.generators, map(BlockMonomial.one_coset, _seminormal_generators(lam))))
     dim = len(standard_tableaux(lam))
     return Representation(group, dim, images.__getitem__, name=f"S{format_partition(lam)}")
 
@@ -221,7 +227,7 @@ def specht_matrix(lam: Partition, p: Perm) -> Matrix:
     """The matrix of a bare permutation of degree |lam| on the Specht module."""
     if len(p) != sum(lam):
         raise ValueError(f"permutation of degree {len(p)} does not act on S{format_partition(lam)}")
-    return specht_rep(lam).matrix(WreathElement(((0,),) * len(p), p))
+    return specht_rep(lam).matrix(WreathElement(((0,),) * len(p), p)).dense()
 
 
 # ---------------------------------------------------------------------------
@@ -304,32 +310,18 @@ def enumerate_IC(m: int, d: int) -> tuple[CliffordLabel, ...]:
 # ---------------------------------------------------------------------------
 # tensor-slot machinery
 
-def place_matrix(dims: tuple[int, ...], u: Perm) -> Matrix:
-    """Permutation of tensor slots on the row-major product basis: slot i
-    of the image holds component u^-1(i) of the source."""
+def slot_basis_permutation(dims: tuple[int, ...], u: Perm) -> tuple[int, ...]:
+    """Permutation of tensor slots on the row-major product basis, as a
+    permutation of basis indices: basis vector k goes to ``out[k]``, whose
+    slot i holds component u^-1(i) of k."""
     if u == identity_perm(len(u)):
-        return identity_matrix(prod(dims))
+        return tuple(range(prod(dims)))
     uinv = perm_inverse(u)
     if any(dims[uinv[i]] != dims[i] for i in range(len(dims))):
         raise ValueError("slot dimensions are not constant along the permutation")
     basis = list(product(*[range(dm) for dm in dims]))
     row_of = {k: r for r, k in enumerate(basis)}
-    one = ((Fraction(1),),)
-    return block_permutation_matrix(
-        [(row_of[tuple(k[uinv[i]] for i in range(len(dims)))], one) for k in basis]
-    )
-
-
-def block_permutation_matrix(blocks: list[tuple[int, Matrix]]) -> Matrix:
-    """The square matrix whose k-th column block holds the matrix
-    ``blocks[k][1]`` in row block ``blocks[k][0]``, zero elsewhere."""
-    size = len(blocks[0][1])
-    dim = len(blocks) * size
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for col_block, (row_block, sub) in enumerate(blocks):
-        for r, sub_row in enumerate(sub):
-            rows[row_block * size + r][col_block * size:(col_block + 1) * size] = sub_row
-    return tuple(tuple(row) for row in rows)
+    return tuple(row_of[tuple(k[uinv[i]] for i in range(len(dims)))] for k in basis)
 
 
 def _slots_of_gamma(gamma: dict[Partition, int]) -> tuple[Partition, ...]:
@@ -352,9 +344,12 @@ def extend_to_wreath(group: WreathGroup, gamma: dict[Partition, int]) -> Represe
     sub = WreathGroup(group.m, group.d, counts)
     dims = tuple(hook_dim(nu) for nu in slots)
 
-    def fn(x: WreathElement) -> Matrix:
+    def fn(x: WreathElement) -> BlockMonomial:
+        # the factor part times the slot permutation: reorder its columns
         factor_part = kron_all(specht_matrix(slots[j], x.factors[j]) for j in range(group.d))
-        return mat_mul(factor_part, place_matrix(dims, x.top))
+        return BlockMonomial.one_coset(
+            permute_columns(factor_part, slot_basis_permutation(dims, x.top))
+        )
 
     return Representation(sub, prod(dims), fn, name="extension")
 
@@ -376,12 +371,12 @@ def inflate(group: WreathGroup, label: CliffordLabel) -> Representation:
         start += size
     dim = prod(hook_dim(val) for val, _, _ in blocks)
 
-    def fn(x: WreathElement) -> Matrix:
+    def fn(x: WreathElement) -> BlockMonomial:
         mats = []
         for val, begin, size in blocks:
             local = tuple(x.top[begin + i] - begin for i in range(size))
             mats.append(specht_matrix(val, local))
-        return kron_all(mats)
+        return BlockMonomial.one_coset(kron_all(mats))
 
     return Representation(sub, dim, fn, name="inflation")
 
@@ -391,14 +386,15 @@ def rep_tensor(a: Representation, b: Representation) -> Representation:
         raise ValueError("tensor factors must live over the same subgroup")
 
     def fn(x):
-        return kron(a.matrix(x), b.matrix(x))
+        return BlockMonomial.one_coset(kron(a.matrix(x).dense(), b.matrix(x).dense()))
 
     return Representation(a.group, a.dim * b.dim, fn, name=f"{a.name}(x){b.name}")
 
 
 def induce(rho: Representation, group: WreathGroup) -> Representation:
-    """Induction from a Young wreath subgroup, in the block-permutation
-    model over the minimal coset representatives of the tops."""
+    """Induction from a Young wreath subgroup, in the block-monomial model
+    over the minimal coset representatives of the tops: one block per
+    coset, holding the subgroup's matrix of the element that carries it."""
     sub = rho.group
     if (
         not isinstance(sub, WreathGroup)
@@ -411,17 +407,19 @@ def induce(rho: Representation, group: WreathGroup) -> Representation:
     transversal = sorted(set(rep_of.values()))
     row_of = {w: i for i, w in enumerate(transversal)}
 
-    def fn(g: WreathElement) -> Matrix:
-        blocks = []
+    def fn(g: WreathElement) -> BlockMonomial:
+        perm, blocks = [], []
         for w in transversal:
             moved = perm_compose(g.top, w)
             target = rep_of[moved]
             h_top = perm_compose(perm_inverse(target), moved)
             factors = tuple(g.factors[target[j]] for j in range(d))
-            blocks.append((row_of[target], rho.matrix(WreathElement(factors, h_top))))
-        return block_permutation_matrix(blocks)
+            perm.append(row_of[target])
+            blocks.append(rho.matrix(WreathElement(factors, h_top)).dense())
+        return BlockMonomial(tuple(perm), tuple(blocks))
 
-    return Representation(group, len(transversal) * rho.dim, fn, name=f"Ind({rho.name})")
+    cosets = len(transversal)
+    return Representation(group, cosets * rho.dim, fn, name=f"Ind({rho.name})", cosets=cosets)
 
 
 @lru_cache(maxsize=None)
@@ -462,7 +460,9 @@ class BimoduleModel:
         slotwise = Representation(
             WreathGroup(m, d, (1,) * d),
             prod(dims),
-            lambda x: kron_all(specht_matrix(lams[j], x.factors[j]) for j in range(d)),
+            lambda x: BlockMonomial.one_coset(
+                kron_all(specht_matrix(lams[j], x.factors[j]) for j in range(d))
+            ),
             name="fiber",
         )
         self.left = induce(slotwise, group)
@@ -470,22 +470,25 @@ class BimoduleModel:
 
         cosets = all_perms(d)
         row_of = {w: i for i, w in enumerate(cosets)}
+        identity = identity_matrix(prod(dims))
 
-        def right_fn(x: WreathElement) -> Matrix:
+        def right_fn(x: WreathElement) -> BlockMonomial:
             # R(c) for c = x.top^-1: coset w goes to w c, with the tensor
             # slots permuted by c^-1 = x.top
-            inner = place_matrix(dims, x.top)
+            inner = permute_columns(identity, slot_basis_permutation(dims, x.top))
             c = perm_inverse(x.top)
-            return block_permutation_matrix([(row_of[perm_compose(w, c)], inner) for w in cosets])
+            return BlockMonomial(
+                tuple(row_of[perm_compose(w, c)] for w in cosets), (inner,) * len(cosets)
+            )
 
         self.right = Representation(
-            WreathGroup(1, d, counts), self.dim, right_fn, name="fiber-right"
+            WreathGroup(1, d, counts), self.dim, right_fn, name="fiber-right", cosets=len(cosets)
         )
 
         for g in group.generators:
             lg = self.left.matrix(g)
             for rc in self.right.images:
-                if mat_mul(lg, rc) != mat_mul(rc, lg):
+                if lg @ rc != rc @ lg:
                     raise CheckFailed("left and right actions do not commute")
 
 
@@ -502,7 +505,9 @@ _bimodule = lru_cache(maxsize=None)(BimoduleModel)
 
 def isotypic_character(model: BimoduleModel, psi: CliffordLabel) -> Character:
     """Left character of the psi-multiplicity space of the bimodule:
-    project with the exact character sum over the right group."""
+    project with the exact character sum over the right group.  L and R
+    commute, so c -> tr(L(g) R(c)) is a class function of the right group
+    and the sum runs over its classes, weighted by their sizes."""
     if psi.gamma() != gamma_of(model.profile):
         raise ValueError(
             f"label {psi} is not an irreducible of the right group of {model.profile}"
@@ -511,14 +516,14 @@ def isotypic_character(model: BimoduleModel, psi: CliffordLabel) -> Character:
     right = model.right
     psi_rep = inflate(WreathGroup(1, group.d), psi)
     terms = []
-    for x in right.group.elements:
-        chi = trace(psi_rep.matrix(x))
+    for c, size in zip(right.group.class_reps, right.group.class_sizes):
+        chi = psi_rep.matrix(c).trace()
         if chi:
-            terms.append((chi, right.matrix(x)))
+            terms.append((size * chi, right.matrix(c)))
     values = []
     for rep in group.class_reps:
         left_mat = model.left.matrix(rep)
-        total = sum((chi * trace_of_product(left_mat, r) for chi, r in terms), Fraction(0))
+        total = sum((coef * left_mat.trace_of_product(r) for coef, r in terms), Fraction(0))
         values.append(total / right.group.order)
     return Character(group, tuple(values))
 

@@ -321,12 +321,13 @@ class WreathGroup:
         """Brute-force conjugacy classes, each sorted, ordered by their
         minimal element; the first member of each class is the representative."""
         els = self.elements
+        pairs = [(g, g.inverse()) for g in els]
         remaining = set(els)
         classes = []
         for x in els:
             if x not in remaining:
                 continue
-            cls = {g * x * g.inverse() for g in els}
+            cls = {g * x * g_inv for g, g_inv in pairs}
             remaining -= cls
             classes.append(tuple(sorted(cls, key=WreathElement.key)))
         classes.sort(key=lambda c: c[0].key())

@@ -17,6 +17,9 @@ from itertools import permutations, product
 from math import factorial, prod
 
 from wreathspringer.convolution import AlgebraVector, ProductResult, convolve_basis
+from wreathspringer.matrices import trace
+from wreathspringer.reptheory import inflate
+from wreathspringer.wreath import WreathGroup
 
 
 # -- symmetric group characters (rim-hook recursion) ------------------------
@@ -272,6 +275,23 @@ def is_homomorphism(matrix, elements, generators, mul):
         for x in elements
         for g in generators
     )
+
+
+def isotypic_character_by_elements(model, psi):
+    """Left character values, on the class representatives, of the
+    psi-isotypic part of a fiber bimodule: the projection summed over every
+    element of the right group, on dense matrices."""
+    right = model.right
+    psi_rep = inflate(WreathGroup(1, model.group.d), psi)
+    values = []
+    for g in model.group.class_reps:
+        left = model.left.matrix(g).dense()
+        total = sum(
+            trace(psi_rep.matrix(x).dense()) * trace(_mat_mul(left, right.matrix(x).dense()))
+            for x in right.group.elements
+        )
+        values.append(Fraction(total) / right.group.order)
+    return tuple(values)
 
 
 # -- presentations (Todd-Coxeter, HLT strategy) ------------------------------

@@ -1,9 +1,9 @@
+import hashlib
 import json
 from math import prod
 
 from wreathspringer import reptheory
 from wreathspringer.cli import main
-from wreathspringer.matrices import identity_matrix
 
 
 def run(capsys, *argv):
@@ -101,12 +101,24 @@ def test_verify_bound_exceeded(capsys):
 
 def test_math_failure_exits_1(capsys, monkeypatch):
     # tensor slots that never move break the slot action of the extension
-    monkeypatch.setattr(reptheory, "place_matrix", lambda dims, u: identity_matrix(prod(dims)))
+    monkeypatch.setattr(
+        reptheory, "slot_basis_permutation", lambda dims, u: tuple(range(prod(dims)))
+    )
     reptheory.clifford_irrep.cache_clear()
     code, out, err = run(capsys, "tables", "--kind", "chars", "--m", "3", "--d", "2")
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "not a homomorphism" in err
+
+
+def test_verify_springer_24_output_is_unchanged(capsys):
+    # stdout sha256 recorded with dense matrices, where this case took about
+    # a minute; block-monomial products must reproduce it byte for byte
+    code, out, _ = run(capsys, "verify", "--scope", "springer", "--m", "2", "--d", "4")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "a0bde72fe0644f3cfe4954ed921a9bc22a9fc47f370b1b7cbf4fdf218b46da36"
+    )
 
 
 def test_usage_error(capsys):

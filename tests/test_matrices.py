@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from wreathspringer.matrices import (
+    BlockMonomial,
     as_matrix,
     identity_matrix,
     is_zero_matrix,
@@ -108,3 +109,88 @@ def test_trace_of_product_matches_full_product():
         trace_of_product(identity_matrix(2), identity_matrix(3))
     with pytest.raises(ValueError):
         trace_of_product(as_matrix([[1, 2]]), as_matrix([[1, 2]]))
+
+
+# -- block-monomial matrices against their dense form
+
+def random_coset_perm(rng, cosets, fixed):
+    """A permutation of range(cosets) that fixes all, some or none of them."""
+    if fixed == "all":
+        return tuple(range(cosets))
+    moved = list(range(cosets))
+    rng.shuffle(moved)
+    if fixed == "some":
+        moved = moved[: rng.randint(2, cosets - 1)]
+    shift = rng.randint(1, len(moved) - 1)  # a rotation of the moved set fixes none of it
+    perm = list(range(cosets))
+    for i, k in enumerate(moved):
+        perm[k] = moved[(i + shift) % len(moved)]
+    return tuple(perm)
+
+
+def random_block(rng, size):
+    block = [
+        [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(size)] for _ in range(size)
+    ]
+    if not any(x for row in block for x in row):
+        block[0][0] = Fraction(1)  # no zero block, so the permutation shows in the dense form
+    return as_matrix(block)
+
+
+def random_block_monomial(rng, cosets, size, fixed):
+    return BlockMonomial(
+        random_coset_perm(rng, cosets, fixed),
+        tuple(random_block(rng, size) for _ in range(cosets)),
+    )
+
+
+def fixings(cosets):
+    """The fixed-coset patterns a permutation of this many cosets can have."""
+    return ("all",) + ("none",) * (cosets > 1) + ("some",) * (cosets > 2)
+
+
+SHAPES = [
+    (cosets, size, fixed)
+    for cosets in (1, 2, 3, 5)
+    for size in (1, 2, 3)
+    for fixed in fixings(cosets)
+]
+
+
+@pytest.mark.parametrize("cosets,size,fixed", SHAPES)
+def test_block_monomial_matches_dense_oracle(cosets, size, fixed):
+    rng = random.Random(f"{cosets} {size} {fixed}")
+    expected_fixed = {"all": {cosets}, "none": {0}, "some": set(range(1, cosets))}[fixed]
+    for _ in range(8):
+        a = random_block_monomial(rng, cosets, size, fixed)
+        b = random_block_monomial(rng, cosets, size, rng.choice(fixings(cosets)))
+        assert sum(j == k for k, j in enumerate(a.perm)) in expected_fixed
+        da, db = a.dense(), b.dense()
+        assert len(da) == cosets * size
+        assert (a @ b).dense() == mat_mul(da, db)
+        assert a.trace() == trace(da)
+        assert a.trace_of_product(b) == trace(mat_mul(da, db)) == (a @ b).trace()
+        assert a == BlockMonomial(tuple(a.perm), tuple(a.blocks))
+        assert (a == b) == (da == db)
+        changed = list(a.blocks)
+        changed[-1] = as_matrix([[x + 1 for x in row] for row in changed[-1]])
+        other = BlockMonomial(a.perm, tuple(changed))
+        assert other != a and other.dense() != da
+        if cosets > 1:
+            shifted = BlockMonomial(a.perm[1:] + a.perm[:1], a.blocks)
+            assert shifted != a and shifted.dense() != da
+
+
+def test_block_monomial_identity_and_one_coset():
+    rng = random.Random(7)
+    a = random_block_monomial(rng, 3, 2, "some")
+    one = BlockMonomial.identity(3, 2)
+    assert one.dense() == identity_matrix(6)
+    assert a @ one == a == one @ a
+    dense = random_block(rng, 4)
+    single = BlockMonomial.one_coset(dense)
+    assert single.dense() == dense and single.trace() == trace(dense)
+    with pytest.raises(ValueError):
+        a @ BlockMonomial.identity(2, 3)
+    with pytest.raises(ValueError):
+        a.trace_of_product(BlockMonomial.identity(2, 3))

@@ -11,7 +11,7 @@ from wreathspringer.combinatorics import (
     identity_perm,
     partitions_of,
 )
-from wreathspringer.matrices import identity_matrix, trace
+from wreathspringer.matrices import BlockMonomial, identity_matrix, trace
 from wreathspringer.orbits import all_orbit_labels, gamma_of
 from wreathspringer.reptheory import (
     CliffordLabel,
@@ -31,7 +31,7 @@ from wreathspringer.reptheory import (
 )
 from wreathspringer.wreath import WreathElement, WreathGroup
 
-from oracles import induced_character_value, mn_character
+from oracles import induced_character_value, isotypic_character_by_elements, mn_character
 
 
 # -- Specht modules
@@ -43,10 +43,10 @@ def test_trivial_and_sign():
         sign = specht_rep(tuple([1] * n))
         assert sign.dim == 1
         for g in triv.group.class_reps:
-            assert triv.matrix(g) == ((Fraction(1),),)
+            assert triv.matrix(g).dense() == ((Fraction(1),),)
         s = triv.group.generators[0] if n > 1 else None
         if s is not None:
-            assert sign.matrix(s) == ((Fraction(-1),),)
+            assert sign.matrix(s).dense() == ((Fraction(-1),),)
 
 
 def test_specht_21_character():
@@ -97,7 +97,7 @@ def test_regular_representation_character():
         rows = [[Fraction(0)] * 6 for _ in range(6)]
         for x in elements:
             rows[index[p * x]][index[x]] = Fraction(1)
-        return tuple(tuple(r) for r in rows)
+        return BlockMonomial.one_coset(tuple(tuple(r) for r in rows))
 
     chi = char_of(Representation(group, 6, fn, name="regular"))
     for x in elements:
@@ -107,7 +107,7 @@ def test_regular_representation_character():
 def test_specht_matrix_reads_a_bare_permutation():
     rep = specht_rep((2, 1))
     for p in rep.group.tops:
-        assert specht_matrix((2, 1), p) == rep.matrix(WreathElement(((0,),) * 3, p))
+        assert specht_matrix((2, 1), p) == rep.matrix(WreathElement(((0,),) * 3, p)).dense()
     with pytest.raises(ValueError):
         specht_matrix((2, 1), (1, 0))
     with pytest.raises(ValueError):
@@ -152,7 +152,7 @@ def test_extension_trivial_gamma():
     rep = extend_to_wreath(g, {(2,): 2})
     assert rep.dim == 1
     for x in rep.group.elements:
-        assert rep.matrix(x) == ((Fraction(1),),)
+        assert rep.matrix(x).dense() == ((Fraction(1),),)
 
 
 def test_extension_swap_of_identical_sign_slots():
@@ -160,8 +160,8 @@ def test_extension_swap_of_identical_sign_slots():
     rep = extend_to_wreath(g, {(1, 1): 2})
     assert rep.dim == 1
     t = g.gen_t(1)
-    assert rep.matrix(t) == ((Fraction(1),),)
-    assert rep.matrix(g.gen_s(1, 1)) == ((Fraction(-1),),)
+    assert rep.matrix(t).dense() == ((Fraction(1),),)
+    assert rep.matrix(g.gen_s(1, 1)).dense() == ((Fraction(-1),),)
 
 
 def test_extension_dimension():
@@ -181,7 +181,7 @@ def test_inflation_trivial_values():
     g = WreathGroup(2, 2)
     rep = inflate(g, clifford_label(2, {(2,): (2,)}))
     for x in rep.group.elements:
-        assert rep.matrix(x) == ((Fraction(1),),)
+        assert rep.matrix(x).dense() == ((Fraction(1),),)
 
 
 def test_inflation_kills_factor_part():
@@ -190,7 +190,7 @@ def test_inflation_kills_factor_part():
     rep = inflate(g, label)
     assert rep.dim == hook_dim((2, 1)) == 2
     for j in range(1, 4):
-        assert rep.matrix(g.gen_s(1, j)) == identity_matrix(2)
+        assert rep.matrix(g.gen_s(1, j)).dense() == identity_matrix(2)
 
 
 @pytest.mark.parametrize("m,d", [(m, d) for m in (2, 3) for d in (1, 2, 3, 4)])
@@ -206,7 +206,7 @@ def test_inflation_to_sigma_1_is_the_young_subgroup_irreducible(m, d):
                 local = tuple(x.top[start + i] - start for i in range(gamma[nu]))
                 expected *= mn_character(psi.value(nu), cycle_type(local))
                 start += gamma[nu]
-            assert trace(rep.matrix(x)) == expected, (psi, x)
+            assert trace(rep.matrix(x).dense()) == expected, (psi, x)
 
 
 def test_induce_from_whole_group_keeps_character():
@@ -216,13 +216,15 @@ def test_induce_from_whole_group_keeps_character():
     assert induced.dim == rep.dim
     chi = char_of(induced)
     for rep_el in g.class_reps:
-        assert chi.value_at(rep_el) == trace(rep.matrix(rep_el))
+        assert chi.value_at(rep_el) == trace(rep.matrix(rep_el).dense())
 
 
 def test_induce_trivial_from_factor_part():
     g = WreathGroup(2, 2)
     sub = WreathGroup(2, 2, (1, 1))  # trivial top group
-    triv = Representation(sub, 1, lambda x: ((Fraction(1),),), name="trivial")
+    triv = Representation(
+        sub, 1, lambda x: BlockMonomial.one_coset(((Fraction(1),),)), name="trivial"
+    )
     induced = induce(triv, g)
     assert induced.dim == factorial(2)
     chi = char_of(induced)
@@ -238,9 +240,30 @@ def test_induce_trivial_from_factor_part():
         assert chi.value_at(rep_el) == expected
 
 
+@pytest.mark.parametrize("m,d", [(2, 3), (3, 2)])
+def test_induced_trace_is_the_frobenius_formula(m, d):
+    g = WreathGroup(m, d)
+    for label in enumerate_IC(m, d):
+        rho = rep_tensor(extend_to_wreath(g, label.gamma()), inflate(g, label))
+        induced = induce(rho, g)
+        for x in g.class_reps:
+            expected = induced_character_value(
+                x,
+                g.elements,
+                rho.group.elements,
+                lambda h: trace(rho.matrix(h).dense()),
+                mul,
+                WreathElement.inverse,
+            )
+            assert induced.matrix(x).trace() == expected, (label, x)
+
+
 def restrict(rho, sub):
     """Restriction to a subgroup: the same matrices on its generators."""
-    return Representation(sub, rho.dim, rho.matrix, name=f"Res({rho.name})")
+    def fn(x):
+        return BlockMonomial.one_coset(rho.matrix(x).dense())
+
+    return Representation(sub, rho.dim, fn, name=f"Res({rho.name})")
 
 
 def test_frobenius_reciprocity_random_pairs():
@@ -251,7 +274,7 @@ def test_frobenius_reciprocity_random_pairs():
     def inner_over(elements, rho1, rho2, inv):
         total = Fraction(0)
         for x in elements:
-            total += trace(rho1.matrix(x)) * trace(rho2.matrix(inv(x)))
+            total += trace(rho1.matrix(x).dense()) * trace(rho2.matrix(inv(x)).dense())
         return total / len(elements)
 
     for _ in range(20):
@@ -341,7 +364,8 @@ def right_multiplicity(model, psi):
     psi_rep = inflate(WreathGroup(1, model.group.d), psi)
     assert psi_rep.group == right.group
     return sum(
-        trace(psi_rep.matrix(x)) * trace(right.matrix(x)) for x in right.group.elements
+        trace(psi_rep.matrix(x).dense()) * trace(right.matrix(x).dense())
+        for x in right.group.elements
     ) / right.group.order
 
 
@@ -416,6 +440,18 @@ def test_isotypic_dimensions_fill_the_bimodule():
                 dim_psi = prod(hook_dim(val) for _, val in psi.entries)
                 total += dim_psi * isotypic_character(model, psi).dim
             assert total == model.dim
+
+
+@pytest.mark.parametrize("m,d", [(2, 2), (2, 3), (3, 2)])
+def test_isotypic_class_sum_equals_element_sum(m, d):
+    g = WreathGroup(m, d)
+    for label in all_orbit_labels(m, d):
+        model = springer_module(g, label)
+        for psi in enumerate_IC(m, d):
+            if psi.gamma() == gamma_of(label):
+                assert isotypic_character(model, psi).values == isotypic_character_by_elements(
+                    model, psi
+                ), (label, psi)
 
 
 def test_isotypic_equal_pair_values():
