@@ -8,10 +8,11 @@ Conventions used throughout the package:
 * the canonical order on partitions of the same number is descending
   lexicographic, so ``(3,) > (2, 1) > (1, 1, 1)`` (plain tuple comparison).
 
-The Bruhat order is computed from the cover graph (multiplication by a
-transposition raising the inversion count by exactly one), with down-sets
-memoised per element.  At desk scale this is cheap and avoids rank-matrix
-subtleties.
+Two permutations are compared in the Bruhat order by the rank criterion
+(Bjorner-Brenti, *Combinatorics of Coxeter Groups*, Thm 2.1.5).  Covers
+(multiplication by a transposition that changes the inversion count by
+exactly one) and down-sets are for enumeration: Hasse diagrams and the
+wreath product order's down-sets.
 """
 
 from __future__ import annotations
@@ -130,14 +131,25 @@ def type_a_relations(letters) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # type A Bruhat order
 
+def _covers(w: Perm, step: int) -> tuple[Perm, ...]:
+    lw = perm_length(w)
+    return tuple(
+        u for u in (perm_compose(w, t) for t in transpositions(len(w))) if perm_length(u) == lw + step
+    )
+
+
 @lru_cache(maxsize=None)
 def lower_covers(w: Perm) -> tuple[Perm, ...]:
     """The elements covered by w in the strong Bruhat order: the w*t, t a
     transposition, whose length is one less than that of w."""
-    lw = perm_length(w)
-    return tuple(
-        u for u in (perm_compose(w, t) for t in transpositions(len(w))) if perm_length(u) == lw - 1
-    )
+    return _covers(w, -1)
+
+
+@lru_cache(maxsize=None)
+def upper_covers(w: Perm) -> tuple[Perm, ...]:
+    """The elements that cover w, in lexicographic order.  Each is w*(i j)
+    with w(i) < w(j) for i < j, so each is lexicographically larger than w."""
+    return tuple(sorted(_covers(w, 1)))
 
 
 @lru_cache(maxsize=None)
@@ -151,9 +163,17 @@ def bruhat_downset(w: Perm) -> frozenset[Perm]:
 
 
 def bruhat_leq_typeA(u: Perm, w: Perm) -> bool:
+    """u <= w in the strong Bruhat order, by the rank criterion:
+    #{a < i : u(a) >= j} <= #{a < i : w(a) >= j} for all i and j (0-based;
+    i = n and j = 0 always tie)."""
     if len(u) != len(w):
         raise ValueError(f"degree mismatch: {len(u)} vs {len(w)}")
-    return u in bruhat_downset(w)
+    n = len(u)
+    return all(
+        sum(a >= j for a in u[:i]) <= sum(a >= j for a in w[:i])
+        for i in range(1, n)
+        for j in range(1, n)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ complete invariant for simultaneous conjugation plus slot permutation.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement, product
 from math import factorial
 
 from .combinatorics import (
@@ -124,16 +125,13 @@ def jordan_type(matrix) -> Partition:
 def all_profiles(m: int, d: int) -> list[Profile]:
     """All d-tuples of partitions of m, in lexicographic order over the
     canonical partition order."""
-    from itertools import product
-
     return [tuple(p) for p in product(partitions_of(m), repeat=d)]
 
 
 def all_orbit_labels(m: int, d: int) -> list[Profile]:
-    seen: dict[Profile, None] = {}
-    for profile in all_profiles(m, d):
-        seen.setdefault(orbit_label(profile), None)
-    return sorted(seen, reverse=True)
+    """All orbit labels, in descending order: the weakly decreasing d-tuples
+    of partitions of m, i.e. the multisets of d partitions."""
+    return list(combinations_with_replacement(partitions_of(m), d))
 
 
 def enumerate_IS(m: int, d: int):

@@ -105,7 +105,7 @@ def verify_springer(group: WreathGroup) -> SpringerReport:
     """For every orbit-side label, compare the exact character of the
     isotypic component of its fiber bimodule with the exact character of
     the matching induced irreducible; also check the global bijection
-    counts against the brute-force conjugacy classes."""
+    counts against the conjugacy classes."""
     group.check_bound()
     m, d = group.m, group.d
     labels = enumerate_IS(m, d)

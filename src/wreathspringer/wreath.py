@@ -8,17 +8,18 @@ which the top permutes the factor slots:
 
 The module also provides the block embedding into the symmetric group of
 degree m*d, the product Bruhat order (equal tops, factorwise type A
-comparison), Hasse diagrams with DOT/JSON emission, brute-force conjugacy
-classes, cell statistics of the length grading, generator words, the
-defining relations of the group and of its Young wreath subgroups, and a
-signed-permutation model of the type B Coxeter group for order comparison.
+comparison), Hasse diagrams with DOT/JSON emission, conjugacy classes
+grouped by Macdonald's class label, cell statistics of the length grading,
+generator words, the defining relations of the group and of its Young
+wreath subgroups, and a signed-permutation model of the type B Coxeter
+group, whose Bruhat order is read off type A on the letters -d..-1, 1..d.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 from math import factorial, prod
 
@@ -28,13 +29,14 @@ from .combinatorics import (
     all_perms,
     bruhat_downset,
     bruhat_leq_typeA,
+    cycle_type,
     identity_perm,
-    lower_covers,
     perm_compose,
     perm_inverse,
     perm_length,
     perm_to_word,
     type_a_relations,
+    upper_covers,
 )
 
 DEFAULT_MAX_ELEMENTS = 50_000
@@ -129,6 +131,30 @@ def bruhat_leq_wreath(x: WreathElement, y: WreathElement) -> bool:
     )
 
 
+def class_label(x: WreathElement, block_of) -> tuple:
+    """Conjugacy class label of x in Sigma_m wr T, T the Young subgroup of
+    the blocks that ``block_of`` assigns to the slots: one triple (block,
+    length r, cycle type of the factor of x^r there) per cycle of x.top,
+    sorted (Macdonald, *Symmetric Functions and Hall Polynomials*, Ch. I,
+    App. B).  Walking the cycle forward from slot i and composing on the
+    left gives f_{top^-1(i)} o ... o f_i, the factor of x^r in slot
+    top^-1(i)."""
+    top, factors = x.top, x.factors
+    seen = [False] * len(top)
+    label = []
+    for i in range(len(top)):
+        if seen[i]:
+            continue
+        seen[i] = True
+        cycle_factor, r, j = factors[i], 1, top[i]
+        while j != i:
+            seen[j] = True
+            cycle_factor = perm_compose(factors[j], cycle_factor)
+            r, j = r + 1, top[j]
+        label.append((block_of[i], r, cycle_type(cycle_factor)))
+    return tuple(sorted(label))
+
+
 def wreath_downset(x: WreathElement) -> list[WreathElement]:
     """All y <= x, i.e. the product of the factorwise type A down-sets."""
     factor_sets = [sorted(bruhat_downset(f)) for f in x.factors]
@@ -147,9 +173,7 @@ class WreathGroup:
     immutable afterwards; build before sharing across threads.
     """
 
-    def __init__(
-        self, m: int, d: int, blocks: tuple[int, ...] | None = None, max_elements: int | None = None
-    ):
+    def __init__(self, m: int, d: int, blocks: tuple[int, ...] | None = None):
         if m < 1 or d < 1:
             raise ValueError("m and d must be positive")
         blocks = (d,) if blocks is None else tuple(blocks)
@@ -158,9 +182,6 @@ class WreathGroup:
         self.m = m
         self.d = d
         self.blocks = blocks
-        if max_elements is None:
-            max_elements = int(os.environ.get(BOUND_ENV_VAR, DEFAULT_MAX_ELEMENTS))
-        self.max_elements = max_elements
         self.order = factorial(m) ** d * prod(factorial(c) for c in blocks)
         self.identity = wreath_identity(m, d)
         self._block_of = tuple(b for b, size in enumerate(blocks) for _ in range(size))
@@ -181,10 +202,11 @@ class WreathGroup:
         return hash((self.m, self.d, self.blocks))
 
     def check_bound(self) -> None:
-        if self.order > self.max_elements:
+        bound = int(os.environ.get(BOUND_ENV_VAR, DEFAULT_MAX_ELEMENTS))
+        if self.order > bound:
             raise BoundExceededError(
                 f"group of order {self.order} exceeds the enumeration bound "
-                f"{self.max_elements} (override with {BOUND_ENV_VAR})"
+                f"{bound} (override with {BOUND_ENV_VAR})"
             )
 
     @cached_property
@@ -318,20 +340,13 @@ class WreathGroup:
 
     @cached_property
     def conjugacy_classes(self) -> tuple[tuple[WreathElement, ...], ...]:
-        """Brute-force conjugacy classes, each sorted, ordered by their
-        minimal element; the first member of each class is the representative."""
-        els = self.elements
-        pairs = [(g, g.inverse()) for g in els]
-        remaining = set(els)
-        classes = []
-        for x in els:
-            if x not in remaining:
-                continue
-            cls = {g * x * g_inv for g, g_inv in pairs}
-            remaining -= cls
-            classes.append(tuple(sorted(cls, key=WreathElement.key)))
-        classes.sort(key=lambda c: c[0].key())
-        return tuple(classes)
+        """The conjugacy classes, each in key order, ordered by their minimal
+        element; the first member of each class is the representative.
+        One pass over `elements` groups them by `class_label`."""
+        classes: dict[tuple, list[WreathElement]] = {}
+        for x in self.elements:
+            classes.setdefault(class_label(x, self._block_of), []).append(x)
+        return tuple(tuple(cls) for cls in classes.values())
 
     @cached_property
     def _class_index(self) -> dict[WreathElement, int]:
@@ -355,16 +370,17 @@ def hasse_covers(group: WreathGroup) -> list[tuple[WreathElement, WreathElement]
     """All covering pairs x < y of the wreath Bruhat order.
 
     In a product of graded posets a cover moves in exactly one coordinate,
-    so: equal tops, one factor covered in type A, the rest equal.
+    so: equal tops, one factor covered in type A, the rest equal.  The pairs
+    come in (x.key(), y.key()) order: x runs through `elements`, and an
+    upper cover is lexicographically larger than the factor it replaces, so
+    y grows as its slot moves left and as the cover grows.
     """
     covers = []
-    for y in group.elements:
-        for slot, f in enumerate(y.factors):
-            for u in lower_covers(f):
-                factors = list(y.factors)
-                factors[slot] = u
-                covers.append((WreathElement(tuple(factors), y.top), y))
-    covers.sort(key=lambda pair: (pair[0].key(), pair[1].key()))
+    for x in group.elements:
+        for slot in reversed(range(x.d)):
+            for u in upper_covers(x.factors[slot]):
+                factors = x.factors[:slot] + (u,) + x.factors[slot + 1:]
+                covers.append((x, WreathElement(factors, x.top)))
     return covers
 
 
@@ -433,16 +449,6 @@ def signed_mul(a: SignedPerm, b: SignedPerm) -> SignedPerm:
     return tuple(out)
 
 
-def signed_inverse(a: SignedPerm) -> SignedPerm:
-    out = [0] * len(a)
-    for i, v in enumerate(a):
-        if v > 0:
-            out[v - 1] = i + 1
-        else:
-            out[-v - 1] = -(i + 1)
-    return tuple(out)
-
-
 def typeB_generator(d: int, i: int) -> SignedPerm:
     """Generator i of the rank-d type B group: index 0 is the sign flip on
     the first letter, index i >= 1 swaps letters i and i+1."""
@@ -455,51 +461,20 @@ def typeB_generator(d: int, i: int) -> SignedPerm:
     return tuple(img)
 
 
-def typeB_length(w: SignedPerm) -> int:
-    """Type B inversion statistic: inv(w) + neg(w) + nsp(w)."""
+def _as_typeA(w: SignedPerm) -> Perm:
+    """w as a permutation of the letters -d..-1, 1..d, which are relabelled
+    0..2d-1 in that order; w(-a) = -w(a)."""
     d = len(w)
-    inv = sum(1 for i in range(d) for j in range(i + 1, d) if w[i] > w[j])
-    neg = sum(1 for v in w if v < 0)
-    nsp = sum(1 for i in range(d) for j in range(i + 1, d) if w[i] + w[j] < 0)
-    return inv + neg + nsp
-
-
-@lru_cache(maxsize=None)
-def typeB_elements(d: int) -> tuple[SignedPerm, ...]:
-    out = []
-    for p in all_perms(d):
-        for signs in product((1, -1), repeat=d):
-            out.append(tuple(s * (v + 1) for s, v in zip(signs, p)))
-    return tuple(sorted(out))
-
-
-@lru_cache(maxsize=None)
-def typeB_reflections(d: int) -> tuple[SignedPerm, ...]:
-    gens = [typeB_generator(d, i) for i in range(d)]
-    refls = set()
-    for g in typeB_elements(d):
-        ginv = signed_inverse(g)
-        for s in gens:
-            refls.add(signed_mul(signed_mul(g, s), ginv))
-    return tuple(sorted(refls))
-
-
-@lru_cache(maxsize=None)
-def typeB_downset(w: SignedPerm) -> frozenset[SignedPerm]:
-    d = len(w)
-    out = {w}
-    lw = typeB_length(w)
-    for t in typeB_reflections(d):
-        u = signed_mul(w, t)
-        if typeB_length(u) == lw - 1:
-            out |= typeB_downset(u)
-    return frozenset(out)
+    images = [-v for v in reversed(w)] + list(w)
+    return tuple(v + d if v < 0 else v + d - 1 for v in images)
 
 
 def typeB_leq(u: SignedPerm, w: SignedPerm) -> bool:
+    """The Bruhat order of the type B group is the one it inherits from the
+    symmetric group on -d..-1, 1..d (Bjorner-Brenti, §8.1)."""
     if len(u) != len(w):
         raise ValueError("rank mismatch")
-    return u in typeB_downset(w)
+    return bruhat_leq_typeA(_as_typeA(u), _as_typeA(w))
 
 
 def eval_typeB_word(word, d: int) -> SignedPerm:

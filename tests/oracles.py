@@ -4,22 +4,27 @@ Everything here is implemented from first principles, separately from the
 package code paths it checks: rim-hook recursion for symmetric-group
 characters, brute-force standard-tableau enumeration, Cayley-graph word
 lengths, breadth-first generator words and type B images of wreath
-elements, the subword criterion for the Bruhat order, the induced-character
-sum, Macdonald's centralizer orders in Sigma_m wr Sigma_d,
-signed-permutation conjugacy for the even-signed groups, the
+elements, the subword criterion for the Bruhat order, the type B Bruhat
+order by reflections and down-sets, the globally sorted Hasse covers, the
+induced-character sum, brute-force wreath conjugacy classes, Macdonald's
+centralizer orders in Sigma_m wr Sigma_d, signed-permutation conjugacy for
+the even-signed groups, orbit labels deduplicated from all profiles, the
 exhaustive homomorphism check, Todd-Coxeter coset enumeration, and the
 all-pairs bilinear extension of the basis convolution.
 """
 
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 from math import factorial, prod
 
+from wreathspringer.combinatorics import lower_covers
 from wreathspringer.convolution import AlgebraVector, ProductResult, convolve_basis
 from wreathspringer.matrices import trace
+from wreathspringer.orbits import all_profiles, orbit_label
 from wreathspringer.reptheory import inflate
-from wreathspringer.wreath import WreathGroup
+from wreathspringer.wreath import WreathElement, WreathGroup
 
 
 # -- symmetric group characters (rim-hook recursion) ------------------------
@@ -120,6 +125,74 @@ def subword_downset(w):
     return out
 
 
+# -- type B Bruhat order by reflections and down-sets ---------------------------
+
+def typeB_length(w):
+    """Type B inversion statistic: inv(w) + neg(w) + nsp(w)."""
+    d = len(w)
+    inv = sum(1 for i in range(d) for j in range(i + 1, d) if w[i] > w[j])
+    neg = sum(1 for v in w if v < 0)
+    nsp = sum(1 for i in range(d) for j in range(i + 1, d) if w[i] + w[j] < 0)
+    return inv + neg + nsp
+
+
+def typeB_elements(d):
+    """All signed permutations of rank d, sorted."""
+    return sorted(
+        tuple(s * v for s, v in zip(signs, p))
+        for p in permutations(range(1, d + 1))
+        for signs in product((1, -1), repeat=d)
+    )
+
+
+@lru_cache(maxsize=None)
+def typeB_reflections(d):
+    """The conjugates of the simple generators: sign flip on letter 1 and
+    the adjacent swaps."""
+    gens = [(-1,) + tuple(range(2, d + 1))]
+    for k in range(1, d):
+        swap = list(range(1, d + 1))
+        swap[k - 1], swap[k] = swap[k], swap[k - 1]
+        gens.append(tuple(swap))
+    return frozenset(
+        _signed_mul(_signed_mul(g, s), _signed_inv(g)) for g in typeB_elements(d) for s in gens
+    )
+
+
+@lru_cache(maxsize=None)
+def typeB_downset(w):
+    """All u <= w: recursion over the w*t, t a reflection, one shorter."""
+    out = {w}
+    for t in typeB_reflections(len(w)):
+        u = _signed_mul(w, t)
+        if typeB_length(u) == typeB_length(w) - 1:
+            out |= typeB_downset(u)
+    return frozenset(out)
+
+
+# -- Hasse covers by a global sort ----------------------------------------------
+
+def sorted_hasse_covers(group):
+    """Every (x, y) with y in `group.elements` and x one factor lower cover
+    away from y, sorted by (x.key(), y.key())."""
+    covers = []
+    for y in group.elements:
+        for slot, f in enumerate(y.factors):
+            for u in lower_covers(f):
+                factors = list(y.factors)
+                factors[slot] = u
+                covers.append((WreathElement(tuple(factors), y.top), y))
+    covers.sort(key=lambda pair: (pair[0].key(), pair[1].key()))
+    return covers
+
+
+# -- orbit labels by deduplication ------------------------------------------------
+
+def deduplicated_orbit_labels(m, d):
+    """The orbit label of every profile, each once, in descending order."""
+    return sorted({orbit_label(p) for p in all_profiles(m, d)}, reverse=True)
+
+
 # -- breadth-first search over wreath generators ---------------------------------
 
 def bfs_words(group):
@@ -173,6 +246,24 @@ def induced_character_value(g, group_elements, h_elements, h_char, mul, inv):
 
 
 # -- wreath conjugacy classes (Macdonald, Symmetric Functions, I, App. B) -------
+
+def brute_force_classes(group):
+    """Conjugacy classes found by conjugating each class representative by
+    every element; each class sorted, the classes ordered by their minimal
+    element."""
+    els = group.elements
+    pairs = [(g, g.inverse()) for g in els]
+    remaining = set(els)
+    classes = []
+    for x in els:
+        if x not in remaining:
+            continue
+        cls = {g * x * g_inv for g, g_inv in pairs}
+        remaining -= cls
+        classes.append(tuple(sorted(cls, key=WreathElement.key)))
+    classes.sort(key=lambda c: c[0].key())
+    return tuple(classes)
+
 
 def _cycle_type(p):
     seen, lengths = set(), []

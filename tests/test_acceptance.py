@@ -29,7 +29,7 @@ from wreathspringer.reptheory import char_of, clifford_irrep, enumerate_IC
 from wreathspringer.springer import hu_index, hu_to_clifford, typeB_table, typeD_table, verify_springer
 from wreathspringer.wreath import WreathElement, WreathGroup, cell_statistics
 
-from oracles import even_signed_class_count
+from oracles import brute_force_classes, even_signed_class_count
 
 
 def report(number: int, name: str, ok: bool, seconds: float) -> None:
@@ -172,6 +172,7 @@ def test_criterion_07_index_set_equality(capsys):
         ok = ok and len(enumerate_IC(m, d)) == expected
         ok = ok and len(enumerate_IS(m, d)) == expected
         ok = ok and len(g.conjugacy_classes) == expected
+        ok = ok and len(brute_force_classes(g)) == len(enumerate_IC(m, d))
     elapsed = time.time() - start
     with capsys.disabled():
         report(7, "index-set equality", ok, elapsed)

@@ -121,6 +121,15 @@ def test_verify_springer_24_output_is_unchanged(capsys):
     )
 
 
+def test_tables_chars_25_output_is_unchanged(capsys):
+    # 36 classes: a slip in the class order or a representative shows here
+    code, out, _ = run(capsys, "tables", "--kind", "chars", "--m", "2", "--d", "5")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "e5ccd9919441558030c7600717641d4934ea7fbe57abc67b46f4e6f2fae09c05"
+    )
+
+
 def test_usage_error(capsys):
     assert run(capsys, "verify", "--m", "2")[0] == 2
     assert run(capsys, "nonsense")[0] == 2

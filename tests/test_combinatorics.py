@@ -18,6 +18,7 @@ from wreathspringer.combinatorics import (
     perm_inverse,
     perm_length,
     perm_to_word,
+    upper_covers,
     adjacent_transposition,
 )
 from wreathspringer.wreath import WreathGroup
@@ -110,6 +111,23 @@ def test_lower_covers_are_the_downset_one_level_down():
             expected = {u for u in bruhat_downset(w) if perm_length(u) == perm_length(w) - 1}
             assert set(lower_covers(w)) == expected
             assert len(lower_covers(w)) == len(expected)
+
+
+def test_rank_criterion_matches_downsets():
+    for n in range(1, 6):
+        for w in all_perms(n):
+            below = bruhat_downset(w)
+            for u in all_perms(n):
+                assert bruhat_leq_typeA(u, w) == (u in below)
+
+
+def test_upper_covers_invert_lower_covers():
+    for n in range(1, 6):
+        perms = all_perms(n)
+        for u in perms:
+            expected = sorted(w for w in perms if u in lower_covers(w))
+            assert list(upper_covers(u)) == expected
+            assert all(w > u for w in upper_covers(u))
 
 
 def test_bruhat_bottom_element():

@@ -23,6 +23,8 @@ from wreathspringer.orbits import (
 from wreathspringer.reptheory import enumerate_IC
 from wreathspringer.wreath import WreathGroup
 
+from oracles import deduplicated_orbit_labels
+
 
 # -- orbit labels
 
@@ -36,6 +38,12 @@ def test_orbit_label_d1():
 
 def test_orbit_label_count_22():
     assert len(all_orbit_labels(2, 2)) == 3
+
+
+def test_orbit_labels_are_the_deduplicated_profiles():
+    for m in range(1, 5):
+        for d in range(1, 5):
+            assert all_orbit_labels(m, d) == deduplicated_orbit_labels(m, d)
 
 
 def test_orbit_label_separates_orbits():

@@ -26,7 +26,11 @@ from wreathspringer.wreath import (
 from oracles import (
     bfs_typeB,
     bfs_words,
+    brute_force_classes,
+    sorted_hasse_covers,
     subword_downset,
+    typeB_downset,
+    typeB_elements,
     wreath_centralizer_order,
     wreath_class_label,
 )
@@ -262,6 +266,16 @@ def test_hasse_cover_shape():
         assert bruhat_leq_wreath(x, y)
 
 
+@pytest.mark.parametrize(
+    "group",
+    [WreathGroup(m, d) for m, d in [(1, 3), (3, 1), (2, 2), (3, 2), (2, 3), (2, 5), (3, 4)]]
+    + [WreathGroup(2, 3, (2, 1)), WreathGroup(3, 3, (1, 2))],
+    ids=repr,
+)
+def test_hasse_covers_match_the_sorted_oracle(group):
+    assert hasse_covers(group) == sorted_hasse_covers(group)
+
+
 def test_hasse_json_and_dot():
     g = WreathGroup(2, 2)
     data = hasse_json(g)
@@ -275,8 +289,9 @@ def test_hasse_json_and_dot():
     assert json.dumps(hasse_json(g)) == json.dumps(hasse_json(WreathGroup(2, 2)))
 
 
-def test_bound_guard():
-    g = WreathGroup(4, 4, max_elements=1000)
+def test_bound_guard(monkeypatch):
+    monkeypatch.setenv("WREATHSPRINGER_MAX_ELEMENTS", "1000")
+    g = WreathGroup(4, 4)
     with pytest.raises(BoundExceededError):
         _ = g.elements
     with pytest.raises(BoundExceededError):
@@ -367,6 +382,22 @@ def test_conjugacy_class_sizes_match_centralizer_orders(group):
     assert len(set(labels)) == len(labels)
 
 
+@pytest.mark.parametrize(
+    "group",
+    [WreathGroup(1, n) for n in range(1, 7)]
+    + [WreathGroup(m, d) for m, d in [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 5)]]
+    + [
+        WreathGroup(2, 3, (2, 1)),
+        WreathGroup(3, 3, (1, 2)),
+        WreathGroup(2, 4, (2, 2)),
+        WreathGroup(1, 5, (2, 3)),
+    ],
+    ids=repr,
+)
+def test_conjugacy_classes_match_brute_force(group):
+    assert group.conjugacy_classes == brute_force_classes(group)
+
+
 # -- cell statistics
 
 def test_cell_statistics_known():
@@ -423,6 +454,24 @@ def test_wreath_order_coarser_than_typeB():
     # the slot swap stays comparable with its upper neighbours in both orders
     t, s1t = g.gen_t(1), g.gen_s(1, 1) * g.gen_t(1)
     assert bruhat_leq_wreath(t, s1t) and typeB_leq(images[t], images[s1t])
+
+
+@pytest.mark.parametrize("d", range(1, 4))
+def test_typeB_leq_matches_reflection_downsets(d):
+    elements = typeB_elements(d)
+    for w in elements:
+        below = typeB_downset(w)
+        for u in elements:
+            assert typeB_leq(u, w) == (u in below)
+
+
+def test_typeB_leq_matches_reflection_downsets_sampled_at_rank_4():
+    rng = random.Random(4)
+    elements = typeB_elements(4)
+    for _ in range(400):
+        u, w = rng.choice(elements), rng.choice(elements)
+        assert typeB_leq(u, w) == (u in typeB_downset(w))
+        assert typeB_leq(w, u) == (w in typeB_downset(u))
 
 
 @pytest.mark.parametrize("d", range(1, 6))
