@@ -59,6 +59,17 @@ def perm_length(p: Perm) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
 
 
+def minimal_coset_rep(w: Perm, blocks: tuple[int, ...]) -> Perm:
+    """The least element of the coset wY, Y the Young subgroup of the
+    consecutive blocks of the given sizes: wy permutes w's values within
+    each block, so the least one sorts them there."""
+    out, start = [], 0
+    for size in blocks:
+        out += sorted(w[start:start + size])
+        start += size
+    return tuple(out)
+
+
 def adjacent_transposition(n: int, i: int) -> Perm:
     """The simple transposition swapping positions i and i+1 (0-based)."""
     if not 0 <= i < n - 1:

@@ -37,6 +37,7 @@ from .combinatorics import (
     format_partition,
     hook_dim,
     identity_perm,
+    minimal_coset_rep,
     partitions_of,
     perm_compose,
     perm_inverse,
@@ -393,8 +394,9 @@ def rep_tensor(a: Representation, b: Representation) -> Representation:
 
 def induce(rho: Representation, group: WreathGroup) -> Representation:
     """Induction from a Young wreath subgroup, in the block-monomial model
-    over the minimal coset representatives of the tops: one block per
-    coset, holding the subgroup's matrix of the element that carries it."""
+    over the minimal coset representatives of the tops, read off in closed
+    form by `minimal_coset_rep`: one block per coset, holding the
+    subgroup's matrix of the element that carries it."""
     sub = rho.group
     if (
         not isinstance(sub, WreathGroup)
@@ -403,15 +405,14 @@ def induce(rho: Representation, group: WreathGroup) -> Representation:
     ):
         raise ValueError("subgroup is not contained in the target group")
     d = group.d
-    rep_of = {w: min(perm_compose(w, s) for s in sub.tops) for w in group.tops}
-    transversal = sorted(set(rep_of.values()))
+    transversal = sorted({minimal_coset_rep(w, sub.blocks) for w in group.tops})
     row_of = {w: i for i, w in enumerate(transversal)}
 
     def fn(g: WreathElement) -> BlockMonomial:
         perm, blocks = [], []
         for w in transversal:
             moved = perm_compose(g.top, w)
-            target = rep_of[moved]
+            target = minimal_coset_rep(moved, sub.blocks)
             h_top = perm_compose(perm_inverse(target), moved)
             factors = tuple(g.factors[target[j]] for j in range(d))
             perm.append(row_of[target])
@@ -446,6 +447,11 @@ class BimoduleModel:
     x -> R(x.top^-1) of a block subgroup of Sigma_1 wr Sigma_d."""
 
     def __init__(self, group: WreathGroup, profile: Profile):
+        # the right action permutes the cosets of all of Sigma_d
+        if group.blocks != (group.d,):
+            raise ValueError(
+                f"the fiber bimodule needs the full top group, not the blocks {group.blocks}"
+            )
         validate_profile(profile)
         self.group = group
         self.profile = orbit_label(profile)

@@ -33,7 +33,6 @@ from .combinatorics import (
     identity_perm,
     perm_compose,
     perm_inverse,
-    perm_length,
     perm_to_word,
     type_a_relations,
     upper_covers,
@@ -98,11 +97,6 @@ class WreathElement:
     def key(self):
         """Deterministic sort key: top first, then the factor tuple."""
         return (self.top, self.factors)
-
-    def cell_dim(self) -> int:
-        """Sum of factor inversion counts: the dimension of the attracting
-        cell labelled by this element."""
-        return sum(perm_length(f) for f in self.factors)
 
 
 def wreath_identity(m: int, d: int) -> WreathElement:
@@ -366,8 +360,9 @@ class WreathGroup:
         return tuple(len(cls) for cls in self.conjugacy_classes)
 
 
-def hasse_covers(group: WreathGroup) -> list[tuple[WreathElement, WreathElement]]:
-    """All covering pairs x < y of the wreath Bruhat order.
+def hasse_covers(group: WreathGroup) -> list[tuple[int, int]]:
+    """All covering pairs x < y of the wreath Bruhat order, as positions
+    ``(i, j)`` into ``group.elements``.
 
     In a product of graded posets a cover moves in exactly one coordinate,
     so: equal tops, one factor covered in type A, the rest equal.  The pairs
@@ -375,23 +370,27 @@ def hasse_covers(group: WreathGroup) -> list[tuple[WreathElement, WreathElement]
     upper cover is lexicographically larger than the factor it replaces, so
     y grows as its slot moves left and as the cover grows.
     """
+    position = {x.key(): i for i, x in enumerate(group.elements)}
     covers = []
-    for x in group.elements:
-        for slot in reversed(range(x.d)):
-            for u in upper_covers(x.factors[slot]):
-                factors = x.factors[:slot] + (u,) + x.factors[slot + 1:]
-                covers.append((x, WreathElement(factors, x.top)))
+    for i, (top, factors) in enumerate(position):
+        for slot in reversed(range(group.d)):
+            for u in upper_covers(factors[slot]):
+                covers.append((i, position[top, factors[:slot] + (u,) + factors[slot + 1:]]))
     return covers
 
 
 def cell_statistics(group: WreathGroup) -> tuple[int, dict[int, int]]:
     """Cell count and the distribution dimension -> number of cells, where
-    the cell of an element has dimension equal to its factor length sum."""
-    dist: dict[int, int] = {}
-    for x in group.elements:
-        dim = x.cell_dim()
-        dist[dim] = dist.get(dim, 0) + 1
-    return len(group.elements), dict(sorted(dist.items()))
+    the cell of an element has dimension equal to its factor length sum:
+    |T| * ([1]_q [2]_q ... [m]_q)^d, the bracket product being the inversion
+    generating function of Sigma_m (Stanley, *EC1*, Cor. 1.3.13).  No
+    element is built, but the enumeration bound still applies."""
+    group.check_bound()
+    coeffs = [group.order // factorial(group.m) ** group.d]
+    for k in list(range(2, group.m + 1)) * group.d:
+        # times [k]_q = 1 + q + ... + q^(k-1): sum a window of k coefficients
+        coeffs = [sum(coeffs[max(0, n - k + 1):n + 1]) for n in range(len(coeffs) + k - 1)]
+    return group.order, dict(enumerate(coeffs))
 
 
 def dimension_polynomial_str(dist: dict[int, int]) -> str:
@@ -408,22 +407,19 @@ def dimension_polynomial_str(dist: dict[int, int]) -> str:
 
 
 def hasse_json(group: WreathGroup) -> dict:
-    nodes = list(group.elements)
-    index = {x: i for i, x in enumerate(nodes)}
     return {
         "m": group.m,
         "d": group.d,
-        "nodes": [group.word(x) for x in nodes],
-        "covers": [[index[x], index[y]] for x, y in hasse_covers(group)],
+        "nodes": [group.word(x) for x in group.elements],
+        "covers": hasse_covers(group),
     }
 
 
 def hasse_dot(group: WreathGroup) -> str:
+    words = [group.word(x) for x in group.elements]
     lines = ["digraph hasse {", "  rankdir=BT;"]
-    for x in group.elements:
-        lines.append(f'  "{group.word(x)}";')
-    for x, y in hasse_covers(group):
-        lines.append(f'  "{group.word(x)}" -> "{group.word(y)}";')
+    lines += [f'  "{w}";' for w in words]
+    lines += [f'  "{words[i]}" -> "{words[j]}";' for i, j in hasse_covers(group)]
     lines.append("}")
     return "\n".join(lines)
 

@@ -5,12 +5,14 @@ package code paths it checks: rim-hook recursion for symmetric-group
 characters, brute-force standard-tableau enumeration, Cayley-graph word
 lengths, breadth-first generator words and type B images of wreath
 elements, the subword criterion for the Bruhat order, the type B Bruhat
-order by reflections and down-sets, the globally sorted Hasse covers, the
-induced-character sum, brute-force wreath conjugacy classes, Macdonald's
-centralizer orders in Sigma_m wr Sigma_d, signed-permutation conjugacy for
-the even-signed groups, orbit labels deduplicated from all profiles, the
-exhaustive homomorphism check, Todd-Coxeter coset enumeration, and the
-all-pairs bilinear extension of the basis convolution.
+order by reflections and down-sets, the globally sorted Hasse covers, cell
+statistics by walking the elements, the induced-character sum, minimal
+coset representatives by search, brute-force wreath conjugacy classes,
+Macdonald's centralizer orders in Sigma_m wr Sigma_d, signed-permutation
+conjugacy for the even-signed groups, orbit labels deduplicated from all
+profiles, the exhaustive homomorphism check, Todd-Coxeter coset
+enumeration, and the all-pairs bilinear extension of the basis
+convolution.
 """
 
 from collections import deque
@@ -186,6 +188,17 @@ def sorted_hasse_covers(group):
     return covers
 
 
+# -- cell statistics by walking the elements -------------------------------------
+
+def cell_statistics_by_elements(group):
+    """Element count, and the number of elements per factor inversion sum."""
+    dist = {}
+    for x in group.elements:
+        dim = sum(1 for f in x.factors for a in range(len(f)) for b in range(a) if f[b] > f[a])
+        dist[dim] = dist.get(dim, 0) + 1
+    return len(group.elements), dict(sorted(dist.items()))
+
+
 # -- orbit labels by deduplication ------------------------------------------------
 
 def deduplicated_orbit_labels(m, d):
@@ -243,6 +256,19 @@ def induced_character_value(g, group_elements, h_elements, h_char, mul, inv):
         if conj in h_set:
             total += h_char(conj)
     return total / len(h_elements)
+
+
+# -- minimal coset representatives by search ----------------------------------------
+
+def minimal_coset_rep_by_search(w, blocks):
+    """min(w o y) over every y that keeps each consecutive block of the
+    given sizes in place."""
+    block_of = [b for b, size in enumerate(blocks) for _ in range(size)]
+    return min(
+        tuple(w[y[i]] for i in range(len(w)))
+        for y in permutations(range(len(w)))
+        if all(block_of[y[i]] == block_of[i] for i in range(len(w)))
+    )
 
 
 # -- wreath conjugacy classes (Macdonald, Symmetric Functions, I, App. B) -------

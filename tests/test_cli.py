@@ -1,6 +1,9 @@
 import hashlib
 import json
+import shlex
 from math import prod
+
+import pytest
 
 from wreathspringer import reptheory
 from wreathspringer.cli import main
@@ -188,3 +191,101 @@ def test_tables_deterministic(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+# -- pinned bytes
+
+# stdout sha256 of every table kind and format, the diagrams, two comparisons
+# and a full verify: a refactor must keep every printed byte
+PINNED_OUTPUTS = [
+    ('tables --kind irreps --m 2 --d 3 --format md',
+     '4d77c85de0d6719a612f6d2fcee0ff97bf1741b926275e7e3ccad97fad731f0f'),
+    ('tables --kind irreps --m 2 --d 3 --format csv',
+     'b0d7f420262f129cbf1c47e94c1af54568c53d68b326660bfbbe3cb8ffc768f8'),
+    ('tables --kind irreps --m 2 --d 3 --format json',
+     '91be95349efbf2c37cb6e392760163c56fdd07297c4156b8da65bfe964f3341d'),
+    ('tables --kind springer --m 2 --d 3 --format md',
+     '2690cc0754bf67d95094198425bcdcd634ba85262e2ca16ca82b6842dc231a1c'),
+    ('tables --kind springer --m 2 --d 3 --format csv',
+     'bf188e21c0e5a7d71bf5850674df014517346df56c4018481f1edb36f70c8579'),
+    ('tables --kind springer --m 2 --d 3 --format json',
+     '588b02685d2f80d5b8341863ae1b0e07ecbe84efdeb24655565b84a059fb3bc1'),
+    ('tables --kind typeB --m 2 --d 3 --format md',
+     'bb929d5fdf41c428fb8b075a739a446066770cfec52722e9ea8d25bf3d9523b8'),
+    ('tables --kind typeB --m 2 --d 3 --format csv',
+     'bb7825da6e8693a8a7812f820754e74148eee9441179e378b0d224d77025a81f'),
+    ('tables --kind typeB --m 2 --d 3 --format json',
+     'bedbaf73fffc78ba4c01ed4b6cd91c19752f51781cb1fea0cde603bc4cac0354'),
+    ('tables --kind typeD --m 2 --d 3 --format md',
+     '8d7e8470d78a0ebbc42ba0cdac0a2578177f05106899139bd46d3d7013d65797'),
+    ('tables --kind typeD --m 2 --d 3 --format csv',
+     '6f500b7eeebbf61d4be9eec3cf51e24193a307bb39eb939ab1711d0fe4335bdd'),
+    ('tables --kind typeD --m 2 --d 3 --format json',
+     '85fe394bc10023031edefeb1756c386ad33b6213b03b4b75ca3a72c21f8d4d3b'),
+    ('tables --kind orbits --m 2 --d 3 --format md',
+     '3b97faa2985e979509d854df1b201b80fec8094dfc3a54162318d0a36867df0b'),
+    ('tables --kind orbits --m 2 --d 3 --format csv',
+     'e026e3847911a5ddde204c1b6fc7b8319ea8cf194770a843086faff22f136063'),
+    ('tables --kind orbits --m 2 --d 3 --format json',
+     '322b7588e7a5432bbe66c70edf7efe24b3842549fa865aee5f769f811e1e52b5'),
+    ('tables --kind chars --m 2 --d 3 --format md',
+     'd59d124af47ef678ce434cb3db5a3ef4b25ad9a944fba2b99fc268cc0a2c075e'),
+    ('tables --kind chars --m 2 --d 3 --format csv',
+     '9c4889678c61302991e7a7f914cac77a5eea9d233fff743d7a523eb5969c1146'),
+    ('tables --kind chars --m 2 --d 3 --format json',
+     '1c62271ffb65af0b29fd1c752fd79e63db7247b557818bf692694058ab1f1463'),
+    ('tables --kind cells --m 2 --d 3 --format md',
+     '83d22bf81ff2ee3f9974487503a3405eaea7fee8e75e5f2590044556ce048ccd'),
+    ('tables --kind cells --m 2 --d 3 --format csv',
+     '0a4377a1348a1a99c5b4a44eb1d46132d1e1266288be11255f1e3fec9c1f5527'),
+    ('tables --kind cells --m 2 --d 3 --format json',
+     '2c2b85ec6e31d3fa09e7e13dde72caae7768e0074f37831c3eff380f33e2eceb'),
+    ('tables --kind hu --m 2 --d 3 --format md',
+     '1dd0c0c6396527494691d370acf87051a0df7d22c4706554c2d81d2481d3676d'),
+    ('tables --kind hu --m 2 --d 3 --format csv',
+     '6ce1469178bb98a47ac24f0b1860d65ae5d11e03684b57db61999690ce71e769'),
+    ('tables --kind hu --m 2 --d 3 --format json',
+     'ff83c4fc6bf8cbd21653828c34aba684336099b23f11bed4ceeb2657fd361401'),
+    ('tables --kind cells --m 3 --d 2 --format md',
+     'aff1315d3ff46dd42fad5e4a10444861fccf5609c70cccbf781c2c666de06acf'),
+    ('tables --kind cells --m 3 --d 2 --format csv',
+     'd27796342aa3de0dbdd924f327399e1d60f237bb9ceb5c7aa76cdb06fe674937'),
+    ('tables --kind cells --m 3 --d 2 --format json',
+     'af0b43240b175216f82b2700c2edac1902ef23415ea8383c6c01538689deeb81'),
+    ('tables --kind hu --m 3 --format md',
+     '747f50ebdec6734481b5e848b8159db5c4f218b8f0b450f2f3f43635cbf251cf'),
+    ('tables --kind hu --m 3 --format csv',
+     '56f8cd018a4d2e826d383b2eff32c24dd2e9e167834124fe2cec2cdae275d906'),
+    ('tables --kind hu --m 3 --format json',
+     'fc7f3b6675613bd8fa34a769ddd66c4c76b9be1e1ef284c25ea3fd15d2b01a4c'),
+    ('hasse --m 2 --d 3 --format dot',
+     '4eddc81e09171d18c63e5fa4f086eda5c90e24be3b39d8a59a7f4242a2f3ef95'),
+    ('hasse --m 2 --d 3 --format json',
+     '376a1ee25b57ed3baa207d162767863ae3d5a18a12c4ebcf1955837fcddb5a9a'),
+    ('hasse --m 3 --d 2 --format dot',
+     'f431596a05bcac383e99aedc518fcba30623052710376cafc8364f52ac9cc94d'),
+    ('hasse --m 3 --d 2 --format json',
+     '13b0a9150be3741677a4944cd2179bbe5b35ed6596d6eb66fa0aa5b5e9abd225'),
+    ("order --m 2 --d 3 --x 's1^1 t1 t2' --y 's1^1 s1^3 t1 t2'",
+     '39926e83c372921f0d136b0ec8390f448fdcc64f423722d38291e65c8b3d6234'),
+    ("order --m 3 --d 2 --x 's1^1 s2^1' --y t1",
+     '8c23110b2699206042d08845ea4b98f30363b3b522837877d2797f96d2ccf104'),
+    ('verify --scope all --m 2 --d 2',
+     'cb56d8d07ae1899c83e06806593242c38be8414108c73a7db10d1df71c05de34'),
+]
+
+
+@pytest.mark.parametrize("command, digest", PINNED_OUTPUTS, ids=[c for c, _ in PINNED_OUTPUTS])
+def test_output_bytes_are_pinned(capsys, command, digest):
+    code, out, _ = run(capsys, *shlex.split(command))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_cells_refuse_above_the_bound(capsys):
+    # 2^10 * 10! elements: the generating function needs none of them, but the
+    # command keeps the enumeration bound's refusal
+    code, out, err = run(capsys, "tables", "--kind", "cells", "--m", "2", "--d", "10")
+    assert code == 2
+    assert out == ""
+    assert "exceeds the enumeration bound" in err

@@ -12,6 +12,7 @@ from wreathspringer.combinatorics import (
     hook_dim,
     identity_perm,
     lower_covers,
+    minimal_coset_rep,
     n_stat,
     partitions_of,
     perm_compose,
@@ -23,7 +24,13 @@ from wreathspringer.combinatorics import (
 )
 from wreathspringer.wreath import WreathGroup
 
-from oracles import bfs_word_lengths, bfs_words, count_syt_brute, subword_downset
+from oracles import (
+    bfs_word_lengths,
+    bfs_words,
+    count_syt_brute,
+    minimal_coset_rep_by_search,
+    subword_downset,
+)
 
 
 @st.composite
@@ -235,3 +242,17 @@ def test_n_stat_known_values():
 @given(lam=partition_strategy())
 def test_n_stat_column_identity(lam):
     assert n_stat(lam) == sum(comb(c, 2) for c in conjugate_partition(lam))
+
+
+def compositions(d):
+    """Every tuple of positive block sizes summing to d."""
+    if d == 0:
+        return [()]
+    return [(first,) + rest for first in range(1, d + 1) for rest in compositions(d - first)]
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_minimal_coset_rep_matches_the_search(d):
+    for blocks in compositions(d):
+        for w in all_perms(d):
+            assert minimal_coset_rep(w, blocks) == minimal_coset_rep_by_search(w, blocks)

@@ -399,6 +399,14 @@ def test_springer_module_mixed_pair():
     assert model.right.group.tops == (identity_perm(2),)
 
 
+def test_springer_module_refuses_a_young_top_group():
+    # the right action lays its cosets over all of Sigma_d; over a Young top
+    # group the left module has fewer, and the relation check used to fail
+    for g in [WreathGroup(2, 2, (1, 1)), WreathGroup(2, 3, (2, 1))]:
+        with pytest.raises(ValueError, match="full top group"):
+            springer_module(g, ((2,),) * g.d)
+
+
 def test_right_action_regular_pattern():
     # every irreducible of the right group appears in the bimodule
     for m, d in [(2, 2), (3, 2)]:

@@ -27,6 +27,7 @@ from oracles import (
     bfs_typeB,
     bfs_words,
     brute_force_classes,
+    cell_statistics_by_elements,
     sorted_hasse_covers,
     subword_downset,
     typeB_downset,
@@ -236,7 +237,7 @@ def test_bruhat_partial_order_22():
 
 def test_hasse_22_exact():
     g = WreathGroup(2, 2)
-    edges = {(g.word(x), g.word(y)) for x, y in hasse_covers(g)}
+    edges = {(g.word(g.elements[i]), g.word(g.elements[j])) for i, j in hasse_covers(g)}
     assert edges == {
         ("e", "s1^1"),
         ("e", "s1^2"),
@@ -257,7 +258,8 @@ def test_hasse_degenerate_cases():
 
 def test_hasse_cover_shape():
     g = WreathGroup(3, 2)
-    for x, y in hasse_covers(g):
+    for lo, hi in hasse_covers(g):
+        x, y = g.elements[lo], g.elements[hi]
         assert x.top == y.top
         diffs = [i for i in range(2) if x.factors[i] != y.factors[i]]
         assert len(diffs) == 1
@@ -273,7 +275,8 @@ def test_hasse_cover_shape():
     ids=repr,
 )
 def test_hasse_covers_match_the_sorted_oracle(group):
-    assert hasse_covers(group) == sorted_hasse_covers(group)
+    pairs = [(group.elements[i], group.elements[j]) for i, j in hasse_covers(group)]
+    assert pairs == sorted_hasse_covers(group)
 
 
 def test_hasse_json_and_dot():
@@ -296,6 +299,8 @@ def test_bound_guard(monkeypatch):
         _ = g.elements
     with pytest.raises(BoundExceededError):
         hasse_covers(g)
+    with pytest.raises(BoundExceededError):
+        cell_statistics(g)
 
 
 def test_bound_env_override(monkeypatch):
@@ -417,6 +422,26 @@ def test_cell_statistics_tops_only():
     count, dist = cell_statistics(WreathGroup(1, 3))
     assert count == 6
     assert dist == {0: 6}
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        WreathGroup(m, d)
+        for m in range(1, 5)
+        for d in range(1, 5)
+        if factorial(m) ** d * factorial(d) <= 40_000
+    ]
+    + [
+        WreathGroup(2, 3, (2, 1)),
+        WreathGroup(3, 3, (1, 2)),
+        WreathGroup(2, 4, (2, 2)),
+        WreathGroup(1, 5, (2, 3)),
+    ],
+    ids=repr,
+)
+def test_cell_statistics_match_the_element_walk(group):
+    assert cell_statistics(group) == cell_statistics_by_elements(group)
 
 
 # -- type B comparison
