@@ -64,7 +64,7 @@ def _render_table(header: list[str], rows: list[list[str]], fmt: str) -> str:
 def cmd_hasse(args) -> int:
     group = WreathGroup(args.m, args.d)
     if args.format == "json":
-        print(json.dumps(hasse_json(group), indent=2))
+        print(hasse_json(group))
     else:
         print(hasse_dot(group))
     return EXIT_OK
@@ -115,8 +115,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK if status == "pass" else EXIT_CHECK_FAILED
 
 
+# the size arguments each table kind reads; every other kind reads m and d
+TABLE_SIZES = {"typeB": ("d",), "typeD": ("d",), "hu": ("m",)}
+
+
 def cmd_tables(args) -> int:
     fmt = args.format
+    if any(getattr(args, name) < 1 for name in TABLE_SIZES.get(args.kind, ("m", "d"))):
+        raise ValueError("m and d must be positive")
     if args.kind == "irreps":
         group = WreathGroup(args.m, args.d)
         group.check_bound()

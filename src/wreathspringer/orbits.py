@@ -50,10 +50,7 @@ def gamma_of(profile) -> GammaMap:
     """Multiplicity map: partition -> number of slots carrying it.
     Keys are listed in canonical descending order."""
     validate_profile(profile)
-    counts: GammaMap = {}
-    for entry in sorted((tuple(e) for e in profile), reverse=True):
-        counts[entry] = counts.get(entry, 0) + 1
-    return counts
+    return _gamma(tuple(e) for e in profile)
 
 
 def component_group(profile) -> GammaMap:
@@ -74,26 +71,41 @@ def orbit_dim(profile) -> int:
     """Sum over slots of m^2 minus the squared column lengths: the adjoint
     orbit dimension of the profile."""
     m, _ = validate_profile(profile)
-    total = 0
-    for entry in profile:
-        total += m * m - sum(c * c for c in conjugate_partition(tuple(entry)))
-    return total
+    return _orbit_dim(m, profile)
 
 
 def fiber_dim(profile) -> int:
     """Sum over slots of n(lambda): the common dimension of the fiber
     components over a representative of the profile."""
     validate_profile(profile)
-    return sum(n_stat(tuple(entry)) for entry in profile)
+    return _fiber_dim(profile)
 
 
 def check_dimension_property(profile) -> bool:
     """fiber_dim == d*m*(m-1)/2 - orbit_dim/2, exactly."""
     m, d = validate_profile(profile)
-    odim = orbit_dim(profile)
+    odim = _orbit_dim(m, profile)
     if odim % 2 != 0:
         raise ValueError(f"odd orbit dimension {odim} for profile {profile}")
-    return fiber_dim(profile) == d * m * (m - 1) // 2 - odim // 2
+    return _fiber_dim(profile) == d * m * (m - 1) // 2 - odim // 2
+
+
+# The three below take a profile that is already valid: validated by the
+# caller, or built from `partitions_of`.
+
+def _gamma(entries) -> GammaMap:
+    counts: GammaMap = {}
+    for entry in sorted(entries, reverse=True):
+        counts[entry] = counts.get(entry, 0) + 1
+    return counts
+
+
+def _orbit_dim(m: int, profile) -> int:
+    return sum(m * m - sum(c * c for c in conjugate_partition(tuple(e))) for e in profile)
+
+
+def _fiber_dim(profile) -> int:
+    return sum(n_stat(tuple(e)) for e in profile)
 
 
 def jordan_type(matrix) -> Partition:
@@ -163,17 +175,25 @@ def _assignments(gamma_items):
 
 
 def orbit_report(m: int, d: int) -> dict:
-    """JSON-ready summary of all orbits at (m, d)."""
+    """JSON-ready summary of all orbits at (m, d).  The labels come from
+    `all_orbit_labels`, so none of them is validated again, and what one
+    slot contributes is worked out once per partition of m."""
+    if m < 1 or d < 1:
+        raise ValueError("m and d must be positive")
+    slot = {
+        nu: (format_partition(nu), partition_key(nu), _orbit_dim(m, (nu,)), _fiber_dim((nu,)))
+        for nu in partitions_of(m)
+    }
     rows = []
     for label in all_orbit_labels(m, d):
-        gamma = gamma_of(label)
+        gamma = _gamma(label)
         rows.append(
             {
-                "label": [format_partition(entry) for entry in label],
-                "gamma": {partition_key(nu): k for nu, k in gamma.items()},
+                "label": [slot[nu][0] for nu in label],
+                "gamma": {slot[nu][1]: k for nu, k in gamma.items()},
                 "componentGroupOrder": young_order(gamma),
-                "orbitDim": orbit_dim(label),
-                "fiberDim": fiber_dim(label),
+                "orbitDim": sum(slot[nu][2] for nu in label),
+                "fiberDim": sum(slot[nu][3] for nu in label),
             }
         )
     return {"m": m, "d": d, "orbits": rows}

@@ -21,6 +21,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from json.encoder import encode_basestring_ascii
 from math import factorial, prod
 
 from .combinatorics import (
@@ -155,6 +156,11 @@ def wreath_downset(x: WreathElement) -> list[WreathElement]:
     return [
         WreathElement(fs, x.top) for fs in product(*factor_sets)
     ]
+
+
+def _join(a: str, b: str) -> str:
+    """Two words joined by a space, either of them possibly empty."""
+    return f"{a} {b}" if a and b else a or b
 
 
 class WreathGroup:
@@ -294,12 +300,20 @@ class WreathGroup:
     @cached_property
     def _words(self) -> dict[WreathElement, str]:
         """The presentation's normal-form word per element ("e" for the
-        identity).  Every generator changes sum_j l(f_j) + l(top) by exactly
-        one, so this is the lex-smallest shortest word in the order of
-        `named_generators`."""
-        names = [name for name, _ in self.named_generators]
-        word_of = self.presentation[1]
-        return {x: " ".join(names[k] for k in word_of(x)) or "e" for x in self.elements}
+        identity), in `elements` order.  Every generator changes
+        sum_j l(f_j) + l(top) by exactly one, so this is the lex-smallest
+        shortest word in the order of `named_generators`.
+
+        The normal form is the factor words slot by slot, then the top's, so
+        each word joins one precomputed string per (slot, factor) and one
+        per top, extending the prefixes slot by slot in `elements` order."""
+        prefixes = [""]
+        for j in range(1, self.d + 1):
+            slot = [" ".join(f"s{i + 1}^{j}" for i in perm_to_word(f)) for f in all_perms(self.m)]
+            prefixes = [_join(p, w) for p in prefixes for w in slot]
+        tops = [" ".join(f"t{a + 1}" for a in perm_to_word(t)) for t in self.tops]
+        words = [_join(p, w) or "e" for w in tops for p in prefixes]
+        return dict(zip(self.elements, words))
 
     def word(self, x: WreathElement) -> str:
         return self._words[x]
@@ -369,14 +383,26 @@ def hasse_covers(group: WreathGroup) -> list[tuple[int, int]]:
     come in (x.key(), y.key()) order: x runs through `elements`, and an
     upper cover is lexicographically larger than the factor it replaces, so
     y grows as its slot moves left and as the cover grows.
+
+    `elements` is top-major, then the factors in mixed radix with base
+    M = m!, so replacing the factor with index a in slot s by its upper
+    cover u moves the position by (index(u) - a) * M^(d-1-s).  Those d*M
+    offset tuples give the covers of one top's block of M^d elements, and
+    every other block is a shift of it.
     """
-    position = {x.key(): i for i, x in enumerate(group.elements)}
-    covers = []
-    for i, (top, factors) in enumerate(position):
-        for slot in reversed(range(group.d)):
-            for u in upper_covers(factors[slot]):
-                covers.append((i, position[top, factors[:slot] + (u,) + factors[slot + 1:]]))
-    return covers
+    group.check_bound()
+    perms = all_perms(group.m)
+    index = {f: a for a, f in enumerate(perms)}
+    offsets = [
+        [tuple((index[u] - a) * stride for u in upper_covers(f)) for a, f in enumerate(perms)]
+        for stride in (len(perms) ** (group.d - 1 - s) for s in range(group.d))
+    ]
+    block = []
+    for i, slot_offsets in enumerate(product(*offsets)):
+        for step in reversed(slot_offsets):
+            block += [(i, i + o) for o in step]
+    size = len(perms) ** group.d
+    return [(b + i, b + j) for b in range(0, group.order, size) for i, j in block]
 
 
 def cell_statistics(group: WreathGroup) -> tuple[int, dict[int, int]]:
@@ -406,17 +432,26 @@ def dimension_polynomial_str(dist: dict[int, int]) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def hasse_json(group: WreathGroup) -> dict:
-    return {
-        "m": group.m,
-        "d": group.d,
-        "nodes": [group.word(x) for x in group.elements],
-        "covers": hasse_covers(group),
-    }
+def _json_list(items: list[str]) -> str:
+    """A JSON list whose items are already written out one per line at
+    depth 2, as the value of a top-level key under ``indent=2``."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def hasse_json(group: WreathGroup) -> str:
+    """The diagram as the text of ``json.dumps({"m", "d", "nodes",
+    "covers"}, indent=2)``, written directly: with ``indent`` that call
+    runs CPython's pure-Python encoder, which costs more than the covers."""
+    nodes = [f"    {encode_basestring_ascii(w)}" for w in group._words.values()]
+    covers = [f"    [\n      {i},\n      {j}\n    ]" for i, j in hasse_covers(group)]
+    return (
+        f'{{\n  "m": {group.m},\n  "d": {group.d},\n'
+        f'  "nodes": {_json_list(nodes)},\n  "covers": {_json_list(covers)}\n}}'
+    )
 
 
 def hasse_dot(group: WreathGroup) -> str:
-    words = [group.word(x) for x in group.elements]
+    words = list(group._words.values())
     lines = ["digraph hasse {", "  rankdir=BT;"]
     lines += [f'  "{w}";' for w in words]
     lines += [f'  "{words[i]}" -> "{words[j]}";' for i, j in hasse_covers(group)]

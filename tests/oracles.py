@@ -5,8 +5,8 @@ package code paths it checks: rim-hook recursion for symmetric-group
 characters, brute-force standard-tableau enumeration, Cayley-graph word
 lengths, breadth-first generator words and type B images of wreath
 elements, the subword criterion for the Bruhat order, the type B Bruhat
-order by reflections and down-sets, the globally sorted Hasse covers, cell
-statistics by walking the elements, the induced-character sum, minimal
+order by reflections and down-sets, the globally sorted Hasse covers, the
+Hasse diagram as the dict that ``json.dumps`` encodes, cell statistics by walking the elements, the induced-character sum, minimal
 coset representatives by search, brute-force wreath conjugacy classes,
 Macdonald's centralizer orders in Sigma_m wr Sigma_d, signed-permutation
 conjugacy for the even-signed groups, orbit labels deduplicated from all
@@ -26,7 +26,7 @@ from wreathspringer.convolution import AlgebraVector, ProductResult, convolve_ba
 from wreathspringer.matrices import trace
 from wreathspringer.orbits import all_profiles, orbit_label
 from wreathspringer.reptheory import inflate
-from wreathspringer.wreath import WreathElement, WreathGroup
+from wreathspringer.wreath import WreathElement, WreathGroup, hasse_covers
 
 
 # -- symmetric group characters (rim-hook recursion) ------------------------
@@ -186,6 +186,19 @@ def sorted_hasse_covers(group):
                 covers.append((WreathElement(tuple(factors), y.top), y))
     covers.sort(key=lambda pair: (pair[0].key(), pair[1].key()))
     return covers
+
+
+# -- the Hasse diagram as a dict for json.dumps --------------------------------
+
+def hasse_json_dict(group):
+    """The diagram whose ``json.dumps(..., indent=2)`` text `hasse_json`
+    writes directly: the words in `elements` order and the cover positions."""
+    return {
+        "m": group.m,
+        "d": group.d,
+        "nodes": [group.word(x) for x in group.elements],
+        "covers": hasse_covers(group),
+    }
 
 
 # -- cell statistics by walking the elements -------------------------------------

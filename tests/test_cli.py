@@ -138,6 +138,41 @@ def test_usage_error(capsys):
     assert run(capsys, "nonsense")[0] == 2
 
 
+NONPOSITIVE_SIZES = [
+    "tables --kind orbits --m 0 --d 2",
+    "tables --kind orbits --m 2 --d 0",
+    "tables --kind hu --m 0",
+    "tables --kind hu --m -1",
+    "tables --kind typeB --d 0",
+    "tables --kind typeB --d -1",
+    "tables --kind typeD --d 0",
+    "tables --kind irreps --m 0 --d 2",
+    "tables --kind springer --m 2 --d 0",
+    "tables --kind chars --m 0 --d 2",
+    "tables --kind cells --m 2 --d 0",
+    "hasse --m 0 --d 2",
+    "verify --m 2 --d 0",
+]
+
+
+@pytest.mark.parametrize("command", NONPOSITIVE_SIZES)
+def test_nonpositive_sizes_are_refused_alike(capsys, command):
+    code, out, err = run(capsys, *shlex.split(command))
+    assert code == 2
+    assert out == ""
+    assert err == "error: m and d must be positive\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["tables --kind typeB --m 0 --d 2", "tables --kind typeD --m 0 --d 2", "tables --kind hu --m 2 --d 0"],
+)
+def test_tables_check_only_the_sizes_they_read(capsys, command):
+    code, out, _ = run(capsys, *shlex.split(command))
+    assert code == 0
+    assert out.startswith("| ")
+
+
 # -- tables
 
 def test_tables_typeB(capsys):

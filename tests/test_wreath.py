@@ -28,6 +28,7 @@ from oracles import (
     bfs_words,
     brute_force_classes,
     cell_statistics_by_elements,
+    hasse_json_dict,
     sorted_hasse_covers,
     subword_downset,
     typeB_downset,
@@ -281,7 +282,7 @@ def test_hasse_covers_match_the_sorted_oracle(group):
 
 def test_hasse_json_and_dot():
     g = WreathGroup(2, 2)
-    data = hasse_json(g)
+    data = json.loads(hasse_json(g))
     assert data["m"] == 2 and data["d"] == 2
     assert len(data["nodes"]) == 8
     assert len(data["covers"]) == 8
@@ -289,7 +290,16 @@ def test_hasse_json_and_dot():
     assert dot.startswith("digraph")
     assert dot.count("->") == 8
     # deterministic output
-    assert json.dumps(hasse_json(g)) == json.dumps(hasse_json(WreathGroup(2, 2)))
+    assert hasse_json(g) == hasse_json(WreathGroup(2, 2))
+
+
+@pytest.mark.parametrize(
+    "m, d", [(1, 1), (1, 3), (3, 1), (2, 2), (3, 2), (2, 3), (2, 5), (3, 4)]
+)
+def test_hasse_json_is_the_text_of_json_dumps(m, d):
+    # (1, 1) and (1, 3) have no covers, which json.dumps writes as []
+    g = WreathGroup(m, d)
+    assert hasse_json(g) == json.dumps(hasse_json_dict(g), indent=2)
 
 
 def test_bound_guard(monkeypatch):
@@ -318,6 +328,17 @@ def test_word_roundtrip():
         g = WreathGroup(m, d)
         for x in g.elements:
             assert g.parse_word(g.word(x)) == x
+
+
+@pytest.mark.parametrize(
+    "group",
+    [WreathGroup(m, d) for m, d in [(1, 1), (1, 3), (3, 1), (2, 2), (3, 2), (2, 3), (3, 4)]]
+    + [WreathGroup(2, 3, (2, 1)), WreathGroup(3, 3, (1, 2))],
+    ids=repr,
+)
+def test_words_follow_the_elements_order(group):
+    # hasse_json and hasse_dot read the words by position
+    assert list(group._words) == list(group.elements)
 
 
 @pytest.mark.parametrize(
