@@ -28,6 +28,9 @@ from .matrices import mat_rank
 from .wreath import WreathElement, WreathGroup, wreath_downset
 
 
+_ONE = Fraction(1)
+
+
 class BasisIndex(NamedTuple):
     w: WreathElement
     tau: Perm
@@ -62,7 +65,9 @@ class AlgebraVector:
 
     @classmethod
     def basis(cls, idx: BasisIndex) -> "AlgebraVector":
-        return cls({idx: Fraction(1)})
+        vector = cls()
+        vector._terms = {idx: _ONE}
+        return vector
 
     def items(self):
         return sorted(self._terms.items(), key=lambda kv: kv[0].key())
@@ -134,7 +139,8 @@ def convolve_basis(a: BasisIndex, b: BasisIndex) -> ProductResult:
     if perm_compose(a.tau, a.w.top) != b.tau:
         return ProductResult(AlgebraVector.zero())
     if a.w.has_trivial_factors() or b.w.has_trivial_factors():
-        return ProductResult(AlgebraVector.basis(BasisIndex(a.w * b.w, a.tau)))
+        # the (m, d) check above covers the product too
+        return ProductResult(AlgebraVector.basis(BasisIndex(a.w._mul_unchecked(b.w), a.tau)))
     return ProductResult(None, ((a, b),))
 
 

@@ -15,7 +15,14 @@ generators.  The group carries a presentation: relations, and a
 normal-form word for every element.  Construction checks the relations on
 the images, and the matrix of an element is the product of the images
 along its word, so by von Dyck's theorem every constructed representation
-is a homomorphism.
+is a homomorphism.  The relations are the standard presentation of a
+permutational wreath product (D. L. Johnson, *Presentations of Groups*),
+Tietze-reduced: per block, type A in the first slot, the later slots
+defined as its conjugates by the t_a, and the first two slots commuting
+for i <= i' only, because conjugating by the swap of those slots turns
+(i, i') into (i', i); see `WreathGroup.presentation`.  A relation that is
+a power (x y ...)^k is checked by forming its base once and raising it to
+the k-th power.
 
 Degenerate-but-legal cases (m = 1, single-slot groups, empty partitions)
 are handled uniformly; matrices of dimension one are still matrices.
@@ -71,7 +78,9 @@ class Representation:
 
     ``matrix_fn`` returns a `BlockMonomial` with ``cosets`` blocks of size
     ``dim // cosets``; the relation check compares each relation's product
-    with the identity of that shape exactly."""
+    with the identity of that shape exactly.  A relation that is a power
+    (x y ...)^k has its base multiplied out once and then raised to the
+    k-th power."""
 
     def __init__(self, group, dim: int, matrix_fn, name: str = "", cosets: int = 1):
         self.group = group
@@ -82,7 +91,9 @@ class Representation:
         self._cache: dict = {}
         self._one = BlockMonomial.identity(cosets, dim // cosets)
         for relation in relations:
-            if self._product(relation) != self._one:
+            base, k = _as_power(relation)
+            x = self._product(base)
+            if reduce(matmul, (x,) * k) != self._one:
                 raise CheckFailed(
                     f"matrix rule for {name or 'representation'} is not a "
                     f"homomorphism: relation {relation} fails"
@@ -102,6 +113,26 @@ class Representation:
             got = self._product(self._word_of(x))
             self._cache[x] = got
         return got
+
+    def trace(self, x) -> Fraction:
+        """The trace of `matrix` at x.  Unless the matrix is cached, the
+        product along x's word stops before the last letter, whose product
+        is read only on the diagonal (`BlockMonomial.trace_of_product`)."""
+        got = self._cache.get(x)
+        if got is not None:
+            return got.trace()
+        word = self._word_of(x)
+        if len(word) < 2:
+            return self._product(word).trace()
+        return self._product(word[:-1]).trace_of_product(self.images[word[-1]])
+
+
+@lru_cache(maxsize=None)
+def _as_power(word: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """``(base, k)`` with word = base^k and k as large as possible."""
+    n = len(word)
+    p = next(p for p in range(1, n + 1) if n % p == 0 and word == word[:p] * (n // p))
+    return word[:p], n // p
 
 
 @dataclass(frozen=True)
@@ -129,7 +160,7 @@ class Character:
 def char_of(rho: Representation) -> Character:
     """Traces on the class representatives."""
     return Character(
-        rho.group, tuple(rho.matrix(rep).trace() for rep in rho.group.class_reps)
+        rho.group, tuple(rho.trace(rep) for rep in rho.group.class_reps)
     )
 
 
@@ -334,7 +365,14 @@ def _slots_of_gamma(gamma: dict[Partition, int]) -> tuple[Partition, ...]:
 def extend_to_wreath(group: WreathGroup, gamma: dict[Partition, int]) -> Representation:
     """The extension of the factorwise module to the block wreath subgroup:
     factors act slotwise on a tensor of Specht modules (one slot per count),
-    tops in the block subgroup permute equal slots."""
+    tops in the block subgroup permute equal slots.  It depends on gamma
+    only, so it is built and checked once per (group, gamma)."""
+    return _extension(group, tuple(sorted(gamma.items())))
+
+
+@lru_cache(maxsize=None)
+def _extension(group: WreathGroup, gamma_items) -> Representation:
+    gamma = dict(gamma_items)
     for nu in gamma:
         if nu not in partitions_of(group.m):
             raise ValueError(f"key {nu} does not partition m={group.m}")
@@ -523,7 +561,7 @@ def isotypic_character(model: BimoduleModel, psi: CliffordLabel) -> Character:
     psi_rep = inflate(WreathGroup(1, group.d), psi)
     terms = []
     for c, size in zip(right.group.class_reps, right.group.class_sizes):
-        chi = psi_rep.matrix(c).trace()
+        chi = psi_rep.trace(c)
         if chi:
             terms.append((size * chi, right.matrix(c)))
     values = []

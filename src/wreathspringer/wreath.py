@@ -78,6 +78,10 @@ class WreathElement:
 
     def __mul__(self, other: "WreathElement") -> "WreathElement":
         self._check_compatible(other)
+        return self._mul_unchecked(other)
+
+    def _mul_unchecked(self, other: "WreathElement") -> "WreathElement":
+        """The product, for callers that have already checked (m, d)."""
         inv_top = perm_inverse(self.top)
         new_factors = tuple(
             perm_compose(self.factors[i], other.factors[inv_top[i]])
@@ -267,27 +271,58 @@ class WreathGroup:
         """``(relations, word_of)`` for the generators in the order of
         `named_generators`: the s_i^(j) slot by slot, then the t_a.
 
-        Relations, as words equal to the identity: type A in each slot,
-        commutation across slots, type A on the t_a, and the slot action
-        t_a s_i^(j) t_a = s_i^(t_a(j)).  ``word_of`` gives the factors'
-        lex-smallest reduced words slot by slot, then the top's: the
-        lex-smallest shortest word of the element in this generator order.
+        Relations, as words equal to the identity, are the standard
+        presentation of a permutational wreath product (D. L. Johnson,
+        *Presentations of Groups*) after Tietze moves that keep every
+        generator.  Per block of `blocks`, with first slot f:
+
+        - type A on the s_i^(f);
+        - s^2 for the s of the other slots;
+        - the definitions t_a s_i^(a) t_a s_i^(a+1), so the s of slot a+1
+          are the s of slot a conjugated by t_a;
+        - (t_a s_i^(f))^2 for the t_a that fix slot f;
+        - (s_i^(f) s_i'^(f+1))^2 for i <= i' only: conjugating by t_f swaps
+          slots f and f+1, which turns the pair (i, i') into (i', i).
+
+        Then type A on all t_a, and commutation between the generators
+        s_i^(f), t_a of different blocks.  The s^2 of the later slots follow
+        from the definitions; they are kept because the Todd-Coxeter oracle
+        of the tests reads every generator as an involution.  With
+        ``blocks = (1,) * d`` this is type A in each slot and commutation
+        across slots.
+
+        ``word_of`` gives the factors' lex-smallest reduced words slot by
+        slot, then the top's: the lex-smallest shortest word of the element
+        in this generator order.
         """
         m, d, swaps = self.m, self.d, self.swaps
         k = m - 1
         top = {a: d * k + n for n, a in enumerate(swaps)}
-        relations = [
-            rel for j in range(d) for rel in type_a_relations((j * k + i, i) for i in range(k))
-        ]
-        relations += [
-            (x, y) * 2 for x in range(d * k) for y in range(x + 1, d * k) if x // k != y // k
-        ]
-        relations += type_a_relations((top[a], a) for a in swaps)
-        for a in swaps:
-            moved = adjacent_transposition(d, a)
+        relations = []
+        base = []  # per block: the generators of its first slot and its t_a
+        first = 0
+        for size in self.blocks:
+            slot = [first * k + i for i in range(k)]
+            block_swaps = range(first, first + size - 1)
+            relations += type_a_relations(zip(slot, range(k)))
+            relations += [(g, g) for g in range((first + 1) * k, (first + size) * k)]
             relations += [
-                (top[a], j * k + i, top[a], moved[j] * k + i) for j in range(d) for i in range(k)
+                (top[a], a * k + i, top[a], (a + 1) * k + i) for a in block_swaps for i in range(k)
             ]
+            relations += [(top[a], g) * 2 for a in block_swaps if a != first for g in slot]
+            if size > 1:
+                relations += [(g, h + k) * 2 for g in slot for h in slot if g <= h]
+            base.append(slot + [top[a] for a in block_swaps])
+            first += size
+        relations += type_a_relations((top[a], a) for a in swaps)
+        relations += [
+            (x, y) * 2
+            for b, gens in enumerate(base)
+            for x in gens
+            for other in base[b + 1:]
+            for y in other
+            if min(x, y) < d * k  # two t_a already commute by type A
+        ]
 
         def word_of(x: WreathElement) -> tuple[int, ...]:
             factor_word = (j * k + i for j, f in enumerate(x.factors) for i in perm_to_word(f))

@@ -108,6 +108,7 @@ def test_math_failure_exits_1(capsys, monkeypatch):
         reptheory, "slot_basis_permutation", lambda dims, u: tuple(range(prod(dims)))
     )
     reptheory.clifford_irrep.cache_clear()
+    reptheory._extension.cache_clear()
     code, out, err = run(capsys, "tables", "--kind", "chars", "--m", "3", "--d", "2")
     assert code == 1
     assert out == ""
@@ -307,6 +308,14 @@ PINNED_OUTPUTS = [
      '8c23110b2699206042d08845ea4b98f30363b3b522837877d2797f96d2ccf104'),
     ('verify --scope all --m 2 --d 2',
      'cb56d8d07ae1899c83e06806593242c38be8414108c73a7db10d1df71c05de34'),
+    # groups of order 1152 and 1296, where every irreducible and fiber
+    # bimodule passes the relation check of the reduced presentation
+    ('verify --scope springer --m 4 --d 2',
+     'a9a4427c0d7b4cf9d7522cf29c1d1af1f720f28259aa19fe8edea1351995a9a8'),
+    ('verify --scope springer --m 3 --d 3',
+     '66f08ee8836a2e45884e32846308f25cdb62bf0b37de748fcb8bbab4518ec03a'),
+    ('tables --kind chars --m 3 --d 3',
+     '96fb88b6f63b5377953e4cf7bcc2d2c9270e33444f7ab2ad0a9c6e558fee0f56'),
 ]
 
 

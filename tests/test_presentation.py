@@ -5,6 +5,7 @@ words), the relation check rejects bad rules, and every representation the
 package builds at small rank passes the exhaustive homomorphism oracle."""
 
 from fractions import Fraction
+from math import prod
 from operator import mul
 
 import pytest
@@ -29,10 +30,13 @@ from oracles import coset_count, is_homomorphism
 W = WreathGroup
 
 GROUPS = [
-    *(W(m, d) for m, d in [(1, 3), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3)]),
+    *(W(m, d) for m, d in [(1, 3), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (3, 4)]),
     W(2, 3, (2, 1)),
     W(2, 3, (1, 1, 1)),
     W(3, 3, (1, 2)),
+    W(2, 4, (2, 2)),
+    W(2, 4, (1, 3)),
+    W(3, 4, (2, 1, 1)),
     *(W(1, n) for n in (4, 5, 6)),
 ]
 
@@ -52,6 +56,27 @@ def test_presentation_defines_the_group(group):
         assert y == x
 
 
+@pytest.mark.parametrize(
+    "group", [W(2, 3), W(3, 2), W(3, 3), W(2, 3, (2, 1)), W(3, 3, (1, 2))], ids=repr
+)
+def test_every_relation_is_needed(group):
+    # each relation but a generator's square (which the enumerator needs)
+    # is independent of the others: without it the presented group is
+    # larger, or the enumeration passes a bound that the full presentation
+    # stays well inside
+    relations, _ = group.presentation
+    n_gens, bound = len(group.generators), 20_000
+    assert coset_count(n_gens, relations, bound) == group.order
+    for k, relation in enumerate(relations):
+        if len(relation) == 2 and relation[0] == relation[1]:
+            continue
+        try:
+            count = coset_count(n_gens, relations[:k] + relations[k + 1:], bound)
+        except RuntimeError:
+            continue
+        assert count != group.order, relation
+
+
 def _rule(group, values):
     images = {
         g: BlockMonomial.one_coset(((Fraction(v),),)) for g, v in zip(group.generators, values)
@@ -68,6 +93,17 @@ def test_relation_check_rejects_broken_slot_action():
 def test_relation_check_rejects_broken_braid():
     with pytest.raises(CheckFailed, match="not a homomorphism"):
         _rule(W(1, 3), (1, -1))
+
+
+def test_relation_check_rejects_broken_top_braid():
+    # t1 -> 1 and t2 -> -1 breaks (t1 t2)^3 and no other relation
+    g = W(2, 3)  # generators s1^1, s1^2, s1^3, t1, t2
+    values = (-1, -1, -1, 1, -1)
+    relations, _ = g.presentation
+    broken = [r for r in relations if prod(values[k] for k in r) != 1]
+    assert broken == [(3, 4) * 3]
+    with pytest.raises(CheckFailed, match=r"relation \(3, 4, 3, 4, 3, 4\) fails"):
+        _rule(g, values)
 
 
 def test_relation_check_rejects_broken_square():

@@ -14,6 +14,7 @@ from wreathspringer.combinatorics import (
 from wreathspringer.matrices import BlockMonomial, identity_matrix, trace
 from wreathspringer.orbits import all_orbit_labels, gamma_of
 from wreathspringer.reptheory import (
+    BimoduleModel,
     CliffordLabel,
     Representation,
     char_of,
@@ -316,6 +317,38 @@ def test_clifford_count_matches_classes():
 def test_clifford_irrep_cached_per_group_value():
     label = clifford_label(2, {(2,): (1,), (1, 1): (1,)})
     assert clifford_irrep(WreathGroup(2, 2), label) is clifford_irrep(WreathGroup(2, 2), label)
+
+
+def test_extension_built_once_per_gamma():
+    g = WreathGroup(3, 3)
+    assert extend_to_wreath(g, {(3,): 1, (2, 1): 2}) is extend_to_wreath(g, {(2, 1): 2, (3,): 1})
+
+
+def _assert_traces_read_the_matrices(rho):
+    # every trace first, while no matrix is cached (the bimodule's commuting
+    # check caches the generators' left matrices), so each one goes through
+    # the product that stops before the last letter
+    rho._cache.clear()
+    traces = [rho.trace(x) for x in rho.group.elements]
+    assert not rho._cache
+    assert traces == [rho.matrix(x).trace() for x in rho.group.elements]
+    assert traces == [rho.trace(x) for x in rho.group.elements]  # now from the cache
+
+
+@pytest.mark.parametrize("m,d", [(2, 2), (3, 2), (2, 3)])
+def test_trace_is_the_trace_of_the_matrix(m, d):
+    g = WreathGroup(m, d)
+    for label in enumerate_IC(m, d):
+        # a fresh module: clearing its matrix cache leaves the shared one alone
+        _assert_traces_read_the_matrices(clifford_irrep.__wrapped__(g, label))
+
+
+def test_bimodule_traces_are_the_traces_of_the_matrices():
+    g = WreathGroup(2, 3)
+    for profile in all_orbit_labels(2, 3):
+        model = BimoduleModel(g, profile)
+        _assert_traces_read_the_matrices(model.left)
+        _assert_traces_read_the_matrices(model.right)
 
 
 def test_young_subgroup_characters_orthonormal_23():
