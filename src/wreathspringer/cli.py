@@ -15,16 +15,15 @@ float.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
+from collections.abc import Iterable
+from json.encoder import encode_basestring_ascii
 
+# wreath, and with it combinatorics, serves every command but `tables --kind
+# orbits`; the other modules are imported inside the commands that use them,
+# so a command loads only what it needs
 from .combinatorics import bruhat_leq_typeA, format_partition
-from .convolution import verify_relations
-from .orbits import all_profiles, check_dimension_property, orbit_report
-from .reptheory import character_table, clifford_irrep, enumerate_IC
-from .springer import hu_index, psi, typeB_table, typeD_table, verify_springer
 from .wreath import (
     BoundExceededError,
     CheckFailed,
@@ -45,8 +44,11 @@ def _one_line(p) -> str:
     return "[" + ",".join(str(i + 1) for i in p) + "]"
 
 
-def _render_table(header: list[str], rows: list[list[str]], fmt: str) -> str:
+def _render_table(header: list[str], rows: Iterable[list[str]], fmt: str) -> str:
     if fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -59,6 +61,31 @@ def _render_table(header: list[str], rows: list[list[str]], fmt: str) -> str:
             lines.append("| " + " | ".join(row) + " |")
         return "\n".join(lines)
     raise ValueError(f"unknown table format {fmt!r}")
+
+
+def _json_text(value, indent: str = "") -> str:
+    """The text of ``json.dumps(value, indent=2)`` for str-keyed dicts,
+    lists, str, int and bool, written directly: with ``indent`` that call
+    runs CPython's pure-Python encoder (see `wreath.hasse_json`)."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join([f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        body = sep.join([_json_text(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    raise TypeError(f"cannot write {type(value).__name__} as JSON")
 
 
 def cmd_hasse(args) -> int:
@@ -88,8 +115,12 @@ def cmd_verify(args) -> int:
     group.check_bound()
     checks = []
     if args.scope in ("algebra", "all"):
+        from .convolution import verify_relations
+
         checks.extend(verify_relations(group).to_dict()["checks"])
     if args.scope in ("springer", "all"):
+        from .springer import verify_springer
+
         report = verify_springer(group)
         detail = report.to_dict()
         checks.append(
@@ -101,6 +132,8 @@ def cmd_verify(args) -> int:
             }
         )
     if args.scope in ("dimensions", "all"):
+        from .orbits import all_profiles, check_dimension_property
+
         profiles = all_profiles(group.m, group.d)
         bad = [p for p in profiles if not check_dimension_property(p)]
         checks.append(
@@ -124,6 +157,8 @@ def cmd_tables(args) -> int:
     if any(getattr(args, name) < 1 for name in TABLE_SIZES.get(args.kind, ("m", "d"))):
         raise ValueError("m and d must be positive")
     if args.kind == "irreps":
+        from .reptheory import clifford_irrep, enumerate_IC
+
         group = WreathGroup(args.m, args.d)
         group.check_bound()
         rows = [
@@ -137,7 +172,9 @@ def cmd_tables(args) -> int:
             "irreps": [{"label": r[0], "dim": int(r[1])} for r in rows],
         }
     elif args.kind == "springer":
-        group = WreathGroup(args.m, args.d)
+        from .reptheory import enumerate_IC
+        from .springer import psi
+
         rows = []
         for label in enumerate_IC(args.m, args.d):
             s = psi(label)
@@ -155,6 +192,8 @@ def cmd_tables(args) -> int:
             "rows": [dict(zip(header, r)) for r in rows],
         }
     elif args.kind == "typeB":
+        from .springer import typeB_table
+
         rows = [
             [
                 format_partition(row["bipartition"][0]) + "," + format_partition(row["bipartition"][1]),
@@ -166,6 +205,8 @@ def cmd_tables(args) -> int:
         header = ["bipartition", "clifford", "orbit"]
         payload = {"d": args.d, "rows": [dict(zip(header, r)) for r in rows]}
     elif args.kind == "typeD":
+        from .springer import typeD_table
+
         rows = [
             [
                 format_partition(row["pair"][0]) + "," + format_partition(row["pair"][1]),
@@ -177,8 +218,11 @@ def cmd_tables(args) -> int:
         header = ["pair", "sign", "psi"]
         payload = {"d": args.d, "rows": [dict(zip(header, r)) for r in rows]}
     elif args.kind == "orbits":
+        from .orbits import orbit_report
+
         payload = orbit_report(args.m, args.d)
-        rows = [
+        # a generator: only the md and csv formats read the rows
+        rows = (
             [
                 ",".join(r["label"]),
                 json.dumps(r["gamma"]),
@@ -187,25 +231,22 @@ def cmd_tables(args) -> int:
                 str(r["fiberDim"]),
             ]
             for r in payload["orbits"]
-        ]
+        )
         header = ["label", "gamma", "componentGroupOrder", "orbitDim", "fiberDim"]
     elif args.kind == "chars":
+        from .reptheory import character_table
+
         group = WreathGroup(args.m, args.d)
         class_words = [group.word(rep) for rep in group.class_reps]
         header = ["label"] + class_words
-        rows = []
-        table = character_table(group)
-        for label, _, chi in table:
-            rows.append([str(label)] + [str(v) for v in chi.values])
+        table = [(str(label), [str(v) for v in chi.values]) for label, _, chi in character_table(group)]
+        rows = [[label, *values] for label, values in table]
         payload = {
             "m": args.m,
             "d": args.d,
             "classes": class_words,
             "classSizes": list(group.class_sizes),
-            "rows": [
-                {"label": str(label), "values": [str(v) for v in chi.values]}
-                for label, _, chi in table
-            ],
+            "rows": [{"label": label, "values": values} for label, values in table],
         }
     elif args.kind == "cells":
         group = WreathGroup(args.m, args.d)
@@ -220,6 +261,8 @@ def cmd_tables(args) -> int:
         header = ["dimension", "cells"]
         rows = [[str(k), str(v)] for k, v in dist.items()]
     elif args.kind == "hu":
+        from .springer import hu_index
+
         labels = hu_index(args.m)
         header = ["label"]
         rows = [[str(label)] for label in labels]
@@ -228,7 +271,7 @@ def cmd_tables(args) -> int:
         raise ValueError(args.kind)
 
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     else:
         print(_render_table(header, rows, fmt))
     return EXIT_OK

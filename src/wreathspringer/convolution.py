@@ -18,7 +18,7 @@ inside the computable cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
@@ -65,8 +65,13 @@ class AlgebraVector:
 
     @classmethod
     def basis(cls, idx: BasisIndex) -> "AlgebraVector":
-        vector = cls()
-        vector._terms = {idx: _ONE}
+        return cls._of({idx: _ONE})
+
+    @classmethod
+    def _of(cls, terms: dict[BasisIndex, Fraction]) -> "AlgebraVector":
+        """A vector on `terms` as they are: Fraction values, none zero."""
+        vector = object.__new__(cls)
+        vector._terms = terms
         return vector
 
     def items(self):
@@ -102,23 +107,44 @@ class AlgebraVector:
 
 
 def _collect(pairs) -> AlgebraVector:
-    """Sum (index, coefficient) pairs into one vector."""
+    """Sum (index, nonzero Fraction) pairs into one vector.  Only an index
+    that comes twice is added to, so only those can cancel to zero."""
     out: dict[BasisIndex, Fraction] = {}
+    collided = []
     for idx, coeff in pairs:
-        out[idx] = out.get(idx, 0) + coeff
-    return AlgebraVector(out)
+        if idx in out:
+            out[idx] += coeff
+            collided.append(idx)
+        else:
+            out[idx] = coeff
+    for idx in collided:
+        if idx in out and not out[idx]:
+            del out[idx]
+    return AlgebraVector._of(out)
 
 
-@dataclass(frozen=True)
 class ProductResult:
     """Either a defined vector or the list of basis pairs that block it."""
 
-    vector: AlgebraVector | None
-    blockers: tuple[tuple[BasisIndex, BasisIndex], ...] = field(default=())
+    __slots__ = ("vector", "blockers")
 
-    def __post_init__(self):
-        if self.vector is None and not self.blockers:
+    def __init__(
+        self,
+        vector: AlgebraVector | None,
+        blockers: tuple[tuple[BasisIndex, BasisIndex], ...] = (),
+    ):
+        if vector is None and not blockers:
             raise ValueError("an undefined product must carry at least one blocking pair")
+        self.vector = vector
+        self.blockers = blockers
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ProductResult:
+            return NotImplemented
+        return (self.vector, self.blockers) == (other.vector, other.blockers)
+
+    def __repr__(self) -> str:
+        return f"ProductResult(vector={self.vector!r}, blockers={self.blockers!r})"
 
     @property
     def defined(self) -> bool:
@@ -135,12 +161,13 @@ class ProductResult:
 
 def convolve_basis(a: BasisIndex, b: BasisIndex) -> ProductResult:
     """The partial product of two basis classes; see the module docstring."""
-    a.w._check_compatible(b.w)
-    if perm_compose(a.tau, a.w.top) != b.tau:
+    aw, bw = a.w, b.w
+    aw._check_compatible(bw)
+    tau = a.tau
+    if tuple([tau[i] for i in aw.top]) != b.tau:  # b.tau != a.tau o top(a.w)
         return ProductResult(AlgebraVector.zero())
-    if a.w.has_trivial_factors() or b.w.has_trivial_factors():
-        # the (m, d) check above covers the product too
-        return ProductResult(AlgebraVector.basis(BasisIndex(a.w._mul_unchecked(b.w), a.tau)))
+    if aw.has_trivial_factors() or bw.has_trivial_factors():
+        return ProductResult(AlgebraVector._of({BasisIndex(aw._mul_unchecked(bw), tau): _ONE}))
     return ProductResult(None, ((a, b),))
 
 
@@ -156,19 +183,27 @@ def convolve(a: AlgebraVector, b: AlgebraVector) -> ProductResult:
             first._check_compatible(idx.w)
     by_tau: dict[Perm, list] = {}
     for ib, cb in b._terms.items():
-        by_tau.setdefault(ib.tau, []).append((ib, cb))
-    terms = []
+        by_tau.setdefault(ib.tau, []).append((ib, None if cb == 1 else cb))
     blockers = []
-    for ia, ca in a._terms.items():
-        for ib, cb in by_tau.get(perm_compose(ia.tau, ia.w.top), ()):
-            res = convolve_basis(ia, ib)
-            if res.defined:
-                terms.extend((idx, ca * cb * c) for idx, c in res.vector._terms.items())
-            else:
-                blockers.extend(res.blockers)
+
+    def terms():
+        for ia, ca in a._terms.items():
+            ca = None if ca == 1 else ca
+            for ib, cb in by_tau.get(perm_compose(ia.tau, ia.w.top), ()):
+                vector = (res := convolve_basis(ia, ib)).vector
+                if vector is None:
+                    blockers.extend(res.blockers)
+                    continue
+                # None stands for a coefficient 1, so a product is formed
+                # only where neither side is 1
+                coeff = cb if ca is None else ca if cb is None else ca * cb
+                for idx, c in vector._terms.items():
+                    yield idx, c if coeff is None else coeff if c is _ONE else coeff * c
+
+    total = _collect(terms())
     if blockers:
         return ProductResult(None, tuple(sorted(set(blockers), key=lambda p: (p[0].key(), p[1].key()))))
-    return ProductResult(_collect(terms))
+    return ProductResult(total)
 
 
 def convolve_chain(*vectors: AlgebraVector) -> ProductResult:

@@ -11,8 +11,8 @@ coset representatives by search, brute-force wreath conjugacy classes,
 Macdonald's centralizer orders in Sigma_m wr Sigma_d, signed-permutation
 conjugacy for the even-signed groups, orbit labels deduplicated from all
 profiles, the exhaustive homomorphism check, Todd-Coxeter coset
-enumeration, and the all-pairs bilinear extension of the basis
-convolution.
+enumeration, the wreath product by composing permutations, and the
+all-pairs bilinear extension of the basis convolution.
 """
 
 from collections import deque
@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import factorial, prod
 
-from wreathspringer.combinatorics import lower_covers
+from wreathspringer.combinatorics import lower_covers, perm_compose, perm_inverse
 from wreathspringer.convolution import AlgebraVector, ProductResult, convolve_basis
 from wreathspringer.matrices import trace
 from wreathspringer.orbits import all_profiles, orbit_label
@@ -507,6 +507,15 @@ def coset_count(n_gens, relations, bound=200_000):
                     define(c, g)
         c += 1
     return sum(1 for c in range(len(table)) if parent[c] == c)
+
+
+# -- wreath product -----------------------------------------------------------
+
+def wreath_product(x, y):
+    """(a, s) * (b, t) = ((a_i o b_{s^-1(i)})_i, s o t), formed afresh."""
+    inv_top = perm_inverse(x.top)
+    factors = tuple(perm_compose(x.factors[i], y.factors[inv_top[i]]) for i in range(len(x.top)))
+    return WreathElement(factors, perm_compose(x.top, y.top))
 
 
 # -- class algebra ----------------------------------------------------------------

@@ -1,12 +1,15 @@
+import functools
+import gc
 import hashlib
 import json
 import shlex
 from math import prod
 
 import pytest
+from hypothesis import given, strategies as st
 
-from wreathspringer import reptheory
-from wreathspringer.cli import main
+from wreathspringer import clear_caches, reptheory
+from wreathspringer.cli import _json_text, main
 
 
 def run(capsys, *argv):
@@ -107,12 +110,39 @@ def test_math_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(
         reptheory, "slot_basis_permutation", lambda dims, u: tuple(range(prod(dims)))
     )
-    reptheory.clifford_irrep.cache_clear()
-    reptheory._extension.cache_clear()
-    code, out, err = run(capsys, "tables", "--kind", "chars", "--m", "3", "--d", "2")
+    clear_caches()
+    try:
+        code, out, err = run(capsys, "tables", "--kind", "chars", "--m", "3", "--d", "2")
+    finally:
+        clear_caches()  # nothing built under the broken rule outlives the test
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "not a homomorphism" in err
+
+
+def package_caches():
+    return [
+        obj for obj in gc.get_objects()
+        if isinstance(obj, functools._lru_cache_wrapper)
+        and obj.__module__.startswith("wreathspringer.")
+    ]
+
+
+def test_clear_caches_empties_every_cache_of_the_package(capsys):
+    # found through the garbage collector, not through the module namespaces
+    # that clear_caches walks, so a cache it cannot reach fails this test
+    for command in (
+        "verify --scope all --m 2 --d 2",
+        "tables --kind chars --m 2 --d 2",
+        "tables --kind springer --m 2 --d 2",
+        "order --m 2 --d 2 --x t1 --y t1",
+    ):
+        assert run(capsys, *shlex.split(command))[0] == 0
+    caches = package_caches()
+    filled = {c.__qualname__ for c in caches if c.cache_info().currsize}
+    assert {"clifford_irrep", "_extension", "WreathElement._mul_unchecked"} <= filled
+    clear_caches()
+    assert [c.__qualname__ for c in caches if c.cache_info().currsize] == []
 
 
 def test_verify_springer_24_output_is_unchanged(capsys):
@@ -227,6 +257,18 @@ def test_tables_deterministic(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+JSON_VALUES = st.recursive(
+    st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(JSON_VALUES)
+def test_json_text_is_the_text_of_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
 
 
 # -- pinned bytes

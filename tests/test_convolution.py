@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from oracles import convolve_all_pairs
 from wreathspringer import cli, convolution
@@ -194,6 +195,55 @@ def test_convolve_visits_only_chaining_pairs(monkeypatch):
     ]
     assert sorted(visited, key=lambda p: (p[0].key(), p[1].key())) == chaining
     assert len(chaining) < len(t.support()) ** 2
+
+
+GROUP_22 = WreathGroup(2, 2)
+INDICES_22 = basis_indices(GROUP_22)
+# negative, non-unit and unit coefficients; equal indices drawn twice with
+# opposite signs cancel to zero
+COEFFS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-2, 3)]
+
+
+def vectors():
+    terms = st.lists(st.tuples(st.sampled_from(INDICES_22), st.sampled_from(COEFFS)), max_size=6)
+    return terms.map(lambda ts: sum((c * AlgebraVector.basis(i) for i, c in ts), AlgebraVector.zero()))
+
+
+@given(vectors(), vectors())
+def test_convolve_matches_all_pairs_oracle_on_random_vectors(a, b):
+    assert convolve(a, b) == convolve_all_pairs(a, b)
+
+
+def test_convolve_cancels_colliding_products_to_zero():
+    # e * t1 and t1 * e are the same basis class with opposite signs
+    g = GROUP_22
+    e, t1, flip = g.identity, g.gen_t(1), (1, 0)
+    a = AlgebraVector.basis(BasisIndex(e, E2)) - AlgebraVector.basis(BasisIndex(t1, E2))
+    b = AlgebraVector.basis(BasisIndex(t1, E2)) + AlgebraVector.basis(BasisIndex(e, flip))
+    res = convolve(a, b)
+    assert res.defined and res.vector.is_zero()
+    assert res == convolve_all_pairs(a, b)
+    assert convolve(Fraction(-3, 2) * a, b) == ProductResult(AlgebraVector.zero())
+
+
+def test_product_result_equality_and_repr():
+    v = AlgebraVector.basis(INDICES_22[0])
+    blocker = ((INDICES_22[0], INDICES_22[1]),)
+    assert ProductResult(v) == ProductResult(AlgebraVector.basis(INDICES_22[0]))
+    assert ProductResult(v) != ProductResult(None, blocker)
+    assert ProductResult(v) != v
+    assert repr(ProductResult(v)) == f"ProductResult(vector={v!r}, blockers=())"
+    assert repr(ProductResult(None, blocker)) == f"ProductResult(vector=None, blockers={blocker!r})"
+
+
+def test_convolve_basis_rejects_mixed_contexts():
+    a = BasisIndex(GROUP_22.identity, E2)
+    for other in [WreathGroup(3, 2), WreathGroup(2, 3)]:
+        b = BasisIndex(other.identity, identity_perm(other.d))
+        with pytest.raises(ValueError, match="context mismatch"):
+            convolve_basis(a, b)
+        with pytest.raises(ValueError, match="context mismatch"):
+            convolve_basis(b, a)
 
 
 def test_convolve_rejects_mixed_contexts():

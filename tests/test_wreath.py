@@ -1,8 +1,11 @@
+import copy
 import json
+import pickle
 import random
 from math import factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wreathspringer.combinatorics import identity_perm, perm_compose, perm_length, partitions_of
 from wreathspringer.wreath import (
@@ -35,6 +38,7 @@ from oracles import (
     typeB_elements,
     wreath_centralizer_order,
     wreath_class_label,
+    wreath_product,
 )
 
 
@@ -73,8 +77,10 @@ def test_mul_matches_embedding():
 
 
 def test_mul_context_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="context mismatch"):
         wreath_identity(2, 2) * wreath_identity(3, 2)
+    with pytest.raises(ValueError, match="context mismatch"):
+        wreath_identity(2, 2) * wreath_identity(2, 3)
 
 
 def test_inverse():
@@ -100,6 +106,69 @@ def test_group_axioms():
             assert (a * b) * c == a * (b * c)
             assert a * ident == a
             assert a * a.inverse() == ident
+
+
+@st.composite
+def element_pairs(draw):
+    """Two elements of one Sigma_m wr Sigma_d with m, d <= 3."""
+    m, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    element = st.builds(
+        WreathElement,
+        st.tuples(*[st.permutations(range(m)).map(tuple)] * d),
+        st.permutations(range(d)).map(tuple),
+    )
+    return draw(element), draw(element)
+
+
+@given(element_pairs())
+def test_memoized_product_matches_the_oracle(pair):
+    x, y = pair
+    expected = wreath_product(x, y)
+    assert x * y == expected
+    # the second product of the pair is served from the product cache
+    hits = WreathElement._mul_unchecked.cache_info().hits
+    assert x * y == expected
+    assert WreathElement._mul_unchecked.cache_info().hits == hits + 1
+
+
+BLOCKS_GROUP = WreathGroup(2, 4, (2, 1, 1))
+
+
+@given(st.sampled_from(BLOCKS_GROUP.elements), st.sampled_from(BLOCKS_GROUP.elements))
+def test_memoized_product_matches_the_oracle_in_a_blocks_group(x, y):
+    assert x * y == wreath_product(x, y)
+
+
+@given(element_pairs())
+def test_element_equality_hash_and_repr(pair):
+    x, y = pair
+    twin = WreathElement(tuple(x.factors), tuple(x.top))
+    assert twin == x and not (twin != x) and hash(twin) == hash(x)
+    assert hash(x) == hash((x.factors, x.top))
+    assert (x == y) == (x.key() == y.key()) and (x != y) == (x.key() != y.key())
+    assert repr(x) == f"WreathElement(factors={x.factors!r}, top={x.top!r})"
+    assert x.has_trivial_factors() == all(f == tuple(range(x.m)) for f in x.factors)
+    assert copy.copy(x) == x and pickle.loads(pickle.dumps(x)) == x
+
+
+def test_element_against_other_types():
+    x = wreath_identity(2, 2)
+    for other in [(x.factors, x.top), x.key(), None, "e"]:
+        assert x != other and not (x == other)
+        assert other != x and not (other == x)
+
+
+def test_element_is_immutable_and_checks_its_length():
+    with pytest.raises(ValueError, match="number of factors"):
+        WreathElement(((0, 1),), (0, 1))
+    x = wreath_identity(2, 2)
+    with pytest.raises(AttributeError):
+        x.top = (1, 0)
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    with pytest.raises(AttributeError):
+        del x.factors
+    assert x == wreath_identity(2, 2)
 
 
 # -- embedding
