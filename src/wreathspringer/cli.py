@@ -144,7 +144,7 @@ def cmd_verify(args) -> int:
             }
         )
     status = "pass" if all(c["status"] != "fail" for c in checks) else "fail"
-    print(json.dumps({"m": args.m, "d": args.d, "scope": args.scope, "checks": checks, "status": status}, indent=2))
+    print(_json_text({"m": args.m, "d": args.d, "scope": args.scope, "checks": checks, "status": status}))
     return EXIT_OK if status == "pass" else EXIT_CHECK_FAILED
 
 

@@ -225,9 +225,11 @@ def y_bar(group: WreathGroup, w: WreathElement, tau: Perm) -> AlgebraVector:
 
 def y_bar_sum(group: WreathGroup, w: WreathElement) -> AlgebraVector:
     """Sum of the closure classes of w over every component index."""
+    # one down-set for every tau, so equal basis classes share their elements
+    down = wreath_downset(w)
     out: dict[BasisIndex, Fraction] = {}
     for tau in all_perms(group.d):
-        for u in wreath_downset(w):
+        for u in down:
             out[BasisIndex(u, tau)] = Fraction(1)
     return AlgebraVector(out)
 

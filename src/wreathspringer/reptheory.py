@@ -4,8 +4,12 @@ products.
 Symmetric-group irreducibles are built in Young's seminormal form: the
 basis is indexed by standard tableaux and the adjacent-transposition
 matrices have entries 1/axial-distance, so everything stays in exact
-rationals.  Wreath-product modules are built from these by the usual
-extension / inflation / induction steps.  Every matrix is a
+rationals.  Every module over a Young wreath subgroup Sigma_m wr Y comes
+from one rule, `young_module`: slotwise Specht modules of the factors,
+permuted by the top, tensored with Specht modules of the top's blocks.
+The extension, the inflation, the block module of a multipartition (their
+tensor) and the fiber's slotwise module are its cases; an irreducible is
+its block module induced up (Clifford theory).  Every matrix is a
 `BlockMonomial`: an induced module has one block per coset, and a dense
 matrix (a Specht image, a Kronecker product) is the one-coset case.
 
@@ -33,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import accumulate, product
 from math import prod
 from operator import matmul
 
@@ -57,7 +61,7 @@ from .matrices import (
     kron_all,
     permute_columns,
 )
-from .orbits import Profile, gamma_of, orbit_label, validate_profile
+from .orbits import Profile, _gamma, gamma_of, orbit_label
 from .wreath import CheckFailed, WreathElement, WreathGroup
 
 SPECHT_DEGREE_BOUND = 7
@@ -340,7 +344,7 @@ def enumerate_IC(m: int, d: int) -> tuple[CliffordLabel, ...]:
 
 
 # ---------------------------------------------------------------------------
-# tensor-slot machinery
+# modules over Young wreath subgroups
 
 def slot_basis_permutation(dims: tuple[int, ...], u: Perm) -> tuple[int, ...]:
     """Permutation of tensor slots on the row-major product basis, as a
@@ -356,41 +360,57 @@ def slot_basis_permutation(dims: tuple[int, ...], u: Perm) -> tuple[int, ...]:
     return tuple(row_of[tuple(k[uinv[i]] for i in range(len(dims)))] for k in basis)
 
 
-def _slots_of_gamma(gamma: dict[Partition, int]) -> tuple[Partition, ...]:
-    return tuple(
-        nu for nu in sorted(gamma, reverse=True) for _ in range(gamma[nu])
-    )
+def _block_counts(gamma: dict[Partition, int]) -> tuple[int, ...]:
+    """The blocks of the Young subgroup of gamma: one per key, in the
+    canonical descending order of the keys."""
+    return tuple(gamma[nu] for nu in sorted(gamma, reverse=True))
+
+
+def young_module(
+    sub: WreathGroup, slots: tuple[Partition, ...], values: tuple[Partition, ...], name: str
+) -> Representation:
+    """The module of Sigma_m wr Y, Y the Young subgroup of ``sub.blocks``,
+    on the tensor of the slotwise Specht modules ``slots`` (a partition of
+    m per slot) with the Specht modules ``values`` of the top blocks (a
+    partition of each block's size).  The factors of x act slot by slot,
+    its top permutes the slots and acts on block b through its restriction
+    to that block.  The extension, the inflation, their tensor and the
+    fiber's slotwise module are the cases of this one rule."""
+    dims = tuple(hook_dim(nu) for nu in slots)
+    starts = tuple(accumulate(sub.blocks[:-1], initial=0))
+
+    def fn(x: WreathElement) -> BlockMonomial:
+        # the factor part times the slot permutation: reorder its columns
+        factor_part = kron_all(specht_matrix(nu, f) for nu, f in zip(slots, x.factors))
+        top_part = kron_all(
+            specht_matrix(val, tuple(x.top[i] - start for i in range(start, start + size)))
+            for val, start, size in zip(values, starts, sub.blocks)
+        )
+        return BlockMonomial.one_coset(
+            kron(permute_columns(factor_part, slot_basis_permutation(dims, x.top)), top_part)
+        )
+
+    return Representation(sub, prod(dims) * prod(map(hook_dim, values)), fn, name=name)
+
+
+def block_module(group: WreathGroup, label: CliffordLabel) -> Representation:
+    """The module that `clifford_irrep` induces: the extension tensored
+    with the inflation, over the block subgroup Sigma_m wr Sigma_gamma."""
+    sub = WreathGroup(group.m, group.d, _block_counts(label.gamma()))
+    slots = tuple(nu for nu, val in label.entries for _ in range(sum(val)))
+    values = tuple(val for _, val in label.entries)
+    return young_module(sub, slots, values, f"block{label}")
 
 
 def extend_to_wreath(group: WreathGroup, gamma: dict[Partition, int]) -> Representation:
     """The extension of the factorwise module to the block wreath subgroup:
     factors act slotwise on a tensor of Specht modules (one slot per count),
-    tops in the block subgroup permute equal slots.  It depends on gamma
-    only, so it is built and checked once per (group, gamma)."""
-    return _extension(group, tuple(sorted(gamma.items())))
-
-
-@lru_cache(maxsize=None)
-def _extension(group: WreathGroup, gamma_items) -> Representation:
-    gamma = dict(gamma_items)
+    tops in the block subgroup permute equal slots.  It is the block module
+    of the label with trivial values."""
     for nu in gamma:
         if nu not in partitions_of(group.m):
             raise ValueError(f"key {nu} does not partition m={group.m}")
-    slots = _slots_of_gamma(gamma)
-    if len(slots) != group.d:
-        raise ValueError(f"gamma totals {len(slots)}, expected d={group.d}")
-    counts = tuple(gamma[nu] for nu in sorted(gamma, reverse=True))
-    sub = WreathGroup(group.m, group.d, counts)
-    dims = tuple(hook_dim(nu) for nu in slots)
-
-    def fn(x: WreathElement) -> BlockMonomial:
-        # the factor part times the slot permutation: reorder its columns
-        factor_part = kron_all(specht_matrix(slots[j], x.factors[j]) for j in range(group.d))
-        return BlockMonomial.one_coset(
-            permute_columns(factor_part, slot_basis_permutation(dims, x.top))
-        )
-
-    return Representation(sub, prod(dims), fn, name="extension")
+    return block_module(group, clifford_label(group.m, {nu: (c,) for nu, c in gamma.items()}))
 
 
 def inflate(group: WreathGroup, label: CliffordLabel) -> Representation:
@@ -399,35 +419,9 @@ def inflate(group: WreathGroup, label: CliffordLabel) -> Representation:
     module.  Only the label's multiplicities and values are read, so at
     m = 1 this is the irreducible of the Young subgroup of Sigma_d that
     the label's values name, block by block."""
-    gamma = label.gamma()
-    counts = tuple(gamma[nu] for nu in sorted(gamma, reverse=True))
-    sub = WreathGroup(group.m, group.d, counts)
-    blocks = []
-    start = 0
-    for nu in sorted(gamma, reverse=True):
-        size = gamma[nu]
-        blocks.append((label.value(nu), start, size))
-        start += size
-    dim = prod(hook_dim(val) for val, _, _ in blocks)
-
-    def fn(x: WreathElement) -> BlockMonomial:
-        mats = []
-        for val, begin, size in blocks:
-            local = tuple(x.top[begin + i] - begin for i in range(size))
-            mats.append(specht_matrix(val, local))
-        return BlockMonomial.one_coset(kron_all(mats))
-
-    return Representation(sub, dim, fn, name="inflation")
-
-
-def rep_tensor(a: Representation, b: Representation) -> Representation:
-    if a.group != b.group:
-        raise ValueError("tensor factors must live over the same subgroup")
-
-    def fn(x):
-        return BlockMonomial.one_coset(kron(a.matrix(x).dense(), b.matrix(x).dense()))
-
-    return Representation(a.group, a.dim * b.dim, fn, name=f"{a.name}(x){b.name}")
+    sub = WreathGroup(group.m, group.d, _block_counts(label.gamma()))
+    values = tuple(val for _, val in label.entries)
+    return young_module(sub, ((group.m,),) * group.d, values, "inflation")
 
 
 def induce(rho: Representation, group: WreathGroup) -> Representation:
@@ -465,12 +459,10 @@ def induce(rho: Representation, group: WreathGroup) -> Representation:
 def clifford_irrep(group: WreathGroup, label: CliffordLabel) -> Representation:
     """The irreducible of the wreath group attached to a multipartition:
     induce the extension tensored with the inflation up from the block
-    subgroup."""
+    subgroup (`block_module`)."""
     if label.m != group.m or label.d != group.d:
         raise ValueError(f"label {label} does not match (m,d)=({group.m},{group.d})")
-    ext = extend_to_wreath(group, label.gamma())
-    inf = inflate(group, label)
-    rep = induce(rep_tensor(ext, inf), group)
+    rep = induce(block_module(group, label), group)
     rep.name = f"L{label}"
     return rep
 
@@ -490,25 +482,14 @@ class BimoduleModel:
             raise ValueError(
                 f"the fiber bimodule needs the full top group, not the blocks {group.blocks}"
             )
-        validate_profile(profile)
         self.group = group
         self.profile = orbit_label(profile)
         m, d = group.m, group.d
         if len(self.profile) != d or sum(self.profile[0]) != m:
             raise ValueError(f"profile {profile} does not match (m,d)=({m},{d})")
-        gamma = gamma_of(self.profile)
-        counts = tuple(gamma[nu] for nu in sorted(gamma, reverse=True))
 
-        lams = self.profile
-        dims = tuple(hook_dim(lam) for lam in lams)
-        slotwise = Representation(
-            WreathGroup(m, d, (1,) * d),
-            prod(dims),
-            lambda x: BlockMonomial.one_coset(
-                kron_all(specht_matrix(lams[j], x.factors[j]) for j in range(d))
-            ),
-            name="fiber",
-        )
+        dims = tuple(hook_dim(lam) for lam in self.profile)
+        slotwise = young_module(WreathGroup(m, d, (1,) * d), self.profile, ((1,),) * d, "fiber")
         self.left = induce(slotwise, group)
         self.dim = self.left.dim
 
@@ -525,8 +506,9 @@ class BimoduleModel:
                 tuple(row_of[perm_compose(w, c)] for w in cosets), (inner,) * len(cosets)
             )
 
+        right_group = WreathGroup(1, d, _block_counts(_gamma(self.profile)))
         self.right = Representation(
-            WreathGroup(1, d, counts), self.dim, right_fn, name="fiber-right", cosets=len(cosets)
+            right_group, self.dim, right_fn, name="fiber-right", cosets=len(cosets)
         )
 
         for g in group.generators:

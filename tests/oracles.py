@@ -10,7 +10,8 @@ Hasse diagram as the dict that ``json.dumps`` encodes, cell statistics by walkin
 coset representatives by search, brute-force wreath conjugacy classes,
 Macdonald's centralizer orders in Sigma_m wr Sigma_d, signed-permutation
 conjugacy for the even-signed groups, orbit labels deduplicated from all
-profiles, the exhaustive homomorphism check, Todd-Coxeter coset
+profiles, the tensor product of two representations by Kronecker
+products, the exhaustive homomorphism check, Todd-Coxeter coset
 enumeration, the wreath product by composing permutations, and the
 all-pairs bilinear extension of the basis convolution.
 """
@@ -23,9 +24,9 @@ from math import factorial, prod
 
 from wreathspringer.combinatorics import lower_covers, perm_compose, perm_inverse
 from wreathspringer.convolution import AlgebraVector, ProductResult, convolve_basis
-from wreathspringer.matrices import trace
+from wreathspringer.matrices import BlockMonomial, kron, trace
 from wreathspringer.orbits import all_profiles, orbit_label
-from wreathspringer.reptheory import inflate
+from wreathspringer.reptheory import Representation, inflate
 from wreathspringer.wreath import WreathElement, WreathGroup, hasse_covers
 
 
@@ -405,6 +406,19 @@ def is_homomorphism(matrix, elements, generators, mul):
         for x in elements
         for g in generators
     )
+
+
+def rep_tensor(a, b):
+    """The inner tensor product of two representations of one group, as
+    the Kronecker product of their matrices: the reference for the block
+    module, which is the extension tensored with the inflation."""
+    if a.group != b.group:
+        raise ValueError("tensor factors must live over the same subgroup")
+
+    def fn(x):
+        return BlockMonomial.one_coset(kron(a.matrix(x).dense(), b.matrix(x).dense()))
+
+    return Representation(a.group, a.dim * b.dim, fn, name=f"{a.name}(x){b.name}")
 
 
 def isotypic_character_by_elements(model, psi):

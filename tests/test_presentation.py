@@ -15,11 +15,11 @@ from wreathspringer.matrices import BlockMonomial
 from wreathspringer.orbits import all_orbit_labels
 from wreathspringer.reptheory import (
     Representation,
+    block_module,
     clifford_irrep,
     enumerate_IC,
     extend_to_wreath,
     inflate,
-    rep_tensor,
     specht_rep,
     springer_module,
 )
@@ -135,7 +135,7 @@ def test_built_representations_pass_exhaustive_oracle(m, d):
     for label in enumerate_IC(m, d):
         ext = extend_to_wreath(g, label.gamma())
         inf = inflate(g, label)
-        for rho in (ext, inf, rep_tensor(ext, inf), clifford_irrep(g, label)):
+        for rho in (ext, inf, block_module(g, label), clifford_irrep(g, label)):
             _assert_exhaustive(rho)
     for profile in all_orbit_labels(m, d):
         model = springer_module(g, profile)

@@ -11,12 +11,13 @@ from wreathspringer.combinatorics import (
     identity_perm,
     partitions_of,
 )
-from wreathspringer.matrices import BlockMonomial, identity_matrix, trace
+from wreathspringer.matrices import BlockMonomial, identity_matrix, kron_all, trace
 from wreathspringer.orbits import all_orbit_labels, gamma_of
 from wreathspringer.reptheory import (
     BimoduleModel,
     CliffordLabel,
     Representation,
+    block_module,
     char_of,
     clifford_irrep,
     clifford_label,
@@ -25,14 +26,18 @@ from wreathspringer.reptheory import (
     induce,
     inflate,
     isotypic_character,
-    rep_tensor,
     specht_matrix,
     specht_rep,
     springer_module,
 )
 from wreathspringer.wreath import WreathElement, WreathGroup
 
-from oracles import induced_character_value, isotypic_character_by_elements, mn_character
+from oracles import (
+    induced_character_value,
+    isotypic_character_by_elements,
+    mn_character,
+    rep_tensor,
+)
 
 
 # -- Specht modules
@@ -245,7 +250,7 @@ def test_induce_trivial_from_factor_part():
 def test_induced_trace_is_the_frobenius_formula(m, d):
     g = WreathGroup(m, d)
     for label in enumerate_IC(m, d):
-        rho = rep_tensor(extend_to_wreath(g, label.gamma()), inflate(g, label))
+        rho = block_module(g, label)
         induced = induce(rho, g)
         for x in g.class_reps:
             expected = induced_character_value(
@@ -281,8 +286,7 @@ def test_frobenius_reciprocity_random_pairs():
     for _ in range(20):
         lab_h = rng.choice(labels)
         lab_g = rng.choice(labels)
-        gamma = lab_h.gamma()
-        rho = rep_tensor(extend_to_wreath(g, gamma), inflate(g, lab_h))
+        rho = block_module(g, lab_h)
         sigma = clifford_irrep(g, lab_g)
         sub = rho.group
         lhs = inner_over(g.elements, induce(rho, g), sigma, WreathElement.inverse)
@@ -319,9 +323,54 @@ def test_clifford_irrep_cached_per_group_value():
     assert clifford_irrep(WreathGroup(2, 2), label) is clifford_irrep(WreathGroup(2, 2), label)
 
 
-def test_extension_built_once_per_gamma():
-    g = WreathGroup(3, 3)
-    assert extend_to_wreath(g, {(3,): 1, (2, 1): 2}) is extend_to_wreath(g, {(2, 1): 2, (3,): 1})
+SIZES = [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (4, 2)]
+
+
+def _images(rho):
+    return [(b.perm, b.blocks) for b in rho.images]
+
+
+@pytest.mark.parametrize("m,d", SIZES)
+def test_block_module_is_the_extension_tensored_with_the_inflation(m, d):
+    g = WreathGroup(m, d)
+    for label in enumerate_IC(m, d):
+        blk = block_module(g, label)
+        reference = rep_tensor(extend_to_wreath(g, label.gamma()), inflate(g, label))
+        assert blk.group == reference.group and blk.dim == reference.dim, label
+        assert _images(blk) == _images(reference), label
+
+
+@pytest.mark.parametrize("m,d", SIZES)
+def test_fiber_left_module_is_induced_from_the_slotwise_specht_tensor(m, d):
+    g = WreathGroup(m, d)
+    slot_group = WreathGroup(m, d, (1,) * d)
+    for profile in all_orbit_labels(m, d):
+        slotwise = Representation(
+            slot_group,
+            prod(hook_dim(lam) for lam in profile),
+            lambda x: BlockMonomial.one_coset(
+                kron_all(specht_matrix(lam, f) for lam, f in zip(profile, x.factors))
+            ),
+        )
+        assert _images(springer_module(g, profile).left) == _images(induce(slotwise, g)), profile
+
+
+def test_clifford_irrep_builds_the_block_module_and_the_induced_one(monkeypatch):
+    g = WreathGroup(3, 2)
+    built = []
+    init = Representation.__init__
+
+    def counting_init(self, group, *args, **kwargs):
+        built.append(group)
+        init(self, group, *args, **kwargs)
+
+    for label in enumerate_IC(3, 2):
+        clifford_irrep.__wrapped__(g, label)  # the Specht modules are cached from here on
+        monkeypatch.setattr(Representation, "__init__", counting_init)
+        clifford_irrep.__wrapped__(g, label)
+        monkeypatch.undo()
+        assert built == [block_module(g, label).group, g], label
+        built.clear()
 
 
 def _assert_traces_read_the_matrices(rho):
@@ -359,7 +408,7 @@ def test_young_subgroup_characters_orthonormal_23():
     for labels in by_gamma.values():
         gamma = labels[0].gamma()
         chars = [
-            char_of(rep_tensor(extend_to_wreath(g, gamma), inflate(g, label))) for label in labels
+            char_of(block_module(g, label)) for label in labels
         ]
         assert {chi.group.blocks for chi in chars} == {tuple(gamma.values())}
         for i, chi1 in enumerate(chars):
