@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -76,10 +77,8 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 def kron_all(ms) -> Matrix:
-    out: Matrix = ((Fraction(1),),)
-    for m in ms:
-        out = kron(out, m)
-    return out
+    """The Kronecker product of one or more matrices, left to right."""
+    return reduce(kron, ms)
 
 
 def permute_columns(a: Matrix, order) -> Matrix:

@@ -24,9 +24,9 @@ permutational wreath product (D. L. Johnson, *Presentations of Groups*),
 Tietze-reduced: per block, type A in the first slot, the later slots
 defined as its conjugates by the t_a, and the first two slots commuting
 for i <= i' only, because conjugating by the swap of those slots turns
-(i, i') into (i', i); see `WreathGroup.presentation`.  A relation that is
-a power (x y ...)^k is checked by forming its base once and raising it to
-the k-th power.
+(i, i') into (i', i); see `WreathGroup.presentation`.  Each relation is
+stated once, as a pair ``(base, k)`` with base^k = e, and is checked by
+forming its base once and raising it to the k-th power.
 
 Degenerate-but-legal cases (m = 1, single-slot groups, empty partitions)
 are handled uniformly; matrices of dimension one are still matrices.
@@ -82,9 +82,8 @@ class Representation:
 
     ``matrix_fn`` returns a `BlockMonomial` with ``cosets`` blocks of size
     ``dim // cosets``; the relation check compares each relation's product
-    with the identity of that shape exactly.  A relation that is a power
-    (x y ...)^k has its base multiplied out once and then raised to the
-    k-th power."""
+    with the identity of that shape exactly.  A relation ``(base, k)``
+    has its base multiplied out once and then raised to the k-th power."""
 
     def __init__(self, group, dim: int, matrix_fn, name: str = "", cosets: int = 1):
         self.group = group
@@ -94,13 +93,12 @@ class Representation:
         relations, self._word_of = group.presentation
         self._cache: dict = {}
         self._one = BlockMonomial.identity(cosets, dim // cosets)
-        for relation in relations:
-            base, k = _as_power(relation)
+        for base, k in relations:
             x = self._product(base)
             if reduce(matmul, (x,) * k) != self._one:
                 raise CheckFailed(
                     f"matrix rule for {name or 'representation'} is not a "
-                    f"homomorphism: relation {relation} fails"
+                    f"homomorphism: relation {base * k} fails"
                 )
 
     def __repr__(self):
@@ -129,14 +127,6 @@ class Representation:
         if len(word) < 2:
             return self._product(word).trace()
         return self._product(word[:-1]).trace_of_product(self.images[word[-1]])
-
-
-@lru_cache(maxsize=None)
-def _as_power(word: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """``(base, k)`` with word = base^k and k as large as possible."""
-    n = len(word)
-    p = next(p for p in range(1, n + 1) if n % p == 0 and word == word[:p] * (n // p))
-    return word[:p], n // p
 
 
 @dataclass(frozen=True)

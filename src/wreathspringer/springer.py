@@ -127,19 +127,14 @@ def typeB_table(d: int) -> list[dict]:
     """One row per bipartition of d, identified with a multipartition label
     at m = 2 (first component attached to the row-shape key (2,), second to
     the column-shape key (1,1)), each carrying its orbit-side label."""
-    rows = []
-    for a in range(d, -1, -1):
-        for lam1 in partitions_of(a):
-            for lam2 in partitions_of(d - a):
-                label = clifford_label(2, {(2,): lam1, (1, 1): lam2})
-                rows.append(
-                    {
-                        "bipartition": (lam1, lam2),
-                        "clifford": label,
-                        "springer": psi(label),
-                    }
-                )
-    return rows
+    return [
+        {
+            "bipartition": (label.value((2,)), label.value((1, 1))),
+            "clifford": label,
+            "springer": psi(label),
+        }
+        for label in enumerate_IC(2, d)
+    ]
 
 
 @dataclass(frozen=True)

@@ -312,25 +312,21 @@ class WreathGroup:
         """``(relations, word_of)`` for the generators in the order of
         `named_generators`: the s_i^(j) slot by slot, then the t_a.
 
-        Relations, as words equal to the identity, are the standard
-        presentation of a permutational wreath product (D. L. Johnson,
-        *Presentations of Groups*) after Tietze moves that keep every
-        generator.  Per block of `blocks`, with first slot f:
+        Each relation is a pair ``(base, k)`` with base^k = e.  They are the
+        standard presentation of a permutational wreath product (D. L.
+        Johnson, *Presentations of Groups*) after Tietze moves that keep
+        every generator.  Per block of `blocks`, with first slot f:
 
         - type A on the s_i^(f);
-        - s^2 for the s of the other slots;
         - the definitions t_a s_i^(a) t_a s_i^(a+1), so the s of slot a+1
-          are the s of slot a conjugated by t_a;
+          are the s of slot a conjugated by t_a (their squares follow);
         - (t_a s_i^(f))^2 for the t_a that fix slot f;
         - (s_i^(f) s_i'^(f+1))^2 for i <= i' only: conjugating by t_f swaps
           slots f and f+1, which turns the pair (i, i') into (i', i).
 
         Then type A on all t_a, and commutation between the generators
-        s_i^(f), t_a of different blocks.  The s^2 of the later slots follow
-        from the definitions; they are kept because the Todd-Coxeter oracle
-        of the tests reads every generator as an involution.  With
-        ``blocks = (1,) * d`` this is type A in each slot and commutation
-        across slots.
+        s_i^(f), t_a of different blocks.  With ``blocks = (1,) * d`` this
+        is type A in each slot and commutation across slots.
 
         ``word_of`` gives the factors' lex-smallest reduced words slot by
         slot, then the top's: the lex-smallest shortest word of the element
@@ -340,27 +336,28 @@ class WreathGroup:
         k = m - 1
         top = {a: d * k + n for n, a in enumerate(swaps)}
         relations = []
-        base = []  # per block: the generators of its first slot and its t_a
+        block_gens = []  # per block: the generators of its first slot and its t_a
         first = 0
         for size in self.blocks:
             slot = [first * k + i for i in range(k)]
             block_swaps = range(first, first + size - 1)
             relations += type_a_relations(zip(slot, range(k)))
-            relations += [(g, g) for g in range((first + 1) * k, (first + size) * k)]
             relations += [
-                (top[a], a * k + i, top[a], (a + 1) * k + i) for a in block_swaps for i in range(k)
+                ((top[a], a * k + i, top[a], (a + 1) * k + i), 1)
+                for a in block_swaps
+                for i in range(k)
             ]
-            relations += [(top[a], g) * 2 for a in block_swaps if a != first for g in slot]
+            relations += [((top[a], g), 2) for a in block_swaps if a != first for g in slot]
             if size > 1:
-                relations += [(g, h + k) * 2 for g in slot for h in slot if g <= h]
-            base.append(slot + [top[a] for a in block_swaps])
+                relations += [((g, h + k), 2) for g in slot for h in slot if g <= h]
+            block_gens.append(slot + [top[a] for a in block_swaps])
             first += size
         relations += type_a_relations((top[a], a) for a in swaps)
         relations += [
-            (x, y) * 2
-            for b, gens in enumerate(base)
+            ((x, y), 2)
+            for b, gens in enumerate(block_gens)
             for x in gens
-            for other in base[b + 1:]
+            for other in block_gens[b + 1:]
             for y in other
             if min(x, y) < d * k  # two t_a already commute by type A
         ]
@@ -395,29 +392,14 @@ class WreathGroup:
         return self._words[x]
 
     def parse_word(self, text: str) -> WreathElement:
-        """Parse an element word: tokens ``s<i>^<j>``, ``t<k>``, ``e``,
-        multiplied left to right."""
+        """Parse an element word: generator names of `named_generators` and
+        ``e``, multiplied left to right."""
+        gens = dict(self.named_generators, e=self.identity)
         x = self.identity
         for token in text.split():
-            if token == "e":
-                continue
-            if token.startswith("s"):
-                body = token[1:]
-                if "^" not in body:
-                    raise ValueError(f"bad token {token!r}: expected s<i>^<j>")
-                si, sj = body.split("^", 1)
-                try:
-                    g = self.gen_s(int(si), int(sj))
-                except ValueError as exc:
-                    raise ValueError(f"bad token {token!r}: {exc}") from None
-            elif token.startswith("t"):
-                try:
-                    g = self.gen_t(int(token[1:]))
-                except ValueError as exc:
-                    raise ValueError(f"bad token {token!r}: {exc}") from None
-            else:
-                raise ValueError(f"bad token {token!r}")
-            x = x * g
+            if token not in gens:
+                raise ValueError(f"bad token {token!r}: not a generator of {self!r}")
+            x = x * gens[token]
         return x
 
     # -- conjugacy ----------------------------------------------------------

@@ -440,17 +440,22 @@ def isotypic_character_by_elements(model, psi):
 
 # -- presentations (Todd-Coxeter, HLT strategy) ------------------------------
 
-def coset_count(n_gens, relations, bound=200_000):
-    """Order of the group generated by involutions 0..n_gens-1 subject to
-    `relations` (words equal to the identity), by enumerating the cosets of
-    the trivial subgroup.  Each generator must square to the identity in
-    the relations, so one table column per generator suffices.  Raises
-    RuntimeError once more than `bound` cosets have been defined."""
-    relations = [tuple(r) for r in relations]
+def coset_count(n_gens, relations, bound=500_000):
+    """Order of the group generated by 0..n_gens-1 subject to `relations`,
+    ``(base, k)`` pairs with base^k = e, by enumerating the cosets of the
+    trivial subgroup.  A generator g that the relations declare an
+    involution, with the pair ``((g,), 2)``, gets one table column, which is
+    its own inverse's; every other generator gets a column and a second
+    one for its inverse.  Raises RuntimeError once more than `bound` cosets
+    have been defined."""
+    words = [base * k for base, k in relations]
+    inv = list(range(n_gens))
     for g in range(n_gens):
-        if (g, g) not in relations:
-            raise ValueError(f"generator {g} is not declared an involution")
-    table = [[None] * n_gens]
+        if ((g,), 2) not in relations:
+            inv[g] = len(inv)
+            inv.append(g)
+    n_cols = len(inv)
+    table = [[None] * n_cols]
     parent = [0]
 
     def find(c):
@@ -459,13 +464,13 @@ def coset_count(n_gens, relations, bound=200_000):
             c = parent[c]
         return c
 
-    def define(c, g):
+    def define(c, x):
         if len(table) >= bound:
             raise RuntimeError(f"more than {bound} cosets")
-        table.append([None] * n_gens)
+        table.append([None] * n_cols)
         parent.append(len(parent))
-        table[c][g] = len(table) - 1
-        table[-1][g] = c
+        table[c][x] = len(table) - 1
+        table[-1][inv[x]] = c
 
     def merge(a, b, queue):
         a, b = sorted((find(a), find(b)))
@@ -477,18 +482,18 @@ def coset_count(n_gens, relations, bound=200_000):
         queue = []
         merge(a, b, queue)
         for dead in queue:  # grows while it is walked
-            for g in range(n_gens):
-                other = table[dead][g]
+            for x in range(n_cols):
+                other = table[dead][x]
                 if other is None:
                     continue
-                table[other][g] = None
+                table[other][inv[x]] = None
                 e, f = find(dead), find(other)
-                if table[e][g] is not None:
-                    merge(f, table[e][g], queue)
-                elif table[f][g] is not None:
-                    merge(e, table[f][g], queue)
+                if table[e][x] is not None:
+                    merge(f, table[e][x], queue)
+                elif table[f][inv[x]] is not None:
+                    merge(e, table[f][inv[x]], queue)
                 else:
-                    table[e][g], table[f][g] = f, e
+                    table[e][x], table[f][inv[x]] = f, e
 
     def scan_and_fill(c, word):
         f, b, i, j = c, c, 0, len(word) - 1
@@ -499,26 +504,26 @@ def coset_count(n_gens, relations, bound=200_000):
                 if f != b:
                     coincidence(f, b)
                 return
-            while j >= i and table[b][word[j]] is not None:
-                b, j = table[b][word[j]], j - 1
+            while j >= i and table[b][inv[word[j]]] is not None:
+                b, j = table[b][inv[word[j]]], j - 1
             if j < i:
                 coincidence(f, b)
                 return
             if i == j:
-                table[f][word[i]], table[b][word[i]] = b, f
+                table[f][word[i]], table[b][inv[word[i]]] = b, f
                 return
             define(f, word[i])
 
     c = 0
     while c < len(table):
-        for word in relations:
+        for word in words:
             if parent[c] != c:
                 break
             scan_and_fill(c, word)
         if parent[c] == c:
-            for g in range(n_gens):
-                if table[c][g] is None:
-                    define(c, g)
+            for x in range(n_cols):
+                if table[c][x] is None:
+                    define(c, x)
         c += 1
     return sum(1 for c in range(len(table)) if parent[c] == c)
 

@@ -71,6 +71,7 @@ def test_kron_shapes_and_values():
     k = kron(a, b)
     assert k == as_matrix([[3, 6], [4, 8]])
     assert kron_all([identity_matrix(2), identity_matrix(3)]) == identity_matrix(6)
+    assert kron_all([k]) == k
 
 
 def test_rank_known_matrices():

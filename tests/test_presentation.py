@@ -57,19 +57,30 @@ def test_presentation_defines_the_group(group):
 
 
 @pytest.mark.parametrize(
+    "m, d, count", [(2, 4, 13), (3, 3, 15), (4, 2, 16), (3, 4, 22), (5, 2, 25), (2, 6, 26)]
+)
+def test_presentation_states_each_relation_once(m, d, count):
+    # (base, k) pairs; the only squares are those of the first slot's s and
+    # of the t_a, as the later slots' squares follow from the definitions
+    relations, _ = W(m, d).presentation
+    assert len(relations) == count
+    assert all(isinstance(base, tuple) and base and k >= 1 for base, k in relations)
+    squares = {base: k for base, k in relations if len(base) == 1}
+    first_slot, tops = range(m - 1), range(d * (m - 1), d * (m - 1) + d - 1)
+    assert squares == {(g,): 2 for g in (*first_slot, *tops)}
+
+
+@pytest.mark.parametrize(
     "group", [W(2, 3), W(3, 2), W(3, 3), W(2, 3, (2, 1)), W(3, 3, (1, 2))], ids=repr
 )
 def test_every_relation_is_needed(group):
-    # each relation but a generator's square (which the enumerator needs)
-    # is independent of the others: without it the presented group is
-    # larger, or the enumeration passes a bound that the full presentation
-    # stays well inside
+    # each relation, squares included, is independent of the others:
+    # without it the presented group is larger, or the enumeration passes a
+    # bound that the full presentation stays well inside
     relations, _ = group.presentation
     n_gens, bound = len(group.generators), 20_000
     assert coset_count(n_gens, relations, bound) == group.order
     for k, relation in enumerate(relations):
-        if len(relation) == 2 and relation[0] == relation[1]:
-            continue
         try:
             count = coset_count(n_gens, relations[:k] + relations[k + 1:], bound)
         except RuntimeError:
@@ -100,8 +111,8 @@ def test_relation_check_rejects_broken_top_braid():
     g = W(2, 3)  # generators s1^1, s1^2, s1^3, t1, t2
     values = (-1, -1, -1, 1, -1)
     relations, _ = g.presentation
-    broken = [r for r in relations if prod(values[k] for k in r) != 1]
-    assert broken == [(3, 4) * 3]
+    broken = [(base, k) for base, k in relations if prod(values[x] for x in base) ** k != 1]
+    assert broken == [((3, 4), 3)]
     with pytest.raises(CheckFailed, match=r"relation \(3, 4, 3, 4, 3, 4\) fails"):
         _rule(g, values)
 

@@ -437,7 +437,7 @@ def test_elements_are_in_key_order(group):
 
 def test_parse_word_errors():
     g = WreathGroup(2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"bad token 'x1': not a generator of WreathGroup"):
         g.parse_word("x1")
     with pytest.raises(ValueError):
         g.parse_word("s1^3")
