@@ -41,8 +41,12 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
+            "CliffordLabel",
+            "SpringerLabel",
             "check_dimension_property",
+            "clifford_label",
             "component_group",
+            "enumerate_IC",
             "enumerate_IS",
             "fiber_dim",
             "gamma_of",
@@ -55,12 +59,9 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "Character",
-            "CliffordLabel",
             "Representation",
             "char_of",
             "clifford_irrep",
-            "clifford_label",
-            "enumerate_IC",
             "extend_to_wreath",
             "induce",
             "inflate",
@@ -73,7 +74,6 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "HuLabel",
-            "SpringerLabel",
             "hu_index",
             "psi",
             "psi_inv",

@@ -157,7 +157,8 @@ def cmd_tables(args) -> int:
     if any(getattr(args, name) < 1 for name in TABLE_SIZES.get(args.kind, ("m", "d"))):
         raise ValueError("m and d must be positive")
     if args.kind == "irreps":
-        from .reptheory import clifford_irrep, enumerate_IC
+        from .orbits import enumerate_IC
+        from .reptheory import clifford_irrep
 
         group = WreathGroup(args.m, args.d)
         group.check_bound()
@@ -172,7 +173,7 @@ def cmd_tables(args) -> int:
             "irreps": [{"label": r[0], "dim": int(r[1])} for r in rows],
         }
     elif args.kind == "springer":
-        from .reptheory import enumerate_IC
+        from .orbits import enumerate_IC
         from .springer import psi
 
         rows = []

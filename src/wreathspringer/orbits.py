@@ -1,14 +1,19 @@
 """Nilpotent-orbit combinatorics: Jordan profiles, orbit labels, the
-multiplicity map gamma, component groups, and the dimension bookkeeping
-relating orbit dimension to fiber dimension.
+multiplicity map gamma, component groups, the dimension bookkeeping
+relating orbit dimension to fiber dimension, and the two label sets of
+the correspondence.
 
 A Jordan profile is a tuple of d partitions of m, one per matrix slot;
 its orbit label is the canonical (descending) sorted form, which is a
 complete invariant for simultaneous conjugation plus slot permutation.
+The correspondence matches the multipartitions (`CliffordLabel`, listed by
+`enumerate_IC`) with the orbit labels paired with an irreducible of their
+component group (`SpringerLabel`, listed by `enumerate_IS`).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from math import factorial
 
@@ -146,20 +151,129 @@ def all_orbit_labels(m: int, d: int) -> list[Profile]:
     return list(combinations_with_replacement(partitions_of(m), d))
 
 
-def enumerate_IS(m: int, d: int):
+@dataclass(frozen=True)
+class CliffordLabel:
+    """A multipartition: an assignment of a partition to each partition of
+    m, nonempty values only, with total size d.  It labels an irreducible
+    of Sigma_m wr Sigma_d (Clifford theory) and, through `orbit`, an
+    orbit together with an irreducible of its component group."""
+
+    m: int
+    entries: tuple[tuple[Partition, Partition], ...]
+
+    def __post_init__(self):
+        nus = [nu for nu, _ in self.entries]
+        if nus != sorted(nus, reverse=True):
+            raise ValueError("entries must be sorted descending by key")
+        if len(set(nus)) != len(nus):
+            raise ValueError("duplicate keys in label")
+        for nu, val in self.entries:
+            if not is_partition(nu) or sum(nu) != self.m:
+                raise ValueError(f"key {nu} does not partition m={self.m}")
+            if not val:
+                raise ValueError("empty values must be omitted")
+            if not is_partition(val):
+                raise ValueError(f"value {val} of key {nu} is not a partition")
+
+    @property
+    def d(self) -> int:
+        return sum(self.blocks)
+
+    @property
+    def orbit(self) -> Profile:
+        """Each key once for every slot it takes, in descending order: the
+        orbit label of the label, and the slots of its block module."""
+        return tuple(nu for nu, val in self.entries for _ in range(sum(val)))
+
+    @property
+    def blocks(self) -> tuple[int, ...]:
+        """The number of slots of each key, in key order: the blocks of the
+        Young subgroup whose irreducible the values name."""
+        return tuple(sum(val) for _, val in self.entries)
+
+    @property
+    def values(self) -> tuple[Partition, ...]:
+        """The partition of each key, in key order."""
+        return tuple(val for _, val in self.entries)
+
+    def value(self, nu: Partition) -> Partition:
+        for key, val in self.entries:
+            if key == nu:
+                return val
+        return ()
+
+    def gamma(self) -> GammaMap:
+        return {nu: sum(val) for nu, val in self.entries}
+
+    def __str__(self):
+        body = ",".join(
+            f"{format_partition(nu)}:{format_partition(val)}" for nu, val in self.entries
+        )
+        return "{" + body + "}"
+
+
+def clifford_label(m: int, mapping) -> CliffordLabel:
+    """Build a label from any {partition: partition} mapping."""
+    entries = tuple(
+        sorted(
+            ((tuple(nu), tuple(val)) for nu, val in dict(mapping).items() if tuple(val)),
+            reverse=True,
+        )
+    )
+    return CliffordLabel(m, entries)
+
+
+def enumerate_IC(m: int, d: int) -> tuple[CliffordLabel, ...]:
+    """All multipartition labels of total size d over the partitions of m,
+    in canonical order (larger keys take their share first)."""
+    nus = partitions_of(m)
+    out: list[CliffordLabel] = []
+
+    def rec(i: int, remaining: int, acc: tuple):
+        if i == len(nus):
+            if remaining == 0:
+                out.append(CliffordLabel(m, acc))
+            return
+        nu = nus[i]
+        for c in range(remaining, -1, -1):
+            if c == 0:
+                rec(i + 1, remaining, acc)
+            else:
+                for lam in partitions_of(c):
+                    rec(i + 1, remaining - c, acc + ((nu, lam),))
+
+    rec(0, d, ())
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class SpringerLabel:
+    """An orbit label together with an irreducible of its component group,
+    the latter encoded as a multipartition with the orbit's multiplicities."""
+
+    orbit: Profile
+    psi: CliffordLabel
+
+    def __post_init__(self):
+        # psi.orbit is in canonical order, so this also checks that orbit is
+        if self.psi.orbit != self.orbit:
+            raise ValueError(
+                f"{self.psi} is not an irreducible of the component group of {self.orbit}"
+            )
+
+    def __str__(self):
+        body = ",".join(format_partition(entry) for entry in self.orbit)
+        return f"[({body}),{self.psi}]"
+
+
+def enumerate_IS(m: int, d: int) -> list[SpringerLabel]:
     """All orbit-side labels: one per (orbit label, irreducible of the
     component group), the irreducible encoded as a multipartition with
     multiplicities gamma."""
-    # imported here: the label types live upstream of this module
-    from .reptheory import CliffordLabel
-    from .springer import SpringerLabel
-
     out = []
     for label in all_orbit_labels(m, d):
-        gamma = gamma_of(label)
-        for assignment in _assignments(list(gamma.items())):
-            psi = CliffordLabel(m, tuple(assignment))
-            out.append(SpringerLabel(label, psi))
+        for assignment in _assignments(list(_gamma(label).items())):
+            out.append(SpringerLabel(label, CliffordLabel(m, assignment)))
     return out
 
 

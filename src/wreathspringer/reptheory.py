@@ -9,9 +9,12 @@ from one rule, `young_module`: slotwise Specht modules of the factors,
 permuted by the top, tensored with Specht modules of the top's blocks.
 The extension, the inflation, the block module of a multipartition (their
 tensor) and the fiber's slotwise module are its cases; an irreducible is
-its block module induced up (Clifford theory).  Every matrix is a
-`BlockMonomial`: an induced module has one block per coset, and a dense
-matrix (a Specht image, a Kronecker product) is the one-coset case.
+its block module induced up (Clifford theory).  The multipartition labels
+are `orbits.CliffordLabel`: a label's `blocks`, `orbit` and `values` are
+the block subgroup, the slots and the top Specht modules of its block
+module.  Every matrix is a `BlockMonomial`: an induced module has one
+block per coset, and a dense matrix (a Specht image, a Kronecker product)
+is the one-coset case.
 
 There is one group class, `WreathGroup`; the symmetric group of degree n
 is ``WreathGroup(1, n)``.  A representation is the images of its group's
@@ -61,7 +64,7 @@ from .matrices import (
     kron_all,
     permute_columns,
 )
-from .orbits import Profile, _gamma, gamma_of, orbit_label
+from .orbits import CliffordLabel, Profile, _gamma, clifford_label, enumerate_IC, orbit_label
 from .wreath import CheckFailed, WreathElement, WreathGroup
 
 SPECHT_DEGREE_BOUND = 7
@@ -257,83 +260,6 @@ def specht_matrix(lam: Partition, p: Perm) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# multipartition labels
-
-@dataclass(frozen=True)
-class CliffordLabel:
-    """A multipartition: an assignment of a partition to each partition of
-    m, nonempty values only, with total size d."""
-
-    m: int
-    entries: tuple[tuple[Partition, Partition], ...]
-
-    def __post_init__(self):
-        nus = [nu for nu, _ in self.entries]
-        if nus != sorted(nus, reverse=True):
-            raise ValueError("entries must be sorted descending by key")
-        if len(set(nus)) != len(nus):
-            raise ValueError("duplicate keys in label")
-        for nu, val in self.entries:
-            if sum(nu) != self.m:
-                raise ValueError(f"key {nu} does not partition m={self.m}")
-            if not val:
-                raise ValueError("empty values must be omitted")
-
-    @property
-    def d(self) -> int:
-        return sum(sum(val) for _, val in self.entries)
-
-    def value(self, nu: Partition) -> Partition:
-        for key, val in self.entries:
-            if key == nu:
-                return val
-        return ()
-
-    def gamma(self) -> dict[Partition, int]:
-        return {nu: sum(val) for nu, val in self.entries}
-
-    def __str__(self):
-        body = ",".join(
-            f"{format_partition(nu)}:{format_partition(val)}" for nu, val in self.entries
-        )
-        return "{" + body + "}"
-
-
-def clifford_label(m: int, mapping) -> CliffordLabel:
-    """Build a label from any {partition: partition} mapping."""
-    entries = tuple(
-        sorted(
-            ((tuple(nu), tuple(val)) for nu, val in dict(mapping).items() if tuple(val)),
-            reverse=True,
-        )
-    )
-    return CliffordLabel(m, entries)
-
-
-def enumerate_IC(m: int, d: int) -> tuple[CliffordLabel, ...]:
-    """All multipartition labels of total size d over the partitions of m,
-    in canonical order (larger keys take their share first)."""
-    nus = partitions_of(m)
-    out: list[CliffordLabel] = []
-
-    def rec(i: int, remaining: int, acc: tuple):
-        if i == len(nus):
-            if remaining == 0:
-                out.append(CliffordLabel(m, acc))
-            return
-        nu = nus[i]
-        for c in range(remaining, -1, -1):
-            if c == 0:
-                rec(i + 1, remaining, acc)
-            else:
-                for lam in partitions_of(c):
-                    rec(i + 1, remaining - c, acc + ((nu, lam),))
-
-    rec(0, d, ())
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
 # modules over Young wreath subgroups
 
 def slot_basis_permutation(dims: tuple[int, ...], u: Perm) -> tuple[int, ...]:
@@ -348,12 +274,6 @@ def slot_basis_permutation(dims: tuple[int, ...], u: Perm) -> tuple[int, ...]:
     basis = list(product(*[range(dm) for dm in dims]))
     row_of = {k: r for r, k in enumerate(basis)}
     return tuple(row_of[tuple(k[uinv[i]] for i in range(len(dims)))] for k in basis)
-
-
-def _block_counts(gamma: dict[Partition, int]) -> tuple[int, ...]:
-    """The blocks of the Young subgroup of gamma: one per key, in the
-    canonical descending order of the keys."""
-    return tuple(gamma[nu] for nu in sorted(gamma, reverse=True))
 
 
 def young_module(
@@ -386,10 +306,8 @@ def young_module(
 def block_module(group: WreathGroup, label: CliffordLabel) -> Representation:
     """The module that `clifford_irrep` induces: the extension tensored
     with the inflation, over the block subgroup Sigma_m wr Sigma_gamma."""
-    sub = WreathGroup(group.m, group.d, _block_counts(label.gamma()))
-    slots = tuple(nu for nu, val in label.entries for _ in range(sum(val)))
-    values = tuple(val for _, val in label.entries)
-    return young_module(sub, slots, values, f"block{label}")
+    sub = WreathGroup(group.m, group.d, label.blocks)
+    return young_module(sub, label.orbit, label.values, f"block{label}")
 
 
 def extend_to_wreath(group: WreathGroup, gamma: dict[Partition, int]) -> Representation:
@@ -409,9 +327,8 @@ def inflate(group: WreathGroup, label: CliffordLabel) -> Representation:
     module.  Only the label's multiplicities and values are read, so at
     m = 1 this is the irreducible of the Young subgroup of Sigma_d that
     the label's values name, block by block."""
-    sub = WreathGroup(group.m, group.d, _block_counts(label.gamma()))
-    values = tuple(val for _, val in label.entries)
-    return young_module(sub, ((group.m,),) * group.d, values, "inflation")
+    sub = WreathGroup(group.m, group.d, label.blocks)
+    return young_module(sub, ((group.m,),) * group.d, label.values, "inflation")
 
 
 def induce(rho: Representation, group: WreathGroup) -> Representation:
@@ -496,7 +413,7 @@ class BimoduleModel:
                 tuple(row_of[perm_compose(w, c)] for w in cosets), (inner,) * len(cosets)
             )
 
-        right_group = WreathGroup(1, d, _block_counts(_gamma(self.profile)))
+        right_group = WreathGroup(1, d, tuple(_gamma(self.profile).values()))
         self.right = Representation(
             right_group, self.dim, right_fn, name="fiber-right", cosets=len(cosets)
         )
@@ -524,7 +441,7 @@ def isotypic_character(model: BimoduleModel, psi: CliffordLabel) -> Character:
     project with the exact character sum over the right group.  L and R
     commute, so c -> tr(L(g) R(c)) is a class function of the right group
     and the sum runs over its classes, weighted by their sizes."""
-    if psi.gamma() != gamma_of(model.profile):
+    if psi.orbit != model.profile:
         raise ValueError(
             f"label {psi} is not an irreducible of the right group of {model.profile}"
         )

@@ -1,5 +1,5 @@
-"""The bijection between multipartition labels and orbit-side labels, its
-end-to-end character verification, and the small-rank specializations
+"""The bijection between multipartition labels and orbit-side labels (both
+label types live in `orbits`), its end-to-end character verification, and the small-rank specializations
 (bipartition tables for m = 2, the d = 2 signed index set, and the even /
 odd rank-d tables derived from it).
 """
@@ -10,50 +10,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .combinatorics import Partition, format_partition, partitions_of
-from .orbits import Profile, enumerate_IS, gamma_of
-from .reptheory import (
-    CliffordLabel,
-    char_of,
-    clifford_irrep,
-    clifford_label,
-    enumerate_IC,
-    isotypic_character,
-    springer_module,
-)
+from .orbits import CliffordLabel, SpringerLabel, clifford_label, enumerate_IC, enumerate_IS
+from .reptheory import char_of, clifford_irrep, isotypic_character, springer_module
 from .wreath import CheckFailed, WreathGroup
-
-
-@dataclass(frozen=True)
-class SpringerLabel:
-    """An orbit label together with an irreducible of its component group,
-    the latter encoded as a multipartition with the orbit's multiplicities."""
-
-    orbit: Profile
-    psi: CliffordLabel
-
-    def __post_init__(self):
-        if tuple(sorted(self.orbit, reverse=True)) != self.orbit:
-            raise ValueError("orbit label must be in canonical sorted form")
-        if self.psi.gamma() != gamma_of(self.orbit):
-            raise ValueError(
-                f"{self.psi} is not an irreducible of the component group of {self.orbit}"
-            )
-
-    def __str__(self):
-        body = ",".join(format_partition(entry) for entry in self.orbit)
-        return f"[({body}),{self.psi}]"
 
 
 def psi(label: CliffordLabel) -> SpringerLabel:
     """Forward direction: the orbit takes |label(nu)| slots of type nu, and
     the component-group irreducible is the label itself."""
-    orbit = tuple(
-        sorted(
-            (nu for nu, val in label.entries for _ in range(sum(val))),
-            reverse=True,
-        )
-    )
-    return SpringerLabel(orbit, label)
+    return SpringerLabel(label.orbit, label)
 
 
 def psi_inv(slabel: SpringerLabel) -> CliffordLabel:
@@ -190,16 +155,14 @@ def typeD_table(d: int) -> list[dict]:
     and a minus (column shape) label."""
     rows = []
     seen = set()
-    for a in range(d, -1, -1):
-        for nu1 in partitions_of(a):
-            for nu2 in partitions_of(d - a):
-                pair = tuple(sorted((nu1, nu2), reverse=True))
-                if pair in seen:
-                    continue
-                seen.add(pair)
-                if nu1 == nu2:
-                    rows.append({"pair": pair, "sign": "+", "psi": (2,)})
-                    rows.append({"pair": pair, "sign": "-", "psi": (1, 1)})
-                else:
-                    rows.append({"pair": pair, "sign": None, "psi": (1,)})
+    for label in enumerate_IC(2, d):
+        pair = tuple(sorted((label.value((2,)), label.value((1, 1))), reverse=True))
+        if pair in seen:
+            continue
+        seen.add(pair)
+        if pair[0] == pair[1]:
+            rows.append({"pair": pair, "sign": "+", "psi": (2,)})
+            rows.append({"pair": pair, "sign": "-", "psi": (1, 1)})
+        else:
+            rows.append({"pair": pair, "sign": None, "psi": (1,)})
     return rows

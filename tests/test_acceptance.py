@@ -24,8 +24,8 @@ from wreathspringer.convolution import (
     y_bar,
     y_bar_sum,
 )
-from wreathspringer.orbits import all_profiles, check_dimension_property
-from wreathspringer.reptheory import char_of, clifford_irrep, enumerate_IC
+from wreathspringer.orbits import all_profiles, check_dimension_property, enumerate_IC, enumerate_IS
+from wreathspringer.reptheory import char_of, clifford_irrep
 from wreathspringer.springer import hu_index, hu_to_clifford, typeB_table, typeD_table, verify_springer
 from wreathspringer.wreath import WreathElement, WreathGroup, cell_statistics
 
@@ -163,8 +163,6 @@ def test_criterion_06_clifford_completeness(capsys):
 
 
 def test_criterion_07_index_set_equality(capsys):
-    from wreathspringer.orbits import enumerate_IS
-
     start = time.time()
     ok = True
     for m, d, expected in [(2, 2, 5), (3, 2, 9), (2, 3, 10)]:

@@ -11,6 +11,7 @@ from wreathspringer.orbits import (
     all_profiles,
     check_dimension_property,
     component_group,
+    enumerate_IC,
     enumerate_IS,
     fiber_dim,
     gamma_of,
@@ -20,7 +21,7 @@ from wreathspringer.orbits import (
     orbit_report,
     young_order,
 )
-from wreathspringer.reptheory import enumerate_IC
+from wreathspringer.springer import psi
 from wreathspringer.wreath import WreathGroup
 
 from oracles import deduplicated_orbit_labels
@@ -186,6 +187,17 @@ def test_enumerate_IS_matches_classes_and_IC():
 def test_enumerate_IS_entries_consistent():
     for s in enumerate_IS(2, 3):
         assert s.psi.gamma() == gamma_of(s.orbit)
+    # a label's shape: its orbit, the block sizes and values in key order
+    for m in range(1, 5):
+        for d in range(1, 5):
+            for label in enumerate_IC(m, d):
+                gamma = label.gamma()
+                assert label.orbit == psi(label).orbit == orbit_label(label.orbit)
+                assert gamma_of(label.orbit) == gamma
+                assert label.blocks == tuple(gamma.values())
+                assert label.values == tuple(label.value(nu) for nu in gamma)
+                assert tuple(map(sum, label.values)) == label.blocks
+                assert sum(label.blocks) == label.d == d
 
 
 # -- report

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -46,6 +47,35 @@ def test_hasse_loads_no_algebra_module():
     assert not loaded & {
         f"wreathspringer.{name}" for name in ("convolution", "matrices", "orbits", "reptheory", "springer")
     }
+
+
+def test_orbit_labels_load_no_representation_module():
+    loaded = loaded_after("from wreathspringer.orbits import enumerate_IS; enumerate_IS(3, 3)")
+    assert not loaded & {f"wreathspringer.{name}" for name in ("reptheory", "springer", "wreath")}
+
+
+def test_no_module_imports_the_package_inside_a_function():
+    # the package's import graph has no cycle to break; only the CLI and the
+    # lazy `__init__` defer their imports
+    package = os.path.dirname(wreathspringer.__file__)
+    for filename in sorted(os.listdir(package)):
+        if not filename.endswith(".py") or filename in ("cli.py", "__init__.py"):
+            continue
+        with open(os.path.join(package, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        nested_imports = [
+            node
+            for top in tree.body
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            for node in ast.walk(top)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        ]
+        for node in nested_imports:
+            if isinstance(node, ast.ImportFrom):
+                local = node.level > 0 or (node.module or "").startswith("wreathspringer")
+            else:
+                local = any(alias.name.startswith("wreathspringer") for alias in node.names)
+            assert not local, f"{filename}:{node.lineno} imports the package below module level"
 
 
 def test_exports_resolve_lazily_to_their_modules():

@@ -12,12 +12,11 @@ import pytest
 
 from wreathspringer.combinatorics import partitions_of
 from wreathspringer.matrices import BlockMonomial
-from wreathspringer.orbits import all_orbit_labels
+from wreathspringer.orbits import all_orbit_labels, enumerate_IC
 from wreathspringer.reptheory import (
     Representation,
     block_module,
     clifford_irrep,
-    enumerate_IC,
     extend_to_wreath,
     inflate,
     specht_rep,

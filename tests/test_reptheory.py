@@ -12,16 +12,13 @@ from wreathspringer.combinatorics import (
     partitions_of,
 )
 from wreathspringer.matrices import BlockMonomial, identity_matrix, kron_all, trace
-from wreathspringer.orbits import all_orbit_labels, gamma_of
+from wreathspringer.orbits import CliffordLabel, all_orbit_labels, clifford_label, enumerate_IC, gamma_of
 from wreathspringer.reptheory import (
     BimoduleModel,
-    CliffordLabel,
     Representation,
     block_module,
     char_of,
     clifford_irrep,
-    clifford_label,
-    enumerate_IC,
     extend_to_wreath,
     induce,
     inflate,
@@ -127,6 +124,13 @@ def test_clifford_label_validation():
         CliffordLabel(2, (((1, 1), (1,)), ((2,), (1,))))  # wrong key order
     with pytest.raises(ValueError):
         clifford_label(2, {(3,): (1,)})  # key does not partition m
+    for entries in (
+        (((0, 2), (1,)),),  # key has a zero part
+        (((2,), (1, 2)),),  # value is not weakly decreasing
+        (((2,), (0, 1)),),  # value has a zero part
+    ):
+        with pytest.raises(ValueError):
+            CliffordLabel(2, entries)
     label = clifford_label(2, {(2,): (1,), (1, 1): (1,), (1,): ()})
     assert label.d == 2
     assert label.gamma() == {(2,): 1, (1, 1): 1}

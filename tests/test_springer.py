@@ -2,12 +2,11 @@ from math import comb
 
 import pytest
 
+from wreathspringer import cli, springer
 from wreathspringer.combinatorics import partitions_of
-from wreathspringer.orbits import enumerate_IS, gamma_of
-from wreathspringer.reptheory import clifford_label, enumerate_IC
+from wreathspringer.orbits import SpringerLabel, clifford_label, enumerate_IC, enumerate_IS, gamma_of
 from wreathspringer.springer import (
     HuLabel,
-    SpringerLabel,
     hu_index,
     hu_to_clifford,
     psi,
@@ -78,6 +77,21 @@ def test_verify_springer_22():
         "cliffordSide": 5,
         "conjugacyClasses": 5,
     }
+
+
+def test_verify_springer_reports_a_mismatch(monkeypatch, capsys):
+    # send the orbit-side label of {[2]:[2]} to {[2]:[1,1]}: the same gamma,
+    # so every check before the characters passes, but another irreducible
+    trivial = clifford_label(2, {(2,): (2,)})
+    sign = clifford_label(2, {(2,): (1, 1)})
+    wrong = psi(trivial)
+    true_inverse = springer.psi_inv
+    monkeypatch.setattr(springer, "psi_inv", lambda s: sign if s == wrong else true_inverse(s))
+    report = verify_springer(WreathGroup(2, 2))
+    assert not report.all_match
+    assert [s for s, ok in report.rows if not ok] == [wrong]
+    assert cli.main(["verify", "--scope", "springer", "--m", "2", "--d", "2"]) == 1
+    assert '"status": "fail"' in capsys.readouterr().out
 
 
 def test_isotypic_dimensions_match_irreducible_dimensions():
