@@ -1,6 +1,11 @@
 """Exact-rational matrices: dense, and block-monomial.
 
-A dense matrix is a tuple of tuples of `fractions.Fraction`.  Every module
+A dense matrix is a tuple of tuples of exact rationals, each an `int` or a
+`fractions.Fraction`: int and Fraction arithmetic is exact, and two ints
+multiply and add without building a Fraction.  Specht blocks, slot
+permutations and their Kronecker products are nearly all zeros, so a
+product multiplies only pairs of nonzeros, reading each row of the right
+factor once as its nonzero entries.  Every module
 the package builds is induced from a subgroup, so its matrices have one
 nonzero block per coset, placed by a permutation of the cosets;
 `BlockMonomial` stores exactly that and multiplies block by block, so a
@@ -18,10 +23,11 @@ from fractions import Fraction
 from functools import reduce
 from math import lcm
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+Scalar = int | Fraction
+Matrix = tuple[tuple[Scalar, ...], ...]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 
 
 def as_matrix(rows) -> Matrix:
@@ -35,32 +41,47 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """The product; only pairs of nonzero entries are multiplied, as most
-    entries of Specht and permutation blocks are zero."""
+    """The product at the cost of its nonzero pairs: each row of b is read
+    once as its nonzero (column, value) pairs, and each nonzero a[i][j]
+    adds a[i][j] * b[j][k] into row i's accumulator, where an entry's first
+    term is stored rather than added to a zero.  Two 1x1 operands multiply
+    as scalars."""
     if len(a[0]) != len(b):
         raise ValueError(
             f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}"
         )
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col) if x and y), _ZERO) for col in bt)
-        for row in a
-    )
+    if len(a) == len(b) == len(b[0]) == 1:
+        return ((a[0][0] * b[0][0],),)
+    width = len(b[0])
+    b_nonzero = [[(k, y) for k, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = {}
+        for x, pairs in zip(row, b_nonzero):
+            if x:
+                for k, y in pairs:
+                    v = acc.get(k)
+                    acc[k] = x * y if v is None else v + x * y
+        dense = [_ZERO] * width
+        for k, v in acc.items():
+            dense[k] = v
+        out.append(tuple(dense))
+    return tuple(out)
 
 
-def trace(a: Matrix) -> Fraction:
+def trace(a: Matrix) -> Scalar:
     return sum((a[i][i] for i in range(len(a))), _ZERO)
 
 
-def trace_of_product(a: Matrix, b: Matrix) -> Fraction:
-    """trace(a b) without forming the product: the sum of a[i][j] * b[j][i]."""
+def trace_of_product(a: Matrix, b: Matrix) -> Scalar:
+    """trace(a b) without forming the product: the sum of a[i][j] * b[j][i]
+    over the nonzero entries of a, where b[j][i] is nonzero too."""
     if len(a[0]) != len(b) or len(a) != len(b[0]):
         raise ValueError(
             f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])} is not square"
         )
-    return sum(
-        (x * y for row, col in zip(a, zip(*b)) for x, y in zip(row, col) if x and y), _ZERO
-    )
+    terms = [x * b[j][i] for i, row in enumerate(a) for j, x in enumerate(row) if x and b[j][i]]
+    return sum(terms[1:], terms[0]) if terms else _ZERO
 
 
 def is_zero_matrix(a: Matrix) -> bool:
@@ -119,14 +140,14 @@ class BlockMonomial:
             tuple(mat_mul(blocks[j], b) for j, b in zip(other.perm, other.blocks)),
         )
 
-    def trace(self) -> Fraction:
+    def trace(self) -> Scalar:
         """The sum of the block traces over the fixed cosets."""
         return sum(
             (trace(b) for k, (j, b) in enumerate(zip(self.perm, self.blocks)) if j == k),
             _ZERO,
         )
 
-    def trace_of_product(self, other: "BlockMonomial") -> Fraction:
+    def trace_of_product(self, other: "BlockMonomial") -> Scalar:
         """trace(self @ other) without forming it: the cosets k with
         self.perm[other.perm[k]] == k, each contributing the trace of its
         block product."""

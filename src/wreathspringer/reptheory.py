@@ -4,7 +4,13 @@ products.
 Symmetric-group irreducibles are built in Young's seminormal form: the
 basis is indexed by standard tableaux and the adjacent-transposition
 matrices have entries 1/axial-distance, so everything stays in exact
-rationals.  Every module over a Young wreath subgroup Sigma_m wr Y comes
+rationals.  The seminormal entries 0 and +-1 are ints and the others
+Fractions; products, Kronecker products and traces of these are exact.
+The two true divisions, `Character.inner` by the group order and
+`isotypic_character` by the right group's order, divide a `Fraction`, so
+neither makes a float.
+
+Every module over a Young wreath subgroup Sigma_m wr Y comes
 from one rule, `young_module`: slotwise Specht modules of the factors,
 permuted by the top, tensored with Specht modules of the top's blocks.
 The extension, the inflation, the block module of a multipartition (their
@@ -59,6 +65,7 @@ from .combinatorics import (
 from .matrices import (
     BlockMonomial,
     Matrix,
+    Scalar,
     identity_matrix,
     kron,
     kron_all,
@@ -119,7 +126,7 @@ class Representation:
             self._cache[x] = got
         return got
 
-    def trace(self, x) -> Fraction:
+    def trace(self, x) -> Scalar:
         """The trace of `matrix` at x.  Unless the matrix is cached, the
         product along x's word stops before the last letter, whose product
         is read only on the diagonal (`BlockMonomial.trace_of_product`)."""
@@ -137,21 +144,21 @@ class Character:
     """Exact class function, aligned with the group's class representatives."""
 
     group: object
-    values: tuple[Fraction, ...]
+    values: tuple[Scalar, ...]
 
     @property
-    def dim(self) -> Fraction:
+    def dim(self) -> Scalar:
         return self.value_at(self.group.identity)
 
-    def value_at(self, x) -> Fraction:
+    def value_at(self, x) -> Scalar:
         return self.values[self.group.class_index(x)]
 
     def inner(self, other: "Character") -> Fraction:
         group = self.group
-        total = Fraction(0)
+        total = 0
         for k, rep in enumerate(group.class_reps):
             total += group.class_sizes[k] * self.values[k] * other.value_at(rep.inverse())
-        return total / group.order
+        return Fraction(total) / group.order
 
 
 def char_of(rho: Representation) -> Character:
@@ -219,19 +226,19 @@ def _seminormal_generators(lam: Partition) -> tuple[Matrix, ...]:
     n = sum(lam)
     mats = []
     for k in range(1, n):
-        rows = [[Fraction(0)] * size for _ in range(size)]
+        rows = [[0] * size for _ in range(size)]
         for j, tab in enumerate(tabs):
             r1, c1 = _position(tab, k)
             r2, c2 = _position(tab, k + 1)
             dist = (c2 - r2) - (c1 - r1)
             if r1 == r2:
-                rows[j][j] = Fraction(1)
+                rows[j][j] = 1
             elif c1 == c2:
-                rows[j][j] = Fraction(-1)
+                rows[j][j] = -1
             else:
                 swapped = _swap_entries(tab, k, k + 1)
                 rows[j][j] = Fraction(1, dist)
-                cross = Fraction(1) if dist < 0 else 1 - Fraction(1, dist * dist)
+                cross = 1 if dist < 0 else 1 - Fraction(1, dist * dist)
                 rows[index[swapped]][j] = cross
         mats.append(tuple(tuple(row) for row in rows))
     return tuple(mats)
@@ -456,8 +463,8 @@ def isotypic_character(model: BimoduleModel, psi: CliffordLabel) -> Character:
     values = []
     for rep in group.class_reps:
         left_mat = model.left.matrix(rep)
-        total = sum((coef * left_mat.trace_of_product(r) for coef, r in terms), Fraction(0))
-        values.append(total / right.group.order)
+        total = sum(coef * left_mat.trace_of_product(r) for coef, r in terms)
+        values.append(Fraction(total) / right.group.order)
     return Character(group, tuple(values))
 
 

@@ -10,10 +10,11 @@ Hasse diagram as the dict that ``json.dumps`` encodes, cell statistics by walkin
 coset representatives by search, brute-force wreath conjugacy classes,
 Macdonald's centralizer orders in Sigma_m wr Sigma_d, signed-permutation
 conjugacy for the even-signed groups, orbit labels deduplicated from all
-profiles, the tensor product of two representations by Kronecker
-products, the exhaustive homomorphism check, Todd-Coxeter coset
-enumeration, the wreath product by composing permutations, and the
-all-pairs bilinear extension of the basis convolution.
+profiles, the matrix product by the triple loop, the tensor product of
+two representations by Kronecker products, the exhaustive homomorphism
+check, Todd-Coxeter coset enumeration, the wreath product by composing
+permutations, and the all-pairs bilinear extension of the basis
+convolution.
 """
 
 from collections import deque
@@ -392,17 +393,27 @@ def even_signed_class_count(d):
 
 # -- representations ------------------------------------------------------------
 
-def _mat_mul(a, b):
+def naive_mat_mul(a, b):
+    """The product by the textbook triple loop: every (i, j, k) term is
+    multiplied, zero or not."""
+    inner = len(b)
+    if any(len(row) != inner for row in a):
+        raise ValueError("shape mismatch")
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a
+        tuple(sum(a[i][j] * b[j][k] for j in range(inner)) for k in range(len(b[0])))
+        for i in range(len(a))
     )
+
+
+def naive_trace(a):
+    return sum(a[i][i] for i in range(len(a)))
 
 
 def is_homomorphism(matrix, elements, generators, mul):
     """rho(x) rho(g) == rho(x g) for every element x and generator g; as the
     generators generate the group, this makes rho a homomorphism."""
     return all(
-        _mat_mul(matrix(x), matrix(g)) == matrix(mul(x, g))
+        naive_mat_mul(matrix(x), matrix(g)) == matrix(mul(x, g))
         for x in elements
         for g in generators
     )
@@ -431,7 +442,7 @@ def isotypic_character_by_elements(model, psi):
     for g in model.group.class_reps:
         left = model.left.matrix(g).dense()
         total = sum(
-            trace(psi_rep.matrix(x).dense()) * trace(_mat_mul(left, right.matrix(x).dense()))
+            trace(psi_rep.matrix(x).dense()) * trace(naive_mat_mul(left, right.matrix(x).dense()))
             for x in right.group.elements
         )
         values.append(Fraction(total) / right.group.order)

@@ -358,6 +358,12 @@ PINNED_OUTPUTS = [
      '66f08ee8836a2e45884e32846308f25cdb62bf0b37de748fcb8bbab4518ec03a'),
     ('tables --kind chars --m 3 --d 3',
      '96fb88b6f63b5377953e4cf7bcc2d2c9270e33444f7ab2ad0a9c6e558fee0f56'),
+    # the json serializer over non-integral seminormal entries at m = 3, and
+    # 120 cosets of 1x1 blocks per fiber bimodule at m = 2
+    ('tables --kind chars --m 3 --d 3 --format json',
+     '3ba27eb6abdaddca0039bb39a850dc64f06ad92e014f4d506e8d3d03976e5dcb'),
+    ('verify --scope springer --m 2 --d 5',
+     '42e7259c20ab83767bf6ac3c8d1507774d7dd8c07bc9c869aa322effc905ea30'),
 ]
 
 

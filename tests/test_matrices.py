@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wreathspringer.matrices import (
     BlockMonomial,
@@ -15,6 +16,8 @@ from wreathspringer.matrices import (
     trace,
     trace_of_product,
 )
+
+from oracles import naive_mat_mul, naive_trace
 
 
 def mat_pow(a, k):
@@ -195,3 +198,97 @@ def test_block_monomial_identity_and_one_coset():
         a @ BlockMonomial.identity(2, 3)
     with pytest.raises(ValueError):
         a.trace_of_product(BlockMonomial.identity(2, 3))
+
+
+# -- products against the triple-loop oracle
+
+# mostly zeros and +-1, as in Specht blocks and slot permutations, with ints
+# and Fractions mixed (an integral Fraction included)
+ENTRIES = st.sampled_from(
+    [0, 0, 0, 1, -1, 2, Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(2, 3), Fraction(3, 4)]
+)
+
+
+def exact(x):
+    return type(x) is int or type(x) is Fraction
+
+
+@st.composite
+def matrices(draw, rows, cols):
+    """A rows x cols matrix of ENTRIES, sometimes with a zero row and a zero
+    column."""
+    a = [[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)]
+    if draw(st.booleans()):
+        a[draw(st.integers(0, rows - 1))] = [0] * cols
+    if draw(st.booleans()):
+        k = draw(st.integers(0, cols - 1))
+        for row in a:
+            row[k] = Fraction(0)
+    return tuple(map(tuple, a))
+
+
+@st.composite
+def product_pairs(draw):
+    """An n x k and a k x p matrix, 1x1 and non-square shapes included."""
+    n, k, p = (draw(st.integers(1, 4)) for _ in range(3))
+    return draw(matrices(n, k)), draw(matrices(k, p))
+
+
+@given(product_pairs())
+def test_mat_mul_matches_triple_loop_oracle(pair):
+    a, b = pair
+    got = mat_mul(a, b)
+    assert got == naive_mat_mul(a, b)
+    assert all(exact(x) for row in got for x in row)
+    if len(a) == len(b[0]):
+        assert trace_of_product(a, b) == naive_trace(naive_mat_mul(a, b))
+
+
+@given(product_pairs(), st.integers(1, 4))
+def test_mat_mul_refuses_a_shape_mismatch(pair, extra):
+    a, b = pair
+    taller = b + ((0,) * len(b[0]),) * extra
+    with pytest.raises(ValueError):
+        mat_mul(a, taller)
+    with pytest.raises(ValueError):
+        naive_mat_mul(a, taller)
+    with pytest.raises(ValueError):
+        trace_of_product(a, taller)
+
+
+def test_products_whose_sums_cancel_to_zero():
+    a = ((1, Fraction(1, 2)), (Fraction(1, 3), 0))
+    b = ((Fraction(-1, 2), 1), (1, -2))
+    assert mat_mul(a, b) == naive_mat_mul(a, b) == ((0, 0), (Fraction(-1, 6), Fraction(1, 3)))
+    assert trace_of_product(a, b) == Fraction(1, 3) == naive_trace(naive_mat_mul(a, b))
+    assert mat_mul(((Fraction(1, 2),),), ((2,),)) == ((1,),)
+    assert mat_mul(((1, 1),), ((1,), (-1,))) == ((0,),)
+    assert trace_of_product(((1, 1),), ((1,), (-1,))) == 0
+
+
+def test_one_by_one_products_are_scalars():
+    assert mat_mul(((3,),), ((-2,),)) == ((-6,),)
+    assert type(mat_mul(((3,),), ((-2,),))[0][0]) is int
+    assert mat_mul(((Fraction(2, 3),),), ((0,),)) == ((0,),)
+    with pytest.raises(ValueError):
+        mat_mul(((1,),), ((1,), (2,)))
+
+
+@st.composite
+def block_monomial_pairs(draw):
+    cosets, size = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+    def one():
+        perm = tuple(draw(st.permutations(range(cosets))))
+        return BlockMonomial(perm, tuple(draw(matrices(size, size)) for _ in range(cosets)))
+
+    return one(), one()
+
+
+@given(block_monomial_pairs())
+def test_block_products_match_the_oracle_on_dense(pair):
+    a, b = pair
+    product = naive_mat_mul(a.dense(), b.dense())
+    assert (a @ b).dense() == product
+    assert a.trace_of_product(b) == naive_trace(product)
+    assert a.trace() == naive_trace(a.dense())

@@ -5,6 +5,7 @@ from operator import mul
 
 import pytest
 
+from wreathspringer import clear_caches, springer
 from wreathspringer.combinatorics import (
     cycle_type,
     hook_dim,
@@ -18,6 +19,7 @@ from wreathspringer.reptheory import (
     Representation,
     block_module,
     char_of,
+    character_table,
     clifford_irrep,
     extend_to_wreath,
     induce,
@@ -325,6 +327,58 @@ def test_clifford_count_matches_classes():
 def test_clifford_irrep_cached_per_group_value():
     label = clifford_label(2, {(2,): (1,), (1, 1): (1,)})
     assert clifford_irrep(WreathGroup(2, 2), label) is clifford_irrep(WreathGroup(2, 2), label)
+
+
+# -- exact scalars: integral entries are ints, the rest Fractions, never floats
+
+def _exact(x):
+    return type(x) is int or type(x) is Fraction  # a bool or a float is neither
+
+
+@pytest.mark.parametrize("m,d", [(2, 3), (3, 2)])
+def test_character_table_builds_no_float(monkeypatch, m, d):
+    clear_caches()  # so that every module the table needs is built below
+    built = []
+    init = Representation.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Representation, "__init__", recording_init)
+    rows = character_table(WreathGroup(m, d))
+    monkeypatch.undo()
+    assert {rho.group for rho in built} >= {WreathGroup(m, d), WreathGroup(1, m)}
+    entries = [
+        x for rho in built for image in rho.images for block in image.blocks for row in block for x in row
+    ]
+    assert all(map(_exact, entries))
+    assert {type(x) for x in entries} == {int, Fraction}  # 1/dist entries stay Fractions
+    assert all(_exact(v) for _, _, chi in rows for v in chi.values)
+
+
+def test_isotypic_characters_are_exact(monkeypatch):
+    values = []
+
+    def recording(model, psi):
+        chi = isotypic_character(model, psi)
+        values.extend(chi.values)
+        return chi
+
+    monkeypatch.setattr(springer, "isotypic_character", recording)
+    assert springer.verify_springer(WreathGroup(2, 3)).all_pass
+    assert len(values) == 10 * 10 and all(map(_exact, values))
+
+
+def test_inner_product_of_an_integral_character_is_a_fraction():
+    # int / int would be a float: the inner product divides a Fraction
+    g = WreathGroup(2, 3)
+    chars = [char_of(clifford_irrep(g, lab)) for lab in enumerate_IC(2, 3)]
+    integral = [chi for chi in chars if all(type(v) is int for v in chi.values)]
+    assert integral
+    for chi in integral:
+        got = chi.inner(chi)
+        assert type(got) is Fraction and got == 1
 
 
 SIZES = [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (4, 2)]
