@@ -65,8 +65,9 @@ def _render_table(header: list[str], rows: Iterable[list[str]], fmt: str) -> str
 
 def _json_text(value, indent: str = "") -> str:
     """The text of ``json.dumps(value, indent=2)`` for str-keyed dicts,
-    lists, str, int and bool, written directly: with ``indent`` that call
-    runs CPython's pure-Python encoder (see `wreath.hasse_json`)."""
+    lists, str, int and bool, written directly: with ``indent`` set, that
+    call runs the pure-Python ``json.encoder._make_iterencode`` instead of
+    the C encoder."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is True or value is False:
@@ -90,10 +91,11 @@ def _json_text(value, indent: str = "") -> str:
 
 def cmd_hasse(args) -> int:
     group = WreathGroup(args.m, args.d)
+    # sys.stdout is looked up on each call, so a redirected stdout gets the diagram
     if args.format == "json":
-        print(hasse_json(group))
+        hasse_json(group, sys.stdout)
     else:
-        print(hasse_dot(group))
+        hasse_dot(group, sys.stdout)
     return EXIT_OK
 
 

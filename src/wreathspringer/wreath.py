@@ -18,10 +18,12 @@ group, whose Bruhat order is read off type A on the letters -d..-1, 1..d.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 from functools import cached_property, lru_cache
 from itertools import product
 from json.encoder import encode_basestring_ascii
 from math import factorial, prod
+from typing import TextIO
 
 from .combinatorics import (
     Perm,
@@ -371,22 +373,28 @@ class WreathGroup:
     # -- words --------------------------------------------------------------
 
     @cached_property
-    def _words(self) -> dict[WreathElement, str]:
-        """The presentation's normal-form word per element ("e" for the
-        identity), in `elements` order.  Every generator changes
-        sum_j l(f_j) + l(top) by exactly one, so this is the lex-smallest
-        shortest word in the order of `named_generators`.
+    def words(self) -> tuple[str, ...]:
+        """The presentation's normal-form word of each element ("e" for the
+        identity), in `elements` order, built without the elements.  Every
+        generator changes sum_j l(f_j) + l(top) by exactly one, so this is
+        the lex-smallest shortest word in the order of `named_generators`.
 
         The normal form is the factor words slot by slot, then the top's, so
         each word joins one precomputed string per (slot, factor) and one
-        per top, extending the prefixes slot by slot in `elements` order."""
+        per top, extending the prefixes slot by slot in `elements` order.
+        The bound is checked before anything is built."""
+        self.check_bound()
         prefixes = [""]
         for j in range(1, self.d + 1):
             slot = [" ".join(f"s{i + 1}^{j}" for i in perm_to_word(f)) for f in all_perms(self.m)]
             prefixes = [_join(p, w) for p in prefixes for w in slot]
         tops = [" ".join(f"t{a + 1}" for a in perm_to_word(t)) for t in self.tops]
-        words = [_join(p, w) or "e" for w in tops for p in prefixes]
-        return dict(zip(self.elements, words))
+        return tuple([_join(p, w) or "e" for w in tops for p in prefixes])
+
+    @cached_property
+    def _words(self) -> dict[WreathElement, str]:
+        """`words` keyed by element, for `word`."""
+        return dict(zip(self.elements, self.words))
 
     def word(self, x: WreathElement) -> str:
         return self._words[x]
@@ -432,6 +440,23 @@ class WreathGroup:
         return tuple(len(cls) for cls in self.conjugacy_classes)
 
 
+def _cover_block(group: WreathGroup) -> tuple[list[tuple[int, int]], int]:
+    """The covers within the first top's block of `elements`, as positions,
+    and the block size M^d, M = m!.  Every other top's block is the shift
+    of it by a multiple of M^d; see `hasse_covers`."""
+    perms = all_perms(group.m)
+    index = {f: a for a, f in enumerate(perms)}
+    offsets = [
+        [tuple((index[u] - a) * stride for u in upper_covers(f)) for a, f in enumerate(perms)]
+        for stride in (len(perms) ** (group.d - 1 - s) for s in range(group.d))
+    ]
+    block = []
+    for i, slot_offsets in enumerate(product(*offsets)):
+        for step in reversed(slot_offsets):
+            block += [(i, i + o) for o in step]
+    return block, len(perms) ** group.d
+
+
 def hasse_covers(group: WreathGroup) -> list[tuple[int, int]]:
     """All covering pairs x < y of the wreath Bruhat order, as positions
     ``(i, j)`` into ``group.elements``.
@@ -449,17 +474,7 @@ def hasse_covers(group: WreathGroup) -> list[tuple[int, int]]:
     every other block is a shift of it.
     """
     group.check_bound()
-    perms = all_perms(group.m)
-    index = {f: a for a, f in enumerate(perms)}
-    offsets = [
-        [tuple((index[u] - a) * stride for u in upper_covers(f)) for a, f in enumerate(perms)]
-        for stride in (len(perms) ** (group.d - 1 - s) for s in range(group.d))
-    ]
-    block = []
-    for i, slot_offsets in enumerate(product(*offsets)):
-        for step in reversed(slot_offsets):
-            block += [(i, i + o) for o in step]
-    size = len(perms) ** group.d
+    block, size = _cover_block(group)
     return [(b + i, b + j) for b in range(0, group.order, size) for i, j in block]
 
 
@@ -490,31 +505,56 @@ def dimension_polynomial_str(dist: dict[int, int]) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _json_list(items: list[str]) -> str:
-    """A JSON list whose items are already written out one per line at
-    depth 2, as the value of a top-level key under ``indent=2``."""
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+def _write_json_list(out: TextIO, chunks: Iterable[str]) -> None:
+    """Write a JSON list, the value of a top-level key under ``indent=2``,
+    whose items come already written out one per line at depth 2 and
+    joined into chunks, one chunk at a time; empty chunks add no item."""
+    sep = "[\n"
+    for chunk in chunks:
+        if chunk:
+            out.write(sep + chunk)
+            sep = ",\n"
+    out.write("[]" if sep == "[\n" else "\n  ]")
 
 
-def hasse_json(group: WreathGroup) -> str:
-    """The diagram as the text of ``json.dumps({"m", "d", "nodes",
-    "covers"}, indent=2)``, written directly: with ``indent`` that call
-    runs CPython's pure-Python encoder, which costs more than the covers."""
-    nodes = [f"    {encode_basestring_ascii(w)}" for w in group._words.values()]
-    covers = [f"    [\n      {i},\n      {j}\n    ]" for i, j in hasse_covers(group)]
-    return (
-        f'{{\n  "m": {group.m},\n  "d": {group.d},\n'
-        f'  "nodes": {_json_list(nodes)},\n  "covers": {_json_list(covers)}\n}}'
+def hasse_json(group: WreathGroup, out: TextIO) -> None:
+    """Write the diagram to `out` as the text of ``json.dumps({"m", "d",
+    "nodes", "covers"}, indent=2)`` and a newline: with ``indent`` that call
+    runs CPython's pure-Python encoder, which costs more than the covers.
+    The nodes are `group.words` and the covers the pairs of `hasse_covers`,
+    each written as one chunk per top's block of `elements`; no element
+    and no whole-diagram string is built, and a group the bound refuses
+    gets no byte."""
+    words = group.words
+    block, size = _cover_block(group)
+    numbers = list(map(str, range(group.order)))
+    starts = range(0, group.order, size)
+    nodes = (",\n".join([f"    {encode_basestring_ascii(w)}" for w in words[b:b + size]]) for b in starts)
+    covers = (
+        ",\n".join([f"    [\n      {n[i]},\n      {n[j]}\n    ]" for i, j in block])
+        for n in (numbers[b:b + size] for b in starts)
     )
+    out.write(f'{{\n  "m": {group.m},\n  "d": {group.d},\n  "nodes": ')
+    _write_json_list(out, nodes)
+    out.write(',\n  "covers": ')
+    _write_json_list(out, covers)
+    out.write("\n}\n")
 
 
-def hasse_dot(group: WreathGroup) -> str:
-    words = list(group._words.values())
-    lines = ["digraph hasse {", "  rankdir=BT;"]
-    lines += [f'  "{w}";' for w in words]
-    lines += [f'  "{words[i]}" -> "{words[j]}";' for i, j in hasse_covers(group)]
-    lines.append("}")
-    return "\n".join(lines)
+def hasse_dot(group: WreathGroup, out: TextIO) -> None:
+    """Write the diagram to `out` in DOT: one line per node in `elements`
+    order, then one per cover of `hasse_covers`, each top's block of them
+    as one chunk, as `hasse_json` does."""
+    words = group.words
+    block, size = _cover_block(group)
+    starts = range(0, group.order, size)
+    out.write("digraph hasse {\n  rankdir=BT;\n")
+    for b in starts:
+        out.write("".join([f'  "{w}";\n' for w in words[b:b + size]]))
+    for b in starts:
+        w = words[b:b + size]
+        out.write("".join([f'  "{w[i]}" -> "{w[j]}";\n' for i, j in block]))
+    out.write("}\n")
 
 
 # ---------------------------------------------------------------------------

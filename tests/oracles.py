@@ -6,15 +6,16 @@ characters, brute-force standard-tableau enumeration, Cayley-graph word
 lengths, breadth-first generator words and type B images of wreath
 elements, the subword criterion for the Bruhat order, the type B Bruhat
 order by reflections and down-sets, the globally sorted Hasse covers, the
-Hasse diagram as the dict that ``json.dumps`` encodes, cell statistics by walking the elements, the induced-character sum, minimal
-coset representatives by search, brute-force wreath conjugacy classes,
-Macdonald's centralizer orders in Sigma_m wr Sigma_d, signed-permutation
-conjugacy for the even-signed groups, orbit labels deduplicated from all
-profiles, the matrix product by the triple loop, the tensor product of
-two representations by Kronecker products, the exhaustive homomorphism
-check, Todd-Coxeter coset enumeration, the wreath product by composing
-permutations, and the all-pairs bilinear extension of the basis
-convolution.
+Hasse diagram as the dict that ``json.dumps`` encodes and as DOT text
+rebuilt from the sorted covers, cell statistics by walking the elements,
+the induced-character sum, minimal coset representatives by search,
+brute-force wreath conjugacy classes, Macdonald's centralizer orders in
+Sigma_m wr Sigma_d, signed-permutation conjugacy for the even-signed
+groups, orbit labels deduplicated from all profiles, the matrix product
+by the triple loop, the tensor product of two representations by
+Kronecker products, the exhaustive homomorphism check, Todd-Coxeter coset
+enumeration, the wreath product by composing permutations, and the
+all-pairs bilinear extension of the basis convolution.
 """
 
 from collections import deque
@@ -190,7 +191,7 @@ def sorted_hasse_covers(group):
     return covers
 
 
-# -- the Hasse diagram as a dict for json.dumps --------------------------------
+# -- the Hasse diagram as a dict for json.dumps, and as DOT text ----------------
 
 def hasse_json_dict(group):
     """The diagram whose ``json.dumps(..., indent=2)`` text `hasse_json`
@@ -201,6 +202,18 @@ def hasse_json_dict(group):
         "nodes": [group.word(x) for x in group.elements],
         "covers": hasse_covers(group),
     }
+
+
+def hasse_dot_text(group):
+    """The DOT text `hasse_dot` writes, rebuilt line by line: a node per
+    element of `group.elements` and an edge per pair of the globally
+    sorted covers, each named by `group.word`."""
+    word = group.word
+    lines = ["digraph hasse {", "  rankdir=BT;"]
+    lines += [f'  "{word(x)}";' for x in group.elements]
+    lines += [f'  "{word(x)}" -> "{word(y)}";' for x, y in sorted_hasse_covers(group)]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 # -- cell statistics by walking the elements -------------------------------------

@@ -43,6 +43,16 @@ def test_hasse_type_a(capsys):
     assert len(json.loads(out)["covers"]) == 8
 
 
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_hasse_refuses_before_the_first_byte(capsys, monkeypatch, fmt):
+    # the diagram is streamed, so the bound must refuse before any write
+    monkeypatch.setenv("WREATHSPRINGER_MAX_ELEMENTS", "1000")
+    code, out, err = run(capsys, "hasse", "--m", "4", "--d", "4", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert "exceeds the enumeration bound" in err
+
+
 def test_hasse_dot_deterministic(capsys):
     code, out1, _ = run(capsys, "hasse", "--m", "2", "--d", "2")
     assert code == 0

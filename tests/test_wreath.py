@@ -1,4 +1,5 @@
 import copy
+import io
 import json
 import pickle
 import random
@@ -31,6 +32,7 @@ from oracles import (
     bfs_words,
     brute_force_classes,
     cell_statistics_by_elements,
+    hasse_dot_text,
     hasse_json_dict,
     sorted_hasse_covers,
     subword_downset,
@@ -349,26 +351,50 @@ def test_hasse_covers_match_the_sorted_oracle(group):
     assert pairs == sorted_hasse_covers(group)
 
 
+def written(writer, group) -> str:
+    """The text that a diagram writer streams for `group`."""
+    out = io.StringIO()
+    writer(group, out)
+    return out.getvalue()
+
+
 def test_hasse_json_and_dot():
     g = WreathGroup(2, 2)
-    data = json.loads(hasse_json(g))
+    data = json.loads(written(hasse_json, g))
     assert data["m"] == 2 and data["d"] == 2
     assert len(data["nodes"]) == 8
     assert len(data["covers"]) == 8
-    dot = hasse_dot(g)
+    dot = written(hasse_dot, g)
     assert dot.startswith("digraph")
     assert dot.count("->") == 8
     # deterministic output
-    assert hasse_json(g) == hasse_json(WreathGroup(2, 2))
+    assert written(hasse_json, g) == written(hasse_json, WreathGroup(2, 2))
 
 
-@pytest.mark.parametrize(
-    "m, d", [(1, 1), (1, 3), (3, 1), (2, 2), (3, 2), (2, 3), (2, 5), (3, 4)]
-)
-def test_hasse_json_is_the_text_of_json_dumps(m, d):
-    # (1, 1) and (1, 3) have no covers, which json.dumps writes as []
-    g = WreathGroup(m, d)
-    assert hasse_json(g) == json.dumps(hasse_json_dict(g), indent=2)
+# (m, d) or (m, d, blocks)
+DIAGRAM_SIZES = [(1, 1), (1, 3), (3, 1), (2, 2), (3, 2), (2, 3), (2, 5), (3, 4), (2, 3, (2, 1)), (3, 3, (1, 2))]
+
+
+@pytest.mark.parametrize("size", DIAGRAM_SIZES, ids=lambda size: "-".join(map(str, size)))
+def test_hasse_json_is_the_text_of_json_dumps(size):
+    # (1, 1) and (1, 3) have no covers, which json.dumps writes as []; the
+    # writer ends the text with a newline, as a file does
+    g = WreathGroup(*size)
+    assert written(hasse_json, g) == json.dumps(hasse_json_dict(g), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("size", DIAGRAM_SIZES, ids=lambda size: "-".join(map(str, size)))
+def test_hasse_dot_is_the_text_rebuilt_from_the_sorted_covers(size):
+    g = WreathGroup(*size)
+    assert written(hasse_dot, g) == hasse_dot_text(g)
+
+
+def test_hasse_writers_build_no_element_table():
+    g = WreathGroup(3, 2)
+    written(hasse_json, g)
+    written(hasse_dot, g)
+    assert "elements" not in vars(g)
+    assert "_words" not in vars(g)
 
 
 def test_bound_guard(monkeypatch):
@@ -380,6 +406,13 @@ def test_bound_guard(monkeypatch):
         hasse_covers(g)
     with pytest.raises(BoundExceededError):
         cell_statistics(g)
+    with pytest.raises(BoundExceededError):
+        _ = g.words
+    for writer in (hasse_json, hasse_dot):
+        out = io.StringIO()
+        with pytest.raises(BoundExceededError):
+            writer(g, out)
+        assert out.getvalue() == ""
 
 
 def test_bound_env_override(monkeypatch):
@@ -408,6 +441,7 @@ def test_word_roundtrip():
 def test_words_follow_the_elements_order(group):
     # hasse_json and hasse_dot read the words by position
     assert list(group._words) == list(group.elements)
+    assert list(group._words.values()) == list(group.words)
 
 
 @pytest.mark.parametrize(
