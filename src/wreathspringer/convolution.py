@@ -1,6 +1,8 @@
 """The component-class algebra: exact-rational linear combinations of basis
 classes indexed by (group element, component index) pairs, with a partial
-convolution product.
+convolution product.  A coefficient is an `int` where it is integral and a
+`fractions.Fraction` otherwise: both are exact, and ints add and multiply
+without building a Fraction.
 
 The product of two basis classes is only defined in two cases:
 
@@ -14,21 +16,33 @@ first-class values (`ProductResult`), never exceptions, so callers can
 distinguish "provably zero" from "not computable".  `expect()` converts an
 undefined result into a hard error for checks that are guaranteed to stay
 inside the computable cases.
+
+`verify_relations` checks the defining relations inside the algebra.  Its
+`products` check uses bilinearity: a closure-class sum is the sum of the
+plain class sums below it, so each product of a plain sum with a pure-top
+closure-class sum is formed once and the products the check compares are
+sums of those parts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
 
 from .combinatorics import Perm, all_perms, perm_compose
-from .matrices import mat_rank
+from .matrices import Scalar, mat_rank
 from .wreath import WreathElement, WreathGroup, wreath_downset
 
 
-_ONE = Fraction(1)
+_ONE = 1
+
+
+def _exact(c) -> Scalar:
+    """c as an int where it is integral, else as a Fraction."""
+    if c.__class__ is not int and c.__class__ is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class BasisIndex(NamedTuple):
@@ -45,19 +59,21 @@ class UndefinedProductError(Exception):
 
 
 class AlgebraVector:
-    """Finitely supported map BasisIndex -> Fraction; no zero coefficients
-    are stored.  Treat instances as immutable."""
+    """Finitely supported map BasisIndex -> int | Fraction, an int wherever
+    the coefficient is integral; no zero coefficients are stored.
+    Immutable: the (m, d) shapes of its terms are read once, on first use."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_shapes")
 
-    def __init__(self, terms: dict[BasisIndex, Fraction] | None = None):
+    def __init__(self, terms: dict[BasisIndex, Scalar] | None = None):
         clean = {}
         if terms:
             for idx, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff != 0:
+                coeff = _exact(coeff)
+                if coeff:
                     clean[idx] = coeff
         self._terms = clean
+        self._shapes = None
 
     @classmethod
     def zero(cls) -> "AlgebraVector":
@@ -68,17 +84,25 @@ class AlgebraVector:
         return cls._of({idx: _ONE})
 
     @classmethod
-    def _of(cls, terms: dict[BasisIndex, Fraction]) -> "AlgebraVector":
-        """A vector on `terms` as they are: Fraction values, none zero."""
+    def _of(cls, terms: dict[BasisIndex, Scalar]) -> "AlgebraVector":
+        """A vector on `terms` as they are: exact values, none zero, ints
+        where integral."""
         vector = object.__new__(cls)
         vector._terms = terms
+        vector._shapes = None
         return vector
+
+    def shapes(self) -> dict[tuple[int, int], None]:
+        """The (m, d) of the terms' elements, in the order they first come."""
+        if self._shapes is None:
+            self._shapes = dict.fromkeys((len(i.w.factors[0]), len(i.w.top)) for i in self._terms)
+        return self._shapes
 
     def items(self):
         return sorted(self._terms.items(), key=lambda kv: kv[0].key())
 
-    def coeff(self, idx: BasisIndex) -> Fraction:
-        return self._terms.get(idx, Fraction(0))
+    def coeff(self, idx: BasisIndex) -> Scalar:
+        return self._terms.get(idx, 0)
 
     def support(self) -> list[BasisIndex]:
         return sorted(self._terms, key=BasisIndex.key)
@@ -93,7 +117,7 @@ class AlgebraVector:
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "AlgebraVector":
-        scalar = Fraction(scalar)
+        scalar = _exact(scalar)
         return AlgebraVector({idx: scalar * c for idx, c in self._terms.items()})
 
     def __eq__(self, other) -> bool:
@@ -107,9 +131,10 @@ class AlgebraVector:
 
 
 def _collect(pairs) -> AlgebraVector:
-    """Sum (index, nonzero Fraction) pairs into one vector.  Only an index
-    that comes twice is added to, so only those can cancel to zero."""
-    out: dict[BasisIndex, Fraction] = {}
+    """Sum (index, nonzero coefficient) pairs into one vector.  Only an
+    index that comes twice is added to, so only those can cancel to zero or
+    become integral."""
+    out: dict[BasisIndex, Scalar] = {}
     collided = []
     for idx, coeff in pairs:
         if idx in out:
@@ -118,8 +143,11 @@ def _collect(pairs) -> AlgebraVector:
         else:
             out[idx] = coeff
     for idx in collided:
-        if idx in out and not out[idx]:
-            del out[idx]
+        if idx in out:
+            if out[idx]:
+                out[idx] = _exact(out[idx])
+            else:
+                del out[idx]
     return AlgebraVector._of(out)
 
 
@@ -162,7 +190,8 @@ class ProductResult:
 def convolve_basis(a: BasisIndex, b: BasisIndex) -> ProductResult:
     """The partial product of two basis classes; see the module docstring."""
     aw, bw = a.w, b.w
-    aw._check_compatible(bw)
+    if len(aw.top) != len(bw.top) or len(aw.factors[0]) != len(bw.factors[0]):
+        raise ValueError(f"context mismatch: ({aw.m},{aw.d}) vs ({bw.m},{bw.d})")
     tau = a.tau
     if tuple([tau[i] for i in aw.top]) != b.tau:  # b.tau != a.tau o top(a.w)
         return ProductResult(AlgebraVector.zero())
@@ -176,34 +205,34 @@ def convolve(a: AlgebraVector, b: AlgebraVector) -> ProductResult:
     needed basis product is undefined, reporting every blocking pair.
 
     Only chaining pairs (b.tau == a.tau * top(a.w)) are visited; every other
-    basis product is zero."""
+    basis product is zero.  Both vectors must hold elements of one (m, d);
+    each vector reads the shapes of its terms once."""
     if a._terms and b._terms:
-        first = next(iter(a._terms)).w
-        for idx in chain(a._terms, b._terms):
-            first._check_compatible(idx.w)
+        shapes = {**a.shapes(), **b.shapes()}
+        if len(shapes) > 1:
+            (m0, d0), (m1, d1) = list(shapes)[:2]
+            raise ValueError(f"context mismatch: ({m0},{d0}) vs ({m1},{d1})")
     by_tau: dict[Perm, list] = {}
     for ib, cb in b._terms.items():
-        by_tau.setdefault(ib.tau, []).append((ib, None if cb == 1 else cb))
+        by_tau.setdefault(ib.tau, []).append((ib, cb))
+    out: dict[BasisIndex, Scalar] = {}
     blockers = []
-
-    def terms():
-        for ia, ca in a._terms.items():
-            ca = None if ca == 1 else ca
-            for ib, cb in by_tau.get(perm_compose(ia.tau, ia.w.top), ()):
-                vector = (res := convolve_basis(ia, ib)).vector
-                if vector is None:
-                    blockers.extend(res.blockers)
-                    continue
-                # None stands for a coefficient 1, so a product is formed
-                # only where neither side is 1
-                coeff = cb if ca is None else ca if cb is None else ca * cb
-                for idx, c in vector._terms.items():
-                    yield idx, c if coeff is None else coeff if c is _ONE else coeff * c
-
-    total = _collect(terms())
+    for ia, ca in a._terms.items():
+        for ib, cb in by_tau.get(perm_compose(ia.tau, ia.w.top), ()):
+            vector = (res := convolve_basis(ia, ib)).vector
+            if vector is None:
+                blockers.extend(res.blockers)
+                continue
+            coeff = ca * cb
+            for idx, c in vector._terms.items():
+                if idx in out:
+                    out[idx] += coeff * c
+                else:
+                    out[idx] = coeff * c
     if blockers:
         return ProductResult(None, tuple(sorted(set(blockers), key=lambda p: (p[0].key(), p[1].key()))))
-    return ProductResult(total)
+    # the constructor drops the sums that cancelled and makes integral ones ints
+    return ProductResult(AlgebraVector(out))
 
 
 def convolve_chain(*vectors: AlgebraVector) -> ProductResult:
@@ -218,27 +247,21 @@ def convolve_chain(*vectors: AlgebraVector) -> ProductResult:
 
 def y_bar(group: WreathGroup, w: WreathElement, tau: Perm) -> AlgebraVector:
     """Closure class: the sum of [Y_{w', tau}] over all w' <= w, coefficient 1."""
-    return AlgebraVector(
-        {BasisIndex(u, tau): Fraction(1) for u in wreath_downset(w)}
-    )
+    return AlgebraVector._of({BasisIndex(u, tau): _ONE for u in wreath_downset(w)})
 
 
 def y_bar_sum(group: WreathGroup, w: WreathElement) -> AlgebraVector:
     """Sum of the closure classes of w over every component index."""
     # one down-set for every tau, so equal basis classes share their elements
     down = wreath_downset(w)
-    out: dict[BasisIndex, Fraction] = {}
-    for tau in all_perms(group.d):
-        for u in down:
-            out[BasisIndex(u, tau)] = Fraction(1)
-    return AlgebraVector(out)
+    return AlgebraVector._of(
+        {BasisIndex(u, tau): _ONE for tau in all_perms(group.d) for u in down}
+    )
 
 
 def y_plain_sum(group: WreathGroup, w: WreathElement) -> AlgebraVector:
     """Sum of the plain classes [Y_{w, tau}] over every component index."""
-    return AlgebraVector(
-        {BasisIndex(w, tau): Fraction(1) for tau in all_perms(group.d)}
-    )
+    return AlgebraVector._of({BasisIndex(w, tau): _ONE for tau in all_perms(group.d)})
 
 
 def involution_T(a: AlgebraVector) -> AlgebraVector:
@@ -279,8 +302,7 @@ def class_span_rank(group: WreathGroup) -> int:
 # ---------------------------------------------------------------------------
 # relation verification
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     status: str  # "pass" | "fail" | "skipped"
     instances: int
@@ -293,8 +315,7 @@ class Check:
         return out
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     m: int
     d: int
     checks: tuple[Check, ...]
@@ -326,6 +347,9 @@ def verify_relations(group: WreathGroup) -> RelationReport:
       relations;
     * products: w -> y_bar_sum(w) respects multiplication by pure-top
       elements on either side (skipped above `PRODUCTS_CHECK_LIMIT` indices).
+      y_bar_sum(w) is the sum of y_plain_sum(u) over u <= w, so by
+      bilinearity each side is a sum of the products of y_plain_sum(u) with
+      y_bar_sum(sigma), and each of those is formed once.
 
     Any undefined product raises UndefinedProductError: these checks are
     guaranteed computable, so an undefined result is an implementation bug.
@@ -382,11 +406,24 @@ def verify_relations(group: WreathGroup) -> RelationReport:
     else:
         sums = {w: y_bar_sum(group, w) for w in group.elements}
         tops = [w for w in group.elements if w.has_trivial_factors()]
+        plain = {w: y_plain_sum(group, w) for w in group.elements}
+        down = {w: wreath_downset(w) for w in group.elements}
+        # parts[u, sigma] holds plain[u] * sums[sigma] and sums[sigma] * plain[u]
+        parts = {
+            (u, sigma): (mul(plain[u], sums[sigma]), mul(sums[sigma], plain[u]))
+            for u in group.elements
+            for sigma in tops
+        }
+
+        def side(w: WreathElement, sigma: WreathElement, k: int) -> AlgebraVector:
+            # sums[w] is the sum of plain[u] over u <= w
+            return _collect(chain.from_iterable(parts[u, sigma][k]._terms.items() for u in down[w]))
+
         check("products", (
-            (lambda: f"{group.word(x)} * {group.word(y)}", mul(sums[x], sums[y]), sums[x * y])
+            (lambda: f"{group.word(x)} * {group.word(y)}", side(w, sigma, k), sums[x * y])
             for w in group.elements
             for sigma in tops
-            for x, y in ((w, sigma), (sigma, w))
+            for x, y, k in ((w, sigma, 0), (sigma, w, 1))
         ))
 
     return RelationReport(m, d, tuple(checks))

@@ -18,10 +18,10 @@ denominator churn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
+from typing import NamedTuple
 
 Scalar = int | Fraction
 Matrix = tuple[tuple[Scalar, ...], ...]
@@ -108,8 +108,7 @@ def permute_columns(a: Matrix, order) -> Matrix:
     return tuple(tuple(row[k] for k in order) for row in a)
 
 
-@dataclass(frozen=True)
-class BlockMonomial:
+class BlockMonomial(NamedTuple):
     """A square matrix with one nonzero block per column block: column
     block k holds the square matrix ``blocks[k]`` in row block ``perm[k]``,
     and ``perm`` is a permutation of the block indices (the cosets).

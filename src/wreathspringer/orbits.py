@@ -13,9 +13,9 @@ component group (`SpringerLabel`, listed by `enumerate_IS`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from math import factorial
+from typing import NamedTuple
 
 from .combinatorics import (
     Partition,
@@ -151,29 +151,28 @@ def all_orbit_labels(m: int, d: int) -> list[Profile]:
     return list(combinations_with_replacement(partitions_of(m), d))
 
 
-@dataclass(frozen=True)
-class CliffordLabel:
+class CliffordLabel(NamedTuple("CliffordLabel", [("m", int), ("entries", tuple)])):
     """A multipartition: an assignment of a partition to each partition of
     m, nonempty values only, with total size d.  It labels an irreducible
     of Sigma_m wr Sigma_d (Clifford theory) and, through `orbit`, an
     orbit together with an irreducible of its component group."""
 
-    m: int
-    entries: tuple[tuple[Partition, Partition], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        nus = [nu for nu, _ in self.entries]
+    def __new__(cls, m: int, entries: tuple[tuple[Partition, Partition], ...]):
+        nus = [nu for nu, _ in entries]
         if nus != sorted(nus, reverse=True):
             raise ValueError("entries must be sorted descending by key")
         if len(set(nus)) != len(nus):
             raise ValueError("duplicate keys in label")
-        for nu, val in self.entries:
-            if not is_partition(nu) or sum(nu) != self.m:
-                raise ValueError(f"key {nu} does not partition m={self.m}")
+        for nu, val in entries:
+            if not is_partition(nu) or sum(nu) != m:
+                raise ValueError(f"key {nu} does not partition m={m}")
             if not val:
                 raise ValueError("empty values must be omitted")
             if not is_partition(val):
                 raise ValueError(f"value {val} of key {nu} is not a partition")
+        return super().__new__(cls, m, entries)
 
     @property
     def d(self) -> int:
@@ -246,20 +245,17 @@ def enumerate_IC(m: int, d: int) -> tuple[CliffordLabel, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SpringerLabel:
+class SpringerLabel(NamedTuple("SpringerLabel", [("orbit", tuple), ("psi", CliffordLabel)])):
     """An orbit label together with an irreducible of its component group,
     the latter encoded as a multipartition with the orbit's multiplicities."""
 
-    orbit: Profile
-    psi: CliffordLabel
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, orbit: Profile, psi: CliffordLabel):
         # psi.orbit is in canonical order, so this also checks that orbit is
-        if self.psi.orbit != self.orbit:
-            raise ValueError(
-                f"{self.psi} is not an irreducible of the component group of {self.orbit}"
-            )
+        if psi.orbit != orbit:
+            raise ValueError(f"{psi} is not an irreducible of the component group of {orbit}")
+        return super().__new__(cls, orbit, psi)
 
     def __str__(self):
         body = ",".join(format_partition(entry) for entry in self.orbit)

@@ -43,12 +43,12 @@ are handled uniformly; matrices of dimension one are still matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, product
 from math import prod
 from operator import matmul
+from typing import NamedTuple
 
 from .combinatorics import (
     Partition,
@@ -139,8 +139,7 @@ class Representation:
         return self._product(word[:-1]).trace_of_product(self.images[word[-1]])
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(NamedTuple):
     """Exact class function, aligned with the group's class representatives."""
 
     group: object
@@ -303,9 +302,9 @@ def young_module(
             specht_matrix(val, tuple(x.top[i] - start for i in range(start, start + size)))
             for val, start, size in zip(values, starts, sub.blocks)
         )
-        return BlockMonomial.one_coset(
-            kron(permute_columns(factor_part, slot_basis_permutation(dims, x.top)), top_part)
-        )
+        moved = permute_columns(factor_part, slot_basis_permutation(dims, x.top))
+        # a trivial top part (every extension and slotwise module) leaves it as it is
+        return BlockMonomial.one_coset(moved if top_part == ((1,),) else kron(moved, top_part))
 
     return Representation(sub, prod(dims) * prod(map(hook_dim, values)), fn, name=name)
 

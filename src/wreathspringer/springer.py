@@ -6,8 +6,7 @@ odd rank-d tables derived from it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .combinatorics import Partition, format_partition, partitions_of
 from .orbits import CliffordLabel, SpringerLabel, clifford_label, enumerate_IC, enumerate_IS
@@ -26,8 +25,7 @@ def psi_inv(slabel: SpringerLabel) -> CliffordLabel:
     return slabel.psi
 
 
-@dataclass(frozen=True)
-class SpringerReport:
+class SpringerReport(NamedTuple):
     m: int
     d: int
     rows: tuple[tuple[SpringerLabel, bool], ...]
@@ -102,20 +100,20 @@ def typeB_table(d: int) -> list[dict]:
     ]
 
 
-@dataclass(frozen=True)
-class HuLabel:
+class HuLabel(NamedTuple("HuLabel", [("pair", tuple), ("sign", Optional[str])])):
     """An unordered pair of partitions of m; equal pairs split into a
-    plus and a minus label."""
+    plus and a minus label.  The sign is "+" or "-" exactly when the pair
+    is equal, and None otherwise."""
 
-    pair: tuple[Partition, Partition]
-    sign: Optional[str] = None  # "+" or "-" exactly when the pair is equal
+    __slots__ = ()
 
-    def __post_init__(self):
-        first, second = self.pair
-        if (first == second) != (self.sign in ("+", "-")):
+    def __new__(cls, pair: tuple[Partition, Partition], sign: Optional[str] = None):
+        first, second = pair
+        if (first == second) != (sign in ("+", "-")):
             raise ValueError("sign is carried exactly by the equal pairs")
-        if self.pair != tuple(sorted(self.pair, reverse=True)):
+        if pair != tuple(sorted(pair, reverse=True)):
             raise ValueError("pair must be sorted")
+        return super().__new__(cls, pair, sign)
 
     def __str__(self):
         body = f"[{format_partition(self.pair[0])},{format_partition(self.pair[1])}]"

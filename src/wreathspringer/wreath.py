@@ -106,8 +106,8 @@ class WreathElement:
         self._check_compatible(other)
         return self._mul_unchecked(other)
 
-    # Products repeat: the relation checks of the class algebra form 12,324
-    # products at (2,3) but only 540 distinct ones, and 284 of 6,078 at
+    # Products repeat: the relation checks of the class algebra form 4,116
+    # products at (2,3) but only 540 distinct ones, and 284 of 878 at
     # (3,2).  The bound holds four times the larger count, and memory stays
     # flat at larger sizes.
     @lru_cache(maxsize=2048)

@@ -14,8 +14,10 @@ Sigma_m wr Sigma_d, signed-permutation conjugacy for the even-signed
 groups, orbit labels deduplicated from all profiles, the matrix product
 by the triple loop, the tensor product of two representations by
 Kronecker products, the exhaustive homomorphism check, Todd-Coxeter coset
-enumeration, the wreath product by composing permutations, and the
-all-pairs bilinear extension of the basis convolution.
+enumeration, the wreath product by composing permutations, the
+all-pairs bilinear extension of the basis convolution, and the class-algebra
+products check with each side formed as one product of two closure-class
+sums.
 """
 
 from collections import deque
@@ -25,7 +27,9 @@ from itertools import permutations, product
 from math import factorial, prod
 
 from wreathspringer.combinatorics import lower_covers, perm_compose, perm_inverse
-from wreathspringer.convolution import AlgebraVector, ProductResult, convolve_basis
+from wreathspringer.convolution import (
+    AlgebraVector, Check, ProductResult, convolve, convolve_basis, y_bar_sum,
+)
 from wreathspringer.matrices import BlockMonomial, kron, trace
 from wreathspringer.orbits import all_profiles, orbit_label
 from wreathspringer.reptheory import Representation, inflate
@@ -579,3 +583,20 @@ def convolve_all_pairs(a, b):
         key = lambda p: (p[0].key(), p[1].key())
         return ProductResult(None, tuple(sorted(set(blockers), key=key)))
     return ProductResult(total)
+
+
+def products_check_by_whole_vectors(group):
+    """The `products` check of verify_relations with each side formed as one
+    product of two closure-class sums: y_bar_sum(x) * y_bar_sum(y) against
+    y_bar_sum(x * y), for x, y a group element and a pure-top one in either
+    order."""
+    sums = {w: y_bar_sum(group, w) for w in group.elements}
+    tops = [w for w in group.elements if w.has_trivial_factors()]
+    instances, failures = 0, []
+    for w in group.elements:
+        for sigma in tops:
+            for x, y in ((w, sigma), (sigma, w)):
+                instances += 1
+                if convolve(sums[x], sums[y]).expect() != sums[x * y]:
+                    failures.append(f"{group.word(x)} * {group.word(y)}")
+    return Check("products", "fail" if failures else "pass", instances, "; ".join(failures[:3]))

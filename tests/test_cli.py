@@ -374,6 +374,17 @@ PINNED_OUTPUTS = [
      '3ba27eb6abdaddca0039bb39a850dc64f06ad92e014f4d506e8d3d03976e5dcb'),
     ('verify --scope springer --m 2 --d 5',
      '42e7259c20ab83767bf6ac3c8d1507774d7dd8c07bc9c869aa322effc905ea30'),
+    # the class-algebra relation checks, recorded while the products check
+    # formed each side as one product of two closure-class sums; at (2,4)
+    # the products check is skipped above its limit
+    ('verify --scope algebra --m 2 --d 2',
+     'd9224916b5f873a1bd3d1f8f96b537bdef3f2a231298253f7fcfbd9bc8713017'),
+    ('verify --scope algebra --m 2 --d 3',
+     '22d9e1db8bb61d5ea689404a825fd541dabb39ea9aef5328866cf15789c5a8a8'),
+    ('verify --scope algebra --m 3 --d 2',
+     'ab46999eeb03eb9c2e45c6cd0f741324c3ca51836f915bc255f2a1ab434f1156'),
+    ('verify --scope algebra --m 2 --d 4',
+     '5b5e5f9adf49aa0198fab24a95aba5abcd2ed1bc2f3e98f3d18aff6929f8cc56'),
 ]
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import convolve_all_pairs
+from oracles import convolve_all_pairs, products_check_by_whole_vectors
 from wreathspringer import cli, convolution
 from wreathspringer.combinatorics import all_perms, identity_perm, perm_compose, perm_inverse
 from wreathspringer.convolution import (
@@ -52,6 +52,47 @@ def test_vector_arithmetic():
     v = AlgebraVector.basis(a) + 2 * AlgebraVector.basis(b)
     assert v.coeff(a) == 1 and v.coeff(b) == 2
     assert (Fraction(1, 2) * v).coeff(b) == 1
+
+
+def assert_exact(v):
+    # an int (never a bool) where the coefficient is integral, else a Fraction
+    for c in v._terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (c, type(c))
+
+
+def test_coefficients_are_ints_where_integral():
+    g = WreathGroup(2, 3)
+    sums = [y_bar_sum(g, w) for w in g.elements]
+    tops = [y_bar_sum(g, w) for w in g.elements if w.has_trivial_factors()]
+    half = Fraction(1, 2)
+    for v in sums:
+        assert set(v._terms.values()) == {1}
+    mixed = [
+        sums[5] + sums[9], sums[5] - sums[9], 3 * sums[7], half * sums[7], -1 * sums[2],
+        half * sums[4] + half * sums[4], sums[11] - half * sums[11], Fraction(4, 2) * sums[3],
+    ]
+    products = [
+        res.vector
+        for a in [*sums, *mixed]
+        for b in [*tops, half * tops[1], tops[2] - 3 * tops[3]]
+        for res in (convolve(a, b), convolve(b, a))
+        if res.defined
+    ]
+    assert len(products) > 2 * len(sums) * len(tops)
+    for v in [*sums, *mixed, *products]:
+        assert_exact(v)
+    assert {type(c) for v in products for c in v._terms.values()} == {int, Fraction}
+
+
+def test_scalar_products_become_integral():
+    g = WreathGroup(2, 2)
+    v = y_bar_sum(g, g.parse_word("s1^1"))
+    twice_half = 2 * (Fraction(1, 2) * v)
+    assert twice_half == v
+    assert all(type(c) is int for c in twice_half._terms.values())
+    missing = idx(g, "t1", E2)
+    assert v.coeff(missing) == 0 and type(v.coeff(missing)) is int
+    assert AlgebraVector({missing: Fraction(6, 3)})._terms == {missing: 2}
 
 
 def test_product_result_requires_blockers():
@@ -253,6 +294,20 @@ def test_convolve_rejects_mixed_contexts():
             convolve(v22, y_bar_sum(other, other.identity))
 
 
+def test_convolve_checks_every_term_of_either_vector():
+    # the (3,2) term chains with no term of the other side, so only the
+    # check of each vector's shapes can see it
+    g22, g32 = WreathGroup(2, 2), WreathGroup(3, 2)
+    e, odd = BasisIndex(g22.identity, E2), BasisIndex(g32.identity, T2)
+    mixed = AlgebraVector.basis(e) + AlgebraVector.basis(odd)
+    assert mixed.shapes() == {(2, 2): None, (3, 2): None}
+    plain = AlgebraVector.basis(e)
+    for a, b in [(mixed, plain), (plain, mixed)]:
+        with pytest.raises(ValueError, match=r"context mismatch: \(2,2\) vs \(3,2\)"):
+            convolve(a, b)
+    assert convolve(mixed, AlgebraVector.zero()) == ProductResult(AlgebraVector.zero())
+
+
 def test_quadratic_identity():
     g = WreathGroup(2, 2)
     t = y_bar_sum(g, g.parse_word("t1"))
@@ -421,6 +476,29 @@ def test_failed_relation_report(monkeypatch, capsys):
     assert not report.all_pass
     assert cli.main(["verify", "--scope", "algebra", "--m", "2", "--d", "2"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("m, d", [(2, 2), (3, 2), (2, 3)])
+def test_products_check_matches_the_whole_vector_oracle(m, d):
+    g = WreathGroup(m, d)
+    by_name = {c.name: c for c in verify_relations(g).checks}
+    assert by_name["products"] == products_check_by_whole_vectors(g)
+    assert by_name["products"].status == "pass"
+
+
+def test_failed_products_check_matches_the_whole_vector_oracle(monkeypatch):
+    def reversed_product(a, b):
+        res = convolve_basis(a, b)
+        if res.defined and not res.vector.is_zero():
+            return ProductResult(AlgebraVector.basis(BasisIndex(b.w * a.w, a.tau)))
+        return res
+
+    monkeypatch.setattr(convolution, "convolve_basis", reversed_product)
+    for m, d in [(2, 2), (3, 2)]:
+        g = WreathGroup(m, d)
+        by_name = {c.name: c for c in verify_relations(g).checks}
+        assert by_name["products"].status == "fail"
+        assert by_name["products"] == products_check_by_whole_vectors(g)
 
 
 def test_braid_triple_products_directly():

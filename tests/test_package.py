@@ -7,6 +7,12 @@ import sys
 import pytest
 
 import wreathspringer
+from wreathspringer.convolution import Check, RelationReport
+from wreathspringer.matrices import BlockMonomial
+from wreathspringer.orbits import CliffordLabel, SpringerLabel
+from wreathspringer.reptheory import Character
+from wreathspringer.springer import HuLabel, SpringerReport
+from wreathspringer.wreath import WreathGroup
 
 SRC = os.path.dirname(os.path.dirname(wreathspringer.__file__))
 
@@ -27,9 +33,10 @@ PUBLIC_NAMES = {
 }
 
 
-def loaded_after(code: str) -> set[str]:
-    """The package modules a fresh interpreter holds after running `code`."""
-    report = "import sys, json; print(json.dumps(sorted(m for m in sys.modules if m.startswith('wreathspringer'))))"
+def loaded_after(code: str, prefix: str = "wreathspringer") -> set[str]:
+    """The modules named `prefix`... that a fresh interpreter holds after
+    running `code`."""
+    report = f"import sys, json; print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))"
     env = {**os.environ, "PYTHONPATH": SRC}
     out = subprocess.run(
         [sys.executable, "-c", f"{code}\n{report}"], env=env, capture_output=True, text=True, check=True
@@ -47,6 +54,22 @@ def test_hasse_loads_no_algebra_module():
     assert not loaded & {
         f"wreathspringer.{name}" for name in ("convolution", "matrices", "orbits", "reptheory", "springer")
     }
+
+
+@pytest.mark.parametrize("command", [
+    "verify --scope all", "tables --kind chars", "tables --kind springer", "hasse", "order --x t1 --y t1",
+])
+def test_commands_load_neither_dataclasses_nor_inspect(command):
+    # the immutable records are named tuples, so no command pays for
+    # `dataclasses`, which imports `inspect`, `ast`, `dis` and `tokenize`
+    args = [*command.split(), "--m", "2", "--d", "2"]
+    code = (
+        "import contextlib, io\nfrom wreathspringer import cli\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main({args!r}) == 0"
+    )
+    loaded = loaded_after(code, prefix="")
+    assert "wreathspringer.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_orbit_labels_load_no_representation_module():
@@ -94,3 +117,35 @@ def test_exports_resolve_lazily_to_their_modules():
         assert module.startswith("wreathspringer.")
     with pytest.raises(AttributeError):
         wreathspringer.no_such_name
+
+
+def test_records_are_immutable_and_equal_by_their_fields():
+    label = CliffordLabel(2, (((2,), (1,)), ((1, 1), (1,))))
+    check = Check("products", "pass", 32)
+    records = [
+        check, RelationReport(2, 2, (check,)), BlockMonomial((1, 0), (((1,),), ((-1,),))),
+        label, SpringerLabel(((2,), (1, 1)), label), Character(WreathGroup(2, 2), (1, 1)),
+        SpringerReport(2, 2, (), 0), HuLabel(((2,), (2,)), "+"), HuLabel(((2,), (1, 1))),
+    ]
+    for record in records:
+        twin = type(record)(**record._asdict())
+        assert twin == record and hash(twin) == hash(record) and twin is not record
+        assert repr(record).startswith(f"{type(record).__name__}(")
+        for name in [*record._fields, "extra"]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: CliffordLabel(2, (((1, 1), (1,)), ((2,), (1,)))), "sorted descending by key"),
+    (lambda: CliffordLabel(2, (((2,), (1,)), ((2,), (1,)))), "duplicate keys"),
+    (lambda: CliffordLabel(m=2, entries=(((3,), (1,)),)), r"key \(3,\) does not partition m=2"),
+    (lambda: CliffordLabel(2, (((2,), ()),)), "empty values must be omitted"),
+    (lambda: CliffordLabel(2, (((2,), (1, 2)),)), "is not a partition"),
+    (lambda: SpringerLabel(((1, 1),), CliffordLabel(2, (((2,), (1,)),))), "not an irreducible"),
+    (lambda: HuLabel(((2,), (2,))), "sign is carried exactly by the equal pairs"),
+    (lambda: HuLabel(pair=((1, 1), (2,)), sign=None), "pair must be sorted"),
+])
+def test_records_validate_on_construction(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
