@@ -3,12 +3,13 @@ products.
 
 Symmetric-group irreducibles are built in Young's seminormal form: the
 basis is indexed by standard tableaux and the adjacent-transposition
-matrices have entries 1/axial-distance, so everything stays in exact
-rationals.  The seminormal entries 0 and +-1 are ints and the others
-Fractions; products, Kronecker products and traces of these are exact.
-The two true divisions, `Character.inner` by the group order and
-`isotypic_character` by the right group's order, divide a `Fraction`, so
-neither makes a float.
+matrices have entries 1/axial-distance, the axial distance of k and k+1
+being the difference of their contents (column - row), so everything
+stays in exact rationals.  The seminormal entries 0 and +-1 are ints and
+the others Fractions; products, Kronecker products and traces of these
+are exact.  The two true divisions, `Character.inner` by the group order
+and `isotypic_character` by the right group's order, divide a
+`Fraction`, so neither makes a float.
 
 Every module over a Young wreath subgroup Sigma_m wr Y comes
 from one rule, `young_module`: slotwise Specht modules of the factors,
@@ -24,18 +25,19 @@ is the one-coset case.
 
 There is one group class, `WreathGroup`; the symmetric group of degree n
 is ``WreathGroup(1, n)``.  A representation is the images of its group's
-generators.  The group carries a presentation: relations, and a
-normal-form word for every element.  Construction checks the relations on
-the images, and the matrix of an element is the product of the images
-along its word, so by von Dyck's theorem every constructed representation
-is a homomorphism.  The relations are the standard presentation of a
-permutational wreath product (D. L. Johnson, *Presentations of Groups*),
-Tietze-reduced: per block, type A in the first slot, the later slots
-defined as its conjugates by the t_a, and the first two slots commuting
-for i <= i' only, because conjugating by the swap of those slots turns
-(i, i') into (i', i); see `WreathGroup.presentation`.  Each relation is
-stated once, as a pair ``(base, k)`` with base^k = e, and is checked by
-forming its base once and raising it to the k-th power.
+generators, which also give its shape (cosets and block size).  The group
+carries a presentation: relations, and a normal-form word for every
+element.  Construction checks the relations on the images, and the matrix
+of an element is the product of the images along its word, so by von
+Dyck's theorem every constructed representation is a homomorphism.  The
+relations are the standard presentation of a permutational wreath product
+(D. L. Johnson, *Presentations of Groups*), Tietze-reduced: per block,
+type A in the first slot, the later slots defined as its conjugates by
+the t_a, and the first two slots commuting for i <= i' only, because
+conjugating by the swap of those slots turns (i, i') into (i', i); see
+`WreathGroup.presentation`.  Each relation is stated once, as a pair
+``(base, k)`` with base^k = e, and is checked by forming its base once
+and raising it to the k-th power.
 
 Degenerate-but-legal cases (m = 1, single-slot groups, empty partitions)
 are handled uniformly; matrices of dimension one are still matrices.
@@ -58,7 +60,6 @@ from .combinatorics import (
     hook_dim,
     identity_perm,
     minimal_coset_rep,
-    partitions_of,
     perm_compose,
     perm_inverse,
 )
@@ -90,19 +91,23 @@ class Representation:
     is the product of the images along its normal-form word, so by von
     Dyck's theorem `matrix` is a homomorphism on the whole group.
 
-    ``matrix_fn`` returns a `BlockMonomial` with ``cosets`` blocks of size
-    ``dim // cosets``; the relation check compares each relation's product
-    with the identity of that shape exactly.  A relation ``(base, k)``
-    has its base multiplied out once and then raised to the k-th power."""
+    ``matrix_fn`` returns a `BlockMonomial`; its shape (cosets, block
+    size, and so ``dim``) is read off the first image, or off
+    ``matrix_fn(group.identity)`` if there are no generators.  The
+    relation check compares each relation's product with the identity of
+    that shape exactly.  A relation ``(base, k)`` has its base multiplied
+    out once and then raised to the k-th power."""
 
-    def __init__(self, group, dim: int, matrix_fn, name: str = "", cosets: int = 1):
+    def __init__(self, group, matrix_fn, name: str = ""):
         self.group = group
-        self.dim = dim
         self.name = name
-        self.images = tuple(matrix_fn(g) for g in group.generators)
+        self.images = tuple(map(matrix_fn, group.generators))
+        shape = self.images[0] if self.images else matrix_fn(group.identity)
+        cosets, size = len(shape.perm), len(shape.blocks[0])
+        self.dim = cosets * size
         relations, self._word_of = group.presentation
         self._cache: dict = {}
-        self._one = BlockMonomial.identity(cosets, dim // cosets)
+        self._one = BlockMonomial.identity(cosets, size)
         for base, k in relations:
             x = self._product(base)
             if reduce(matmul, (x,) * k) != self._one:
@@ -154,9 +159,10 @@ class Character(NamedTuple):
 
     def inner(self, other: "Character") -> Fraction:
         group = self.group
-        total = 0
-        for k, rep in enumerate(group.class_reps):
-            total += group.class_sizes[k] * self.values[k] * other.value_at(rep.inverse())
+        total = sum(
+            size * value * other.value_at(rep.inverse())
+            for rep, size, value in zip(group.class_reps, group.class_sizes, self.values)
+        )
         return Fraction(total) / group.order
 
 
@@ -196,49 +202,40 @@ def standard_tableaux(lam: Partition) -> tuple[Tableau, ...]:
     return tuple(sorted(out))
 
 
-def _position(tab: Tableau, value: int) -> tuple[int, int]:
-    for r, row in enumerate(tab):
-        for c, v in enumerate(row):
-            if v == value:
-                return r, c
-    raise ValueError(f"{value} not in tableau")
-
-
-def _swap_entries(tab: Tableau, a: int, b: int) -> Tableau:
-    return tuple(
-        tuple(b if v == a else a if v == b else v for v in row) for row in tab
-    )
-
-
-@lru_cache(maxsize=None)
 def _seminormal_generators(lam: Partition) -> tuple[Matrix, ...]:
-    """Matrix of each adjacent transposition on the standard-tableau basis.
+    """Matrix of each adjacent transposition on the standard-tableau basis,
+    read off the tableaux' contents.
 
-    For letters k, k+1 at axial distance dist in a tableau T, the action on
-    the T-column is 1/dist on the diagonal plus a cross term to the swapped
-    tableau: coefficient 1 from the tableau with dist < 0, and 1 - 1/dist^2
-    back.  Same-row and same-column pairs are the dist = +-1 special cases.
+    For letters k, k+1 of a tableau T, the axial distance is
+    dist = content(k+1) - content(k).  If k and k+1 share a row (dist = 1)
+    or a column (dist = -1), the T-column is dist on the diagonal.
+    Otherwise it is 1/dist on the diagonal plus a cross term to the
+    tableau whose contents have k and k+1 swapped: coefficient 1 from the
+    tableau with dist < 0, and 1 - 1/dist^2 back.
     """
-    tabs = standard_tableaux(lam)
-    index = {tab: i for i, tab in enumerate(tabs)}
-    size = len(tabs)
     n = sum(lam)
+    # content[v] = column - row of letter v (entry 0 unused); a standard
+    # tableau is determined by its content vector
+    contents = []
+    for tab in standard_tableaux(lam):
+        content = [0] * (n + 1)
+        for r, row in enumerate(tab):
+            for c, v in enumerate(row):
+                content[v] = c - r
+        contents.append(tuple(content))
+    index = {content: i for i, content in enumerate(contents)}
+    size = len(contents)
     mats = []
     for k in range(1, n):
         rows = [[0] * size for _ in range(size)]
-        for j, tab in enumerate(tabs):
-            r1, c1 = _position(tab, k)
-            r2, c2 = _position(tab, k + 1)
-            dist = (c2 - r2) - (c1 - r1)
-            if r1 == r2:
-                rows[j][j] = 1
-            elif c1 == c2:
-                rows[j][j] = -1
+        for j, content in enumerate(contents):
+            dist = content[k + 1] - content[k]
+            if abs(dist) == 1:
+                rows[j][j] = dist
             else:
-                swapped = _swap_entries(tab, k, k + 1)
+                swapped = content[:k] + (content[k + 1], content[k]) + content[k + 2:]
                 rows[j][j] = Fraction(1, dist)
-                cross = 1 if dist < 0 else 1 - Fraction(1, dist * dist)
-                rows[index[swapped]][j] = cross
+                rows[index[swapped]][j] = 1 if dist < 0 else 1 - Fraction(1, dist * dist)
         mats.append(tuple(tuple(row) for row in rows))
     return tuple(mats)
 
@@ -254,8 +251,8 @@ def specht_rep(lam: Partition) -> Representation:
         raise ValueError(f"partition size {n} exceeds the degree bound {SPECHT_DEGREE_BOUND}")
     group = WreathGroup(1, n)
     images = dict(zip(group.generators, map(BlockMonomial.one_coset, _seminormal_generators(lam))))
-    dim = len(standard_tableaux(lam))
-    return Representation(group, dim, images.__getitem__, name=f"S{format_partition(lam)}")
+    images[group.identity] = BlockMonomial.identity(1, len(standard_tableaux(lam)))
+    return Representation(group, images.__getitem__, name=f"S{format_partition(lam)}")
 
 
 def specht_matrix(lam: Partition, p: Perm) -> Matrix:
@@ -306,7 +303,7 @@ def young_module(
         # a trivial top part (every extension and slotwise module) leaves it as it is
         return BlockMonomial.one_coset(moved if top_part == ((1,),) else kron(moved, top_part))
 
-    return Representation(sub, prod(dims) * prod(map(hook_dim, values)), fn, name=name)
+    return Representation(sub, fn, name=name)
 
 
 def block_module(group: WreathGroup, label: CliffordLabel) -> Representation:
@@ -320,10 +317,8 @@ def extend_to_wreath(group: WreathGroup, gamma: dict[Partition, int]) -> Represe
     """The extension of the factorwise module to the block wreath subgroup:
     factors act slotwise on a tensor of Specht modules (one slot per count),
     tops in the block subgroup permute equal slots.  It is the block module
-    of the label with trivial values."""
-    for nu in gamma:
-        if nu not in partitions_of(group.m):
-            raise ValueError(f"key {nu} does not partition m={group.m}")
+    of the label with trivial values; `CliffordLabel` rejects a key that
+    does not partition m."""
     return block_module(group, clifford_label(group.m, {nu: (c,) for nu, c in gamma.items()}))
 
 
@@ -364,8 +359,7 @@ def induce(rho: Representation, group: WreathGroup) -> Representation:
             blocks.append(rho.matrix(WreathElement(factors, h_top)).dense())
         return BlockMonomial(tuple(perm), tuple(blocks))
 
-    cosets = len(transversal)
-    return Representation(group, cosets * rho.dim, fn, name=f"Ind({rho.name})", cosets=cosets)
+    return Representation(group, fn, name=f"Ind({rho.name})")
 
 
 @lru_cache(maxsize=None)
@@ -420,9 +414,7 @@ class BimoduleModel:
             )
 
         right_group = WreathGroup(1, d, tuple(_gamma(self.profile).values()))
-        self.right = Representation(
-            right_group, self.dim, right_fn, name="fiber-right", cosets=len(cosets)
-        )
+        self.right = Representation(right_group, right_fn, name="fiber-right")
 
         for g in group.generators:
             lg = self.left.matrix(g)

@@ -73,7 +73,7 @@ def verify_springer(group: WreathGroup) -> SpringerReport:
     m, d = group.m, group.d
     labels = enumerate_IS(m, d)
     clifford_labels = enumerate_IC(m, d)
-    if sorted(str(s.psi) for s in labels) != sorted(str(c) for c in clifford_labels):
+    if sorted(s.psi for s in labels) != sorted(clifford_labels):
         raise CheckFailed("the two index sets are not in bijection")
     rows = []
     for slabel in labels:

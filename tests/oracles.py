@@ -13,7 +13,8 @@ brute-force wreath conjugacy classes, Macdonald's centralizer orders in
 Sigma_m wr Sigma_d, signed-permutation conjugacy for the even-signed
 groups, orbit labels deduplicated from all profiles, the matrix product
 by the triple loop, the tensor product of two representations by
-Kronecker products, the exhaustive homomorphism check, Todd-Coxeter coset
+Kronecker products, the exhaustive homomorphism check, Young's seminormal
+form by searching each tableau for the positions of k and k+1, Todd-Coxeter coset
 enumeration, the wreath product by composing permutations, the
 all-pairs bilinear extension of the basis convolution, and the class-algebra
 products check with each side formed as one product of two closure-class
@@ -32,7 +33,7 @@ from wreathspringer.convolution import (
 )
 from wreathspringer.matrices import BlockMonomial, kron, trace
 from wreathspringer.orbits import all_profiles, orbit_label
-from wreathspringer.reptheory import Representation, inflate
+from wreathspringer.reptheory import Representation, inflate, standard_tableaux
 from wreathspringer.wreath import WreathElement, WreathGroup, hasse_covers
 
 
@@ -446,8 +447,47 @@ def rep_tensor(a, b):
     def fn(x):
         return BlockMonomial.one_coset(kron(a.matrix(x).dense(), b.matrix(x).dense()))
 
-    return Representation(a.group, a.dim * b.dim, fn, name=f"{a.name}(x){b.name}")
+    return Representation(a.group, fn, name=f"{a.name}(x){b.name}")
 
+
+def _position(tab, value):
+    for r, row in enumerate(tab):
+        for c, v in enumerate(row):
+            if v == value:
+                return r, c
+    raise ValueError(f"{value} not in tableau")
+
+
+def _swap_entries(tab, a, b):
+    return tuple(tuple(b if v == a else a if v == b else v for v in row) for row in tab)
+
+
+def seminormal_generators_by_positions(lam):
+    """Young's seminormal matrices on the standard-tableau basis, from the
+    positions of k and k+1 in each tableau: 1 if they share a row, -1 if
+    they share a column, and otherwise 1/dist on the diagonal plus a cross
+    term to the tableau with k and k+1 swapped (1 from the tableau with
+    dist < 0, 1 - 1/dist^2 back)."""
+    tabs = standard_tableaux(lam)
+    index = {tab: i for i, tab in enumerate(tabs)}
+    size = len(tabs)
+    mats = []
+    for k in range(1, sum(lam)):
+        rows = [[0] * size for _ in range(size)]
+        for j, tab in enumerate(tabs):
+            r1, c1 = _position(tab, k)
+            r2, c2 = _position(tab, k + 1)
+            dist = (c2 - r2) - (c1 - r1)
+            if r1 == r2:
+                rows[j][j] = 1
+            elif c1 == c2:
+                rows[j][j] = -1
+            else:
+                rows[j][j] = Fraction(1, dist)
+                cross = 1 if dist < 0 else 1 - Fraction(1, dist * dist)
+                rows[index[_swap_entries(tab, k, k + 1)]][j] = cross
+        mats.append(tuple(tuple(row) for row in rows))
+    return tuple(mats)
 
 def isotypic_character_by_elements(model, psi):
     """Left character values, on the class representatives, of the

@@ -91,7 +91,7 @@ def _rule(group, values):
     images = {
         g: BlockMonomial.one_coset(((Fraction(v),),)) for g, v in zip(group.generators, values)
     }
-    return Representation(group, 1, images.__getitem__, name="bad")
+    return Representation(group, images.__getitem__, name="bad")
 
 
 def test_relation_check_rejects_broken_slot_action():

@@ -15,8 +15,10 @@ from wreathspringer.combinatorics import (
 from wreathspringer.matrices import BlockMonomial, identity_matrix, kron_all, trace
 from wreathspringer.orbits import CliffordLabel, all_orbit_labels, clifford_label, enumerate_IC, gamma_of
 from wreathspringer.reptheory import (
+    SPECHT_DEGREE_BOUND,
     BimoduleModel,
     Representation,
+    _seminormal_generators,
     block_module,
     char_of,
     character_table,
@@ -36,6 +38,7 @@ from oracles import (
     isotypic_character_by_elements,
     mn_character,
     rep_tensor,
+    seminormal_generators_by_positions,
 )
 
 
@@ -67,6 +70,18 @@ def test_specht_dims_match_hook_formula():
     for n in range(1, 6):
         for lam in partitions_of(n):
             assert specht_rep(lam).dim == hook_dim(lam)
+
+
+@pytest.mark.parametrize("n", range(1, SPECHT_DEGREE_BOUND + 1))
+def test_seminormal_form_from_contents_is_the_one_from_positions(n):
+    # entry for entry and type for type: int (never bool) or Fraction
+    for lam in partitions_of(n):
+        got = _seminormal_generators(lam)
+        want = seminormal_generators_by_positions(lam)
+        assert got == want, lam
+        got_types = [type(x) for mat in got for row in mat for x in row]
+        assert got_types == [type(x) for mat in want for row in mat for x in row], lam
+        assert set(got_types) <= {int, Fraction}, lam
 
 
 def test_specht_characters_match_rim_hook_oracle():
@@ -104,7 +119,7 @@ def test_regular_representation_character():
             rows[index[p * x]][index[x]] = Fraction(1)
         return BlockMonomial.one_coset(tuple(tuple(r) for r in rows))
 
-    chi = char_of(Representation(group, 6, fn, name="regular"))
+    chi = char_of(Representation(group, fn, name="regular"))
     for x in elements:
         assert chi.value_at(x) == (6 if x == group.identity else 0)
 
@@ -235,7 +250,7 @@ def test_induce_trivial_from_factor_part():
     g = WreathGroup(2, 2)
     sub = WreathGroup(2, 2, (1, 1))  # trivial top group
     triv = Representation(
-        sub, 1, lambda x: BlockMonomial.one_coset(((Fraction(1),),)), name="trivial"
+        sub, lambda x: BlockMonomial.one_coset(((Fraction(1),),)), name="trivial"
     )
     induced = induce(triv, g)
     assert induced.dim == factorial(2)
@@ -275,7 +290,7 @@ def restrict(rho, sub):
     def fn(x):
         return BlockMonomial.one_coset(rho.matrix(x).dense())
 
-    return Representation(sub, rho.dim, fn, name=f"Res({rho.name})")
+    return Representation(sub, fn, name=f"Res({rho.name})")
 
 
 def test_frobenius_reciprocity_random_pairs():
@@ -405,13 +420,20 @@ def test_fiber_left_module_is_induced_from_the_slotwise_specht_tensor(m, d):
     for profile in all_orbit_labels(m, d):
         slotwise = Representation(
             slot_group,
-            prod(hook_dim(lam) for lam in profile),
             lambda x: BlockMonomial.one_coset(
                 kron_all(specht_matrix(lam, f) for lam, f in zip(profile, x.factors))
             ),
         )
         assert _images(springer_module(g, profile).left) == _images(induce(slotwise, g)), profile
 
+
+def test_shape_is_read_off_the_identity_when_the_group_has_no_generators():
+    # a profile of distinct entries leaves the fiber's right group trivial
+    right = springer_module(WreathGroup(2, 2), ((2,), (1, 1))).right
+    assert not right.group.generators
+    assert right.dim == 2
+    assert right._one == BlockMonomial.identity(2, 1)
+    assert specht_rep((1,)).dim == 1
 
 def test_clifford_irrep_builds_the_block_module_and_the_induced_one(monkeypatch):
     g = WreathGroup(3, 2)

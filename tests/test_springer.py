@@ -15,7 +15,7 @@ from wreathspringer.springer import (
     typeD_table,
     verify_springer,
 )
-from wreathspringer.wreath import WreathGroup
+from wreathspringer.wreath import CheckFailed, WreathGroup
 
 from oracles import even_signed_class_count
 
@@ -93,6 +93,17 @@ def test_verify_springer_reports_a_mismatch(monkeypatch, capsys):
     assert cli.main(["verify", "--scope", "springer", "--m", "2", "--d", "2"]) == 1
     assert '"status": "fail"' in capsys.readouterr().out
 
+
+def test_verify_springer_refuses_index_sets_out_of_bijection(monkeypatch, capsys):
+    # one orbit-side label short: the label sets differ, so no character is compared
+    true_enumerate = springer.enumerate_IS
+    monkeypatch.setattr(springer, "enumerate_IS", lambda m, d: true_enumerate(m, d)[1:])
+    with pytest.raises(CheckFailed, match="^the two index sets are not in bijection$"):
+        verify_springer(WreathGroup(2, 2))
+    assert cli.main(["verify", "--scope", "springer", "--m", "2", "--d", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "the two index sets are not in bijection" in err
 
 def test_isotypic_dimensions_match_irreducible_dimensions():
     # cheaper smoke test implied by the character equality
