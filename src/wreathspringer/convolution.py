@@ -151,28 +151,21 @@ def _collect(pairs) -> AlgebraVector:
     return AlgebraVector._of(out)
 
 
-class ProductResult:
+class ProductResult(
+    NamedTuple("ProductResult", [("vector", "AlgebraVector | None"), ("blockers", tuple)])
+):
     """Either a defined vector or the list of basis pairs that block it."""
 
-    __slots__ = ("vector", "blockers")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         vector: AlgebraVector | None,
         blockers: tuple[tuple[BasisIndex, BasisIndex], ...] = (),
     ):
         if vector is None and not blockers:
             raise ValueError("an undefined product must carry at least one blocking pair")
-        self.vector = vector
-        self.blockers = blockers
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not ProductResult:
-            return NotImplemented
-        return (self.vector, self.blockers) == (other.vector, other.blockers)
-
-    def __repr__(self) -> str:
-        return f"ProductResult(vector={self.vector!r}, blockers={self.blockers!r})"
+        return super().__new__(cls, vector, blockers)
 
     @property
     def defined(self) -> bool:

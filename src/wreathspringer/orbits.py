@@ -26,7 +26,7 @@ from .combinatorics import (
     partition_key,
     partitions_of,
 )
-from .matrices import as_matrix, is_zero_matrix, mat_mul, mat_rank
+from .matrices import as_matrix, mat_mul, mat_rank
 
 Profile = tuple[Partition, ...]
 GammaMap = dict[Partition, int]
@@ -115,26 +115,21 @@ def _fiber_dim(profile) -> int:
 
 def jordan_type(matrix) -> Partition:
     """Jordan type of a nilpotent matrix over the rationals, from the exact
-    rank sequence: the conjugate partition has parts rank(A^(k-1)) - rank(A^k)."""
+    rank sequence: the conjugate partition has parts rank(A^(k-1)) - rank(A^k).
+    An n x n matrix is nilpotent exactly when one of A, ..., A^n has rank 0."""
     a = as_matrix(matrix)
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
-    power = a
-    for _ in range(n - 1):
-        if is_zero_matrix(power):
-            break
-        power = mat_mul(power, a)
-    if not is_zero_matrix(power):
-        raise ValueError("matrix is not nilpotent")
     ranks = [n]
     power = a
-    while True:
-        r = mat_rank(power)
-        ranks.append(r)
-        if r == 0:
+    for _ in range(n):
+        ranks.append(mat_rank(power))
+        if not ranks[-1]:
             break
         power = mat_mul(power, a)
+    if ranks[-1]:
+        raise ValueError("matrix is not nilpotent")
     conj = tuple(ranks[k - 1] - ranks[k] for k in range(1, len(ranks)))
     return conjugate_partition(conj)
 

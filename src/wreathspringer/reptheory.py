@@ -461,9 +461,10 @@ def isotypic_character(model: BimoduleModel, psi: CliffordLabel) -> Character:
 
 def character_table(group: WreathGroup):
     """Rows (label, dimension, character) for every irreducible, columns
-    aligned with the group's class representatives."""
+    aligned with the group's class representatives.  The dimension is the
+    module's, so no element is looked up in its class."""
     rows = []
     for label in enumerate_IC(group.m, group.d):
-        chi = char_of(clifford_irrep(group, label))
-        rows.append((label, int(chi.dim), chi))
+        rho = clifford_irrep(group, label)
+        rows.append((label, rho.dim, char_of(rho)))
     return rows

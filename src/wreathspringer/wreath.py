@@ -10,9 +10,10 @@ The module also provides the block embedding into the symmetric group of
 degree m*d, the product Bruhat order (equal tops, factorwise type A
 comparison), Hasse diagrams with DOT/JSON emission, conjugacy classes
 grouped by Macdonald's class label, cell statistics of the length grading,
-generator words, the defining relations of the group and of its Young
-wreath subgroups, and a signed-permutation model of the type B Coxeter
-group, whose Bruhat order is read off type A on the letters -d..-1, 1..d.
+generator words, and the defining relations of the group and of its Young
+wreath subgroups.  The type B Coxeter group is W(B_d) = Sigma_2 wr Sigma_d
+itself; its elements are read as signed permutations only for its Bruhat
+order, which is type A on the letters -d..-1, 1..d.
 """
 
 from __future__ import annotations
@@ -558,36 +559,17 @@ def hasse_dot(group: WreathGroup, out: TextIO) -> None:
 
 
 # ---------------------------------------------------------------------------
-# type B Coxeter group as signed permutations
+# type B Coxeter group: Sigma_2 wr Sigma_d in signed coordinates
 
 SignedPerm = tuple[int, ...]
 # entry i holds the signed image of i+1; entries are nonzero, with
 # {|w(1)|, ..., |w(d)|} = {1, ..., d}.
 
 
-def signed_identity(d: int) -> SignedPerm:
-    return tuple(range(1, d + 1))
-
-
-def signed_mul(a: SignedPerm, b: SignedPerm) -> SignedPerm:
-    """(a*b)(i) = sign(b(i)) * a(|b(i)|)."""
-    out = []
-    for v in b:
-        img = a[abs(v) - 1]
-        out.append(img if v > 0 else -img)
-    return tuple(out)
-
-
-def typeB_generator(d: int, i: int) -> SignedPerm:
-    """Generator i of the rank-d type B group: index 0 is the sign flip on
-    the first letter, index i >= 1 swaps letters i and i+1."""
-    if not 0 <= i <= d - 1:
-        raise ValueError(f"type B generator index {i} out of range for rank {d}")
-    if i == 0:
-        return (-1,) + tuple(range(2, d + 1))
-    img = list(range(1, d + 1))
-    img[i - 1], img[i] = img[i], img[i - 1]
-    return tuple(img)
+def _signed(x: WreathElement) -> SignedPerm:
+    """The signed permutation of x in Sigma_2 wr Sigma_d: letter j goes to
+    x.top(j), negated exactly when the factor in that slot is the swap."""
+    return tuple(-(t + 1) if x.factors[t] != (0, 1) else t + 1 for t in x.top)
 
 
 def _as_typeA(w: SignedPerm) -> Perm:
@@ -607,11 +589,17 @@ def typeB_leq(u: SignedPerm, w: SignedPerm) -> bool:
 
 
 def eval_typeB_word(word, d: int) -> SignedPerm:
-    """Evaluate a word (sequence of generator indices) left to right."""
-    x = signed_identity(d)
-    for i in word:
-        x = signed_mul(x, typeB_generator(d, int(i)))
-    return x
+    """The signed permutation of a word of Coxeter generator indices,
+    multiplied left to right in Sigma_2 wr Sigma_d: index 0 is s1^(1), the
+    sign flip on letter 1, and index i >= 1 is t_i, the swap of letters i
+    and i+1.  No element list is built."""
+    group = WreathGroup(2, d)
+    x = group.identity
+    for i in map(int, word):
+        if not 0 <= i <= d - 1:
+            raise ValueError(f"type B generator index {i} out of range for rank {d}")
+        x = x * (group.gen_t(i) if i else group.gen_s(1, 1))
+    return _signed(x)
 
 
 def coxeterB_leq(u_word, w_word, d: int) -> bool:
@@ -621,13 +609,9 @@ def coxeterB_leq(u_word, w_word, d: int) -> bool:
 
 def wreath_to_typeB(group: WreathGroup) -> dict[WreathElement, SignedPerm]:
     """The identification of Sigma_2 wr Sigma_d with the type B group of
-    rank d: s1^(1) goes to the sign flip, t_k to the k-th swap, hence
-    s1^(j) to the sign flip on letter j, and x sends letter j to
-    x.top(j) with a sign exactly when the factor in slot x.top(j) is the
-    swap."""
+    rank d (Bjorner-Brenti, §8.1): s1^(1) goes to the sign flip, t_k to the
+    k-th swap, hence s1^(j) to the sign flip on letter j; each element's
+    image is `_signed`."""
     if group.m != 2:
         raise ValueError("the type B identification requires m = 2")
-    return {
-        x: tuple(-(t + 1) if x.factors[t] != (0, 1) else t + 1 for t in x.top)
-        for x in group.elements
-    }
+    return {x: _signed(x) for x in group.elements}

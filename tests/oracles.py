@@ -155,17 +155,24 @@ def typeB_elements(d):
     )
 
 
-@lru_cache(maxsize=None)
-def typeB_reflections(d):
-    """The conjugates of the simple generators: sign flip on letter 1 and
-    the adjacent swaps."""
+def typeB_generators(d):
+    """The simple generators of rank d as signed permutations, by index:
+    0 is the sign flip on letter 1, k >= 1 swaps letters k and k+1."""
     gens = [(-1,) + tuple(range(2, d + 1))]
     for k in range(1, d):
         swap = list(range(1, d + 1))
         swap[k - 1], swap[k] = swap[k], swap[k - 1]
         gens.append(tuple(swap))
+    return gens
+
+
+@lru_cache(maxsize=None)
+def typeB_reflections(d):
+    """The conjugates of the simple generators."""
     return frozenset(
-        _signed_mul(_signed_mul(g, s), _signed_inv(g)) for g in typeB_elements(d) for s in gens
+        _signed_mul(_signed_mul(g, s), _signed_inv(g))
+        for g in typeB_elements(d)
+        for s in typeB_generators(d)
     )
 
 
@@ -261,11 +268,8 @@ def bfs_typeB(group):
     """The signed permutation of each element of Sigma_2 wr Sigma_d, found
     breadth-first from s1^(1) -> sign flip on letter 1, t_k -> swap k."""
     d = group.d
-    pairs = [(group.gen_s(1, 1), (-1,) + tuple(range(2, d + 1)))]
-    for k in range(1, d):
-        swap = list(range(1, d + 1))
-        swap[k - 1], swap[k] = swap[k], swap[k - 1]
-        pairs.append((group.gen_t(k), tuple(swap)))
+    gens = [group.gen_s(1, 1)] + [group.gen_t(k) for k in range(1, d)]
+    pairs = list(zip(gens, typeB_generators(d)))
     images = {group.identity: tuple(range(1, d + 1))}
     queue = deque([group.identity])
     while queue:

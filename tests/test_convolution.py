@@ -277,6 +277,14 @@ def test_product_result_equality_and_repr():
     assert repr(ProductResult(None, blocker)) == f"ProductResult(vector=None, blockers={blocker!r})"
 
 
+def test_product_result_fields_cannot_be_assigned():
+    res = ProductResult(AlgebraVector.zero())
+    for field in ("vector", "blockers"):
+        with pytest.raises(AttributeError):
+            setattr(res, field, None)
+    assert res.expect() == AlgebraVector.zero()
+
+
 def test_convolve_basis_rejects_mixed_contexts():
     a = BasisIndex(GROUP_22.identity, E2)
     for other in [WreathGroup(3, 2), WreathGroup(2, 3)]:

@@ -71,6 +71,7 @@ def test_orbit_label_rejects_bad_entries():
 # -- Jordan types of matrices
 
 def test_jordan_type_known_matrices():
+    assert jordan_type([]) == ()
     assert jordan_type([[0, 0], [0, 0]]) == (1, 1)
     assert jordan_type([[0, 1], [0, 0]]) == (2,)
     j4 = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]

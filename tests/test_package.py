@@ -1,12 +1,15 @@
 import ast
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import wreathspringer
+from wreathspringer import cli
 from wreathspringer.convolution import Check, RelationReport
 from wreathspringer.matrices import BlockMonomial
 from wreathspringer.orbits import CliffordLabel, SpringerLabel
@@ -15,6 +18,8 @@ from wreathspringer.springer import HuLabel, SpringerReport
 from wreathspringer.wreath import WreathGroup
 
 SRC = os.path.dirname(os.path.dirname(wreathspringer.__file__))
+
+README = os.path.join(os.path.dirname(SRC), "README.md")
 
 # the public names of the package before they were resolved lazily
 PUBLIC_NAMES = {
@@ -149,3 +154,26 @@ def test_records_are_immutable_and_equal_by_their_fields():
 def test_records_validate_on_construction(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+def readme_blocks(language: str) -> list[str]:
+    with open(README, encoding="utf-8") as fh:
+        return re.findall(rf"^```{language}\n(.*?)^```$", fh.read(), flags=re.M | re.S)
+
+
+def test_readme_python_examples_run():
+    blocks = readme_blocks("python")
+    assert blocks
+    for block in blocks:
+        exec(compile(block, README, "exec"), {})
+
+
+def test_readme_cli_examples_exit_0(capsys):
+    lines = [
+        line for block in readme_blocks("sh") for line in block.splitlines()
+        if line.startswith("wreathspringer ")
+    ]
+    assert len(lines) >= 7
+    for line in lines:
+        assert cli.main(shlex.split(line)[1:]) == 0, line
+        assert capsys.readouterr().out, line

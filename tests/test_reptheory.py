@@ -344,6 +344,15 @@ def test_clifford_irrep_cached_per_group_value():
     assert clifford_irrep(WreathGroup(2, 2), label) is clifford_irrep(WreathGroup(2, 2), label)
 
 
+def test_character_table_reads_dimensions_off_the_modules():
+    clear_caches()  # so that the modules are built over this group object
+    group = WreathGroup(2, 3)
+    rows = character_table(group)
+    assert "_class_index" not in vars(group)
+    assert all(type(dim) is int and dim == chi.dim for _, dim, chi in rows)
+    assert sum(dim * dim for _, dim, _ in rows) == group.order
+
+
 # -- exact scalars: integral entries are ints, the rest Fractions, never floats
 
 def _exact(x):

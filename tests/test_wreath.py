@@ -1,8 +1,10 @@
 import copy
 import io
+import itertools
 import json
 import pickle
 import random
+from functools import reduce
 from math import factorial
 
 import pytest
@@ -28,6 +30,7 @@ from wreathspringer.wreath import (
 )
 
 from oracles import (
+    _signed_mul,
     bfs_typeB,
     bfs_words,
     brute_force_classes,
@@ -38,6 +41,7 @@ from oracles import (
     subword_downset,
     typeB_downset,
     typeB_elements,
+    typeB_generators,
     wreath_centralizer_order,
     wreath_class_label,
     wreath_product,
@@ -579,6 +583,30 @@ def test_typeB_word_examples():
 def test_typeB_invalid_generator():
     with pytest.raises(ValueError):
         coxeterB_leq([0], [2], 2)
+    for i in (2, -1, 5):
+        with pytest.raises(ValueError, match=f"^type B generator index {i} out of range for rank 2$"):
+            eval_typeB_word([0, i], 2)
+
+
+@pytest.mark.parametrize("d, max_length", [(1, 6), (2, 6), (3, 6), (4, 5)])
+def test_typeB_words_multiply_as_signed_permutations(d, max_length):
+    gens = typeB_generators(d)
+    for length in range(max_length + 1):
+        for word in itertools.product(range(d), repeat=length):
+            expected = reduce(_signed_mul, (gens[i] for i in word), tuple(range(1, d + 1)))
+            assert eval_typeB_word(word, d) == expected
+
+
+def test_typeB_words_build_no_element_list(monkeypatch):
+    def refuse(group):
+        raise AssertionError(f"{group!r}.elements built")
+
+    monkeypatch.setattr(WreathGroup, "elements", property(refuse))
+    assert WreathGroup(2, 9).order > 50_000
+    word = list(range(9))
+    assert coxeterB_leq(word[:5], word, 9)
+    assert not coxeterB_leq(word, word[:5], 9)
+    assert eval_typeB_word(word, 9) == (2, 3, 4, 5, 6, 7, 8, 9, -1)
 
 
 def test_typeB_length_grading():
