@@ -31,11 +31,8 @@ from itertools import chain
 from typing import NamedTuple
 
 from .combinatorics import Perm, all_perms, perm_compose
-from .matrices import Scalar, mat_rank
+from .matrices import Scalar
 from .wreath import WreathElement, WreathGroup, wreath_downset
-
-
-_ONE = 1
 
 
 def _exact(c) -> Scalar:
@@ -81,7 +78,7 @@ class AlgebraVector:
 
     @classmethod
     def basis(cls, idx: BasisIndex) -> "AlgebraVector":
-        return cls._of({idx: _ONE})
+        return cls._of({idx: 1})
 
     @classmethod
     def _of(cls, terms: dict[BasisIndex, Scalar]) -> "AlgebraVector":
@@ -189,7 +186,7 @@ def convolve_basis(a: BasisIndex, b: BasisIndex) -> ProductResult:
     if tuple([tau[i] for i in aw.top]) != b.tau:  # b.tau != a.tau o top(a.w)
         return ProductResult(AlgebraVector.zero())
     if aw.has_trivial_factors() or bw.has_trivial_factors():
-        return ProductResult(AlgebraVector._of({BasisIndex(aw._mul_unchecked(bw), tau): _ONE}))
+        return ProductResult(AlgebraVector._of({BasisIndex(aw._mul_unchecked(bw), tau): 1}))
     return ProductResult(None, ((a, b),))
 
 
@@ -240,7 +237,7 @@ def convolve_chain(*vectors: AlgebraVector) -> ProductResult:
 
 def y_bar(group: WreathGroup, w: WreathElement, tau: Perm) -> AlgebraVector:
     """Closure class: the sum of [Y_{w', tau}] over all w' <= w, coefficient 1."""
-    return AlgebraVector._of({BasisIndex(u, tau): _ONE for u in wreath_downset(w)})
+    return AlgebraVector._of({BasisIndex(u, tau): 1 for u in wreath_downset(w)})
 
 
 def y_bar_sum(group: WreathGroup, w: WreathElement) -> AlgebraVector:
@@ -248,13 +245,13 @@ def y_bar_sum(group: WreathGroup, w: WreathElement) -> AlgebraVector:
     # one down-set for every tau, so equal basis classes share their elements
     down = wreath_downset(w)
     return AlgebraVector._of(
-        {BasisIndex(u, tau): _ONE for tau in all_perms(group.d) for u in down}
+        {BasisIndex(u, tau): 1 for tau in all_perms(group.d) for u in down}
     )
 
 
 def y_plain_sum(group: WreathGroup, w: WreathElement) -> AlgebraVector:
     """Sum of the plain classes [Y_{w, tau}] over every component index."""
-    return AlgebraVector._of({BasisIndex(w, tau): _ONE for tau in all_perms(group.d)})
+    return AlgebraVector._of({BasisIndex(w, tau): 1 for tau in all_perms(group.d)})
 
 
 def involution_T(a: AlgebraVector) -> AlgebraVector:
@@ -271,25 +268,6 @@ def pi0_act(eta: Perm, a: AlgebraVector) -> AlgebraVector:
         (BasisIndex(idx.w, perm_compose(eta, idx.tau)), coeff)
         for idx, coeff in a._terms.items()
     )
-
-
-def basis_indices(group: WreathGroup) -> list[BasisIndex]:
-    return [
-        BasisIndex(w, tau) for w in group.elements for tau in all_perms(group.d)
-    ]
-
-
-def class_span_rank(group: WreathGroup) -> int:
-    """Rank over the rationals of the coefficient matrix of the vectors
-    y_bar_sum(w), one row per group element."""
-    columns = {idx: k for k, idx in enumerate(basis_indices(group))}
-    rows = []
-    for w in group.elements:
-        row = [0] * len(columns)
-        for idx, coeff in y_bar_sum(group, w)._terms.items():
-            row[columns[idx]] = coeff
-        rows.append(row)
-    return mat_rank(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,6 @@ from typing import NamedTuple
 Scalar = int | Fraction
 Matrix = tuple[tuple[Scalar, ...], ...]
 
-_ZERO = 0
-_ONE = 1
-
 
 def as_matrix(rows) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
@@ -36,7 +33,7 @@ def as_matrix(rows) -> Matrix:
 
 def identity_matrix(n: int) -> Matrix:
     return tuple(
-        tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)
+        tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
     )
 
 
@@ -62,7 +59,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                 for k, y in pairs:
                     v = acc.get(k)
                     acc[k] = x * y if v is None else v + x * y
-        dense = [_ZERO] * width
+        dense = [0] * width
         for k, v in acc.items():
             dense[k] = v
         out.append(tuple(dense))
@@ -70,7 +67,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def trace(a: Matrix) -> Scalar:
-    return sum((a[i][i] for i in range(len(a))), _ZERO)
+    return sum((a[i][i] for i in range(len(a))), 0)
 
 
 def trace_of_product(a: Matrix, b: Matrix) -> Scalar:
@@ -81,11 +78,7 @@ def trace_of_product(a: Matrix, b: Matrix) -> Scalar:
             f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])} is not square"
         )
     terms = [x * b[j][i] for i, row in enumerate(a) for j, x in enumerate(row) if x and b[j][i]]
-    return sum(terms[1:], terms[0]) if terms else _ZERO
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
+    return sum(terms[1:], terms[0]) if terms else 0
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -143,7 +136,7 @@ class BlockMonomial(NamedTuple):
         """The sum of the block traces over the fixed cosets."""
         return sum(
             (trace(b) for k, (j, b) in enumerate(zip(self.perm, self.blocks)) if j == k),
-            _ZERO,
+            0,
         )
 
     def trace_of_product(self, other: "BlockMonomial") -> Scalar:
@@ -159,7 +152,7 @@ class BlockMonomial(NamedTuple):
                 for k, (j, b) in enumerate(zip(other.perm, other.blocks))
                 if perm[j] == k
             ),
-            _ZERO,
+            0,
         )
 
     def dense(self) -> Matrix:
@@ -167,7 +160,7 @@ class BlockMonomial(NamedTuple):
             return self.blocks[0]
         size = len(self.blocks[0])
         dim = len(self.perm) * size
-        rows = [[_ZERO] * dim for _ in range(dim)]
+        rows = [[0] * dim for _ in range(dim)]
         for k, (j, block) in enumerate(zip(self.perm, self.blocks)):
             for r, block_row in enumerate(block):
                 rows[j * size + r][k * size:(k + 1) * size] = block_row

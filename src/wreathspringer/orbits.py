@@ -90,8 +90,7 @@ def check_dimension_property(profile) -> bool:
     """fiber_dim == d*m*(m-1)/2 - orbit_dim/2, exactly."""
     m, d = validate_profile(profile)
     odim = _orbit_dim(m, profile)
-    if odim % 2 != 0:
-        raise ValueError(f"odd orbit dimension {odim} for profile {profile}")
+    # odim is even: each slot adds m^2 - sum c^2 with sum c = m, and x^2 = x mod 2
     return _fiber_dim(profile) == d * m * (m - 1) // 2 - odim // 2
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .combinatorics import Partition, format_partition, partitions_of
-from .orbits import CliffordLabel, SpringerLabel, clifford_label, enumerate_IC, enumerate_IS
+from .orbits import CliffordLabel, SpringerLabel, enumerate_IC, enumerate_IS
 from .reptheory import char_of, clifford_irrep, isotypic_character, springer_module
 from .wreath import CheckFailed, WreathGroup
 
@@ -132,18 +132,6 @@ def hu_index(m: int) -> list[HuLabel]:
             else:
                 out.append(HuLabel(tuple(sorted((nu1, nu2), reverse=True))))
     return out
-
-
-def hu_to_clifford(label: HuLabel, m: int) -> CliffordLabel:
-    """The bijection with the multipartition labels at d = 2: a plus pair
-    carries the row shape (2,), a minus pair the column shape (1,1), and a
-    distinct pair puts a single slot on each component."""
-    nu1, nu2 = label.pair
-    if label.sign == "+":
-        return clifford_label(m, {nu1: (2,)})
-    if label.sign == "-":
-        return clifford_label(m, {nu1: (1, 1)})
-    return clifford_label(m, {nu1: (1,), nu2: (1,)})
 
 
 def typeD_table(d: int) -> list[dict]:

@@ -605,13 +605,3 @@ def eval_typeB_word(word, d: int) -> SignedPerm:
 def coxeterB_leq(u_word, w_word, d: int) -> bool:
     """Bruhat order of the rank-d type B Coxeter group on two generator words."""
     return typeB_leq(eval_typeB_word(u_word, d), eval_typeB_word(w_word, d))
-
-
-def wreath_to_typeB(group: WreathGroup) -> dict[WreathElement, SignedPerm]:
-    """The identification of Sigma_2 wr Sigma_d with the type B group of
-    rank d (Bjorner-Brenti, §8.1): s1^(1) goes to the sign flip, t_k to the
-    k-th swap, hence s1^(j) to the sign flip on letter j; each element's
-    image is `_signed`."""
-    if group.m != 2:
-        raise ValueError("the type B identification requires m = 2")
-    return {x: _signed(x) for x in group.elements}

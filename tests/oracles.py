@@ -19,6 +19,10 @@ enumeration, the wreath product by composing permutations, the
 all-pairs bilinear extension of the basis convolution, and the class-algebra
 products check with each side formed as one product of two closure-class
 sums.
+
+It also holds the helpers that only the tests use: the list of basis
+classes and the rank of the closure-class sums (Q[G] inside the class
+algebra), and the d = 2 index set as multipartition labels.
 """
 
 from collections import deque
@@ -27,12 +31,12 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import factorial, prod
 
-from wreathspringer.combinatorics import lower_covers, perm_compose, perm_inverse
+from wreathspringer.combinatorics import all_perms, lower_covers, perm_compose, perm_inverse
 from wreathspringer.convolution import (
-    AlgebraVector, Check, ProductResult, convolve, convolve_basis, y_bar_sum,
+    AlgebraVector, BasisIndex, Check, ProductResult, convolve, convolve_basis, y_bar_sum,
 )
-from wreathspringer.matrices import BlockMonomial, kron, trace
-from wreathspringer.orbits import all_profiles, orbit_label
+from wreathspringer.matrices import BlockMonomial, kron, mat_rank, trace
+from wreathspringer.orbits import all_profiles, clifford_label, orbit_label
 from wreathspringer.reptheory import Representation, inflate, standard_tableaux
 from wreathspringer.wreath import WreathElement, WreathGroup, hasse_covers
 
@@ -611,6 +615,25 @@ def wreath_product(x, y):
 
 # -- class algebra ----------------------------------------------------------------
 
+def basis_indices(group):
+    return [
+        BasisIndex(w, tau) for w in group.elements for tau in all_perms(group.d)
+    ]
+
+
+def class_span_rank(group):
+    """Rank over the rationals of the coefficient matrix of the vectors
+    y_bar_sum(w), one row per group element."""
+    columns = {idx: k for k, idx in enumerate(basis_indices(group))}
+    rows = []
+    for w in group.elements:
+        row = [0] * len(columns)
+        for idx, coeff in y_bar_sum(group, w)._terms.items():
+            row[columns[idx]] = coeff
+        rows.append(row)
+    return mat_rank(rows)
+
+
 def convolve_all_pairs(a, b):
     """convolve() by visiting every basis pair, chaining or not, and adding
     each product into a fresh running total."""
@@ -644,3 +667,17 @@ def products_check_by_whole_vectors(group):
                 if convolve(sums[x], sums[y]).expect() != sums[x * y]:
                     failures.append(f"{group.word(x)} * {group.word(y)}")
     return Check("products", "fail" if failures else "pass", instances, "; ".join(failures[:3]))
+
+
+# -- the d = 2 index set ----------------------------------------------------------
+
+def hu_to_clifford(label, m):
+    """The bijection with the multipartition labels at d = 2: a plus pair
+    carries the row shape (2,), a minus pair the column shape (1,1), and a
+    distinct pair puts a single slot on each component."""
+    nu1, nu2 = label.pair
+    if label.sign == "+":
+        return clifford_label(m, {nu1: (2,)})
+    if label.sign == "-":
+        return clifford_label(m, {nu1: (1, 1)})
+    return clifford_label(m, {nu1: (1,), nu2: (1,)})

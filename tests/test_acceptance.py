@@ -15,8 +15,6 @@ from wreathspringer.combinatorics import all_perms, perm_compose, perm_length
 from wreathspringer.convolution import (
     AlgebraVector,
     BasisIndex,
-    basis_indices,
-    class_span_rank,
     convolve_basis,
     involution_T,
     pi0_act,
@@ -26,10 +24,10 @@ from wreathspringer.convolution import (
 )
 from wreathspringer.orbits import all_profiles, check_dimension_property, enumerate_IC, enumerate_IS
 from wreathspringer.reptheory import char_of, clifford_irrep
-from wreathspringer.springer import hu_index, hu_to_clifford, typeB_table, typeD_table, verify_springer
+from wreathspringer.springer import hu_index, typeB_table, typeD_table, verify_springer
 from wreathspringer.wreath import WreathElement, WreathGroup, cell_statistics
 
-from oracles import brute_force_classes, even_signed_class_count
+from oracles import basis_indices, brute_force_classes, class_span_rank, even_signed_class_count, hu_to_clifford
 
 
 def report(number: int, name: str, ok: bool, seconds: float) -> None:

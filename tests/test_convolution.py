@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import convolve_all_pairs, products_check_by_whole_vectors
+from oracles import basis_indices, class_span_rank, convolve_all_pairs, products_check_by_whole_vectors
 from wreathspringer import cli, convolution
 from wreathspringer.combinatorics import all_perms, identity_perm, perm_compose, perm_inverse
 from wreathspringer.convolution import (
@@ -12,8 +12,6 @@ from wreathspringer.convolution import (
     BasisIndex,
     ProductResult,
     UndefinedProductError,
-    basis_indices,
-    class_span_rank,
     convolve,
     convolve_basis,
     convolve_chain,
@@ -513,6 +511,18 @@ def test_braid_triple_products_directly():
     g = WreathGroup(2, 3)
     t1, t2 = y_bar_sum(g, g.gen_t(1)), y_bar_sum(g, g.gen_t(2))
     assert convolve_chain(t1, t2, t1).expect() == convolve_chain(t2, t1, t2).expect()
+
+
+def test_convolve_chain_stops_at_the_first_undefined_product():
+    i = idx(WreathGroup(2, 1), "s1^1", (0,))
+    s = AlgebraVector.basis(i)
+    # a vector of another group: multiplying by it would raise a context mismatch
+    g = WreathGroup(2, 2)
+    res = convolve_chain(s, s, y_bar_sum(g, g.identity))
+    assert not res.defined and res.blockers == ((i, i),)
+    assert res == convolve(s, s)
+    with pytest.raises(UndefinedProductError):
+        res.expect()
 
 
 # -- census

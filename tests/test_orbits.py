@@ -9,7 +9,9 @@ from wreathspringer.matrices import as_matrix, mat_mul, mat_rank, identity_matri
 from wreathspringer.orbits import (
     all_orbit_labels,
     all_profiles,
+    SpringerLabel,
     check_dimension_property,
+    clifford_label,
     component_group,
     enumerate_IC,
     enumerate_IS,
@@ -199,6 +201,11 @@ def test_enumerate_IS_entries_consistent():
                 assert label.values == tuple(label.value(nu) for nu in gamma)
                 assert tuple(map(sum, label.values)) == label.blocks
                 assert sum(label.blocks) == label.d == d
+
+
+def test_springer_label_text():
+    label = SpringerLabel(((2,), (1, 1)), clifford_label(2, {(2,): (1,), (1, 1): (1,)}))
+    assert str(label) == "[([2],[1,1]),{[2]:[1],[1,1]:[1]}]"
 
 
 # -- report

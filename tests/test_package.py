@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import os
 import re
@@ -20,6 +21,7 @@ from wreathspringer.wreath import WreathGroup
 SRC = os.path.dirname(os.path.dirname(wreathspringer.__file__))
 
 README = os.path.join(os.path.dirname(SRC), "README.md")
+PYPROJECT = os.path.join(os.path.dirname(SRC), "pyproject.toml")
 
 # the public names of the package before they were resolved lazily
 PUBLIC_NAMES = {
@@ -106,6 +108,41 @@ def test_no_module_imports_the_package_inside_a_function():
             assert not local, f"{filename}:{node.lineno} imports the package below module level"
 
 
+def names_referenced(node) -> set[str]:
+    """Every name that `node` reads: Name ids, Attribute attrs and import aliases."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.update((sub.name, sub.asname or sub.name))
+    return names
+
+
+def test_every_module_level_function_has_a_caller_in_the_package():
+    # a helper that only the tests call belongs in tests/oracles.py; the
+    # exported names and clear_caches are reached from outside
+    package = os.path.dirname(wreathspringer.__file__)
+    tops = []
+    for filename in sorted(os.listdir(package)):
+        if filename.endswith(".py"):
+            with open(os.path.join(package, filename), encoding="utf-8") as fh:
+                tops.extend((filename, top) for top in ast.parse(fh.read()).body)
+    referenced = [(top, names_referenced(top)) for _, top in tops]
+    exempt = {*wreathspringer._EXPORTS, "clear_caches"}
+    unreached = [
+        f"{filename[:-3]}.{top.name}"
+        for filename, top in tops
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (top.name.startswith("__") and top.name.endswith("__"))
+        and top.name not in exempt
+        and not any(top.name in names for other, names in referenced if other is not top)
+    ]
+    assert not unreached, f"nothing in the package calls {unreached}"
+
+
 def test_exports_resolve_lazily_to_their_modules():
     names = set(wreathspringer.__all__)
     assert names == PUBLIC_NAMES
@@ -177,3 +214,19 @@ def test_readme_cli_examples_exit_0(capsys):
     for line in lines:
         assert cli.main(shlex.split(line)[1:]) == 0, line
         assert capsys.readouterr().out, line
+
+
+def test_console_script_prints_what_main_prints(capsys, monkeypatch):
+    # read with a regex: tomllib is new in Python 3.11
+    with open(PYPROJECT, encoding="utf-8") as fh:
+        section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", fh.read(), flags=re.M | re.S)
+    target = re.search(r'^wreathspringer = "([\w.]+):(\w+)"$', section.group(1), flags=re.M)
+    module, function = target.groups()
+    args = ["verify", "--m", "2", "--d", "2", "--scope", "dimensions"]
+    monkeypatch.setattr(sys, "argv", ["wreathspringer", *args])
+    with pytest.raises(SystemExit) as exit_info:
+        getattr(importlib.import_module(module), function)()
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert cli.main(args) == 0
+    assert out and out == capsys.readouterr().out

@@ -5,7 +5,7 @@ from operator import mul
 
 import pytest
 
-from wreathspringer import clear_caches, springer
+from wreathspringer import clear_caches, reptheory, springer
 from wreathspringer.combinatorics import (
     cycle_type,
     hook_dim,
@@ -31,7 +31,7 @@ from wreathspringer.reptheory import (
     specht_rep,
     springer_module,
 )
-from wreathspringer.wreath import WreathElement, WreathGroup
+from wreathspringer.wreath import CheckFailed, WreathElement, WreathGroup
 
 from oracles import (
     induced_character_value,
@@ -487,6 +487,21 @@ def test_bimodule_traces_are_the_traces_of_the_matrices():
         model = BimoduleModel(g, profile)
         _assert_traces_read_the_matrices(model.left)
         _assert_traces_read_the_matrices(model.right)
+
+
+def test_bimodule_refuses_actions_that_do_not_commute(monkeypatch):
+    # the slotwise left module only ever permutes slots by an identity top,
+    # so fixed tensor slots break the right action alone; at (2,2) every
+    # block is 1x1 and the broken right action still commutes
+    monkeypatch.setattr(
+        reptheory, "slot_basis_permutation", lambda dims, u: tuple(range(prod(dims)))
+    )
+    clear_caches()
+    try:
+        with pytest.raises(CheckFailed, match="left and right actions do not commute"):
+            BimoduleModel(WreathGroup(3, 2), ((2, 1), (2, 1)))
+    finally:
+        clear_caches()  # nothing built under the broken rule outlives the test
 
 
 def test_young_subgroup_characters_orthonormal_23():

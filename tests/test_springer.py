@@ -8,7 +8,6 @@ from wreathspringer.orbits import SpringerLabel, clifford_label, enumerate_IC, e
 from wreathspringer.springer import (
     HuLabel,
     hu_index,
-    hu_to_clifford,
     psi,
     psi_inv,
     typeB_table,
@@ -17,7 +16,7 @@ from wreathspringer.springer import (
 )
 from wreathspringer.wreath import CheckFailed, WreathGroup
 
-from oracles import even_signed_class_count
+from oracles import even_signed_class_count, hu_to_clifford
 
 
 # -- the bijection

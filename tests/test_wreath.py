@@ -15,6 +15,7 @@ from wreathspringer.wreath import (
     BoundExceededError,
     WreathElement,
     WreathGroup,
+    _signed,
     bruhat_leq_wreath,
     cell_statistics,
     coxeterB_leq,
@@ -26,7 +27,6 @@ from wreathspringer.wreath import (
     hasse_json,
     typeB_leq,
     wreath_identity,
-    wreath_to_typeB,
 )
 
 from oracles import (
@@ -618,7 +618,7 @@ def test_typeB_length_grading():
 
 def test_wreath_order_coarser_than_typeB():
     g = WreathGroup(2, 2)
-    images = wreath_to_typeB(g)
+    images = bfs_typeB(g)
     assert len(set(images.values())) == 8
     for x in g.elements:
         for y in g.elements:
@@ -654,9 +654,4 @@ def test_typeB_leq_matches_reflection_downsets_sampled_at_rank_4():
 @pytest.mark.parametrize("d", range(1, 6))
 def test_wreath_to_typeB_matches_breadth_first_images(d):
     g = WreathGroup(2, d)
-    assert wreath_to_typeB(g) == bfs_typeB(g)
-
-
-def test_wreath_to_typeB_requires_m_2():
-    with pytest.raises(ValueError):
-        wreath_to_typeB(WreathGroup(3, 2))
+    assert {x: _signed(x) for x in g.elements} == bfs_typeB(g)
