@@ -282,8 +282,6 @@ def orbit_report(m: int, d: int) -> dict:
     """JSON-ready summary of all orbits at (m, d).  The labels come from
     `all_orbit_labels`, so none of them is validated again, and what one
     slot contributes is worked out once per partition of m."""
-    if m < 1 or d < 1:
-        raise ValueError("m and d must be positive")
     slot = {
         nu: (format_partition(nu), partition_key(nu), _orbit_dim(m, (nu,)), _fiber_dim((nu,)))
         for nu in partitions_of(m)

@@ -59,6 +59,7 @@ from .combinatorics import (
     format_partition,
     hook_dim,
     identity_perm,
+    is_partition,
     minimal_coset_rep,
     perm_compose,
     perm_inverse,
@@ -74,8 +75,6 @@ from .matrices import (
 )
 from .orbits import CliffordLabel, Profile, _gamma, clifford_label, enumerate_IC, orbit_label
 from .wreath import CheckFailed, WreathElement, WreathGroup
-
-SPECHT_DEGREE_BOUND = 7
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +187,6 @@ def standard_tableaux(lam: Partition) -> tuple[Tableau, ...]:
     out = []
     rows = len(lam)
     for r in range(rows):
-        if lam[r] == 0:
-            continue
         if r + 1 < rows and lam[r + 1] == lam[r]:
             continue  # not a removable corner
         smaller = tuple(x for x in (lam[:r] + (lam[r] - 1,) + lam[r + 1:]) if x > 0)
@@ -244,12 +241,13 @@ def _seminormal_generators(lam: Partition) -> tuple[Matrix, ...]:
 def specht_rep(lam: Partition) -> Representation:
     """The irreducible representation of the symmetric group
     ``WreathGroup(1, n)`` attached to a partition of n, in Young's
-    seminormal form over exact rationals."""
+    seminormal form over exact rationals.  The group obeys the element
+    bound (`WreathGroup.check_bound`)."""
     lam = tuple(lam)
-    n = sum(lam)
-    if n > SPECHT_DEGREE_BOUND:
-        raise ValueError(f"partition size {n} exceeds the degree bound {SPECHT_DEGREE_BOUND}")
-    group = WreathGroup(1, n)
+    if not is_partition(lam):
+        raise ValueError(f"{lam} is not a partition")
+    group = WreathGroup(1, sum(lam))
+    group.check_bound()
     images = dict(zip(group.generators, map(BlockMonomial.one_coset, _seminormal_generators(lam))))
     images[group.identity] = BlockMonomial.identity(1, len(standard_tableaux(lam)))
     return Representation(group, images.__getitem__, name=f"S{format_partition(lam)}")

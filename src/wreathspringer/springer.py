@@ -100,6 +100,10 @@ def typeB_table(d: int) -> list[dict]:
     ]
 
 
+# the two irreducibles of the stabilizer Sigma_2 of an equal pair
+SIGMA2_SIGNS = {(2,): "+", (1, 1): "-"}
+
+
 class HuLabel(NamedTuple("HuLabel", [("pair", tuple), ("sign", Optional[str])])):
     """An unordered pair of partitions of m; equal pairs split into a
     plus and a minus label.  The sign is "+" or "-" exactly when the pair
@@ -121,17 +125,9 @@ class HuLabel(NamedTuple("HuLabel", [("pair", tuple), ("sign", Optional[str])]))
 
 
 def hu_index(m: int) -> list[HuLabel]:
-    """The d = 2 index set: unordered distinct pairs plus signed equal pairs."""
-    nus = partitions_of(m)
-    out = []
-    for i, nu1 in enumerate(nus):
-        for nu2 in nus[i:]:
-            if nu1 == nu2:
-                out.append(HuLabel((nu1, nu2), "+"))
-                out.append(HuLabel((nu1, nu2), "-"))
-            else:
-                out.append(HuLabel(tuple(sorted((nu1, nu2), reverse=True))))
-    return out
+    """The d = 2 index set, read off the orbit side at d = 2: unordered
+    distinct pairs plus signed equal pairs."""
+    return [HuLabel(s.orbit, SIGMA2_SIGNS.get(s.psi.value(s.orbit[0]))) for s in enumerate_IS(m, 2)]
 
 
 def typeD_table(d: int) -> list[dict]:
@@ -146,9 +142,6 @@ def typeD_table(d: int) -> list[dict]:
         if pair in seen:
             continue
         seen.add(pair)
-        if pair[0] == pair[1]:
-            rows.append({"pair": pair, "sign": "+", "psi": (2,)})
-            rows.append({"pair": pair, "sign": "-", "psi": (1, 1)})
-        else:
-            rows.append({"pair": pair, "sign": None, "psi": (1,)})
+        psis = partitions_of(2) if pair[0] == pair[1] else ((1,),)
+        rows.extend({"pair": pair, "sign": SIGMA2_SIGNS.get(p), "psi": p} for p in psis)
     return rows

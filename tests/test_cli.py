@@ -281,6 +281,12 @@ def test_json_text_is_the_text_of_json_dumps(value):
     assert _json_text(value) == json.dumps(value, indent=2)
 
 
+def test_json_text_refuses_a_float():
+    # every scalar the commands print is exact, so a float is a bug
+    with pytest.raises(TypeError, match="cannot write float as JSON"):
+        _json_text(0.5)
+
+
 # -- pinned bytes
 
 # stdout sha256 of every table kind and format, the diagrams, two comparisons
@@ -346,6 +352,20 @@ PINNED_OUTPUTS = [
      '56f8cd018a4d2e826d383b2eff32c24dd2e9e167834124fe2cec2cdae275d906'),
     ('tables --kind hu --m 3 --format json',
      'fc7f3b6675613bd8fa34a769ddd66c4c76b9be1e1ef284c25ea3fd15d2b01a4c'),
+    # the signed split of the equal pairs: typeD at d = 4 has the equal
+    # pairs ([2],[2]) and ([1,1],[1,1]), and hu at m = 5 has seven
+    ('tables --kind typeD --d 4 --format md',
+     'fcf75e598a41c7d5b023c37b7dfe7124962c12365cdc8cfc39f789f420a387c4'),
+    ('tables --kind typeD --d 4 --format csv',
+     '6412bf309e8096f0dfaec6d229689ad1477d1a2d1a322b262510fff271cfe583'),
+    ('tables --kind typeD --d 4 --format json',
+     'e6890f89621051f9d3e8add656b8a45d952fd3ad02e432085476f1765606c5fe'),
+    ('tables --kind hu --m 5 --format md',
+     'ba2c80d10f1c96103578852e332e88fa1839f1c3f201556409e09108011cf736'),
+    ('tables --kind hu --m 5 --format csv',
+     '09f55e8aaa4b8ee7473105cd9641d4b67d9dc497d091b95e3299832b4fbda3c0'),
+    ('tables --kind hu --m 5 --format json',
+     '28cf17949009ebe443a8c6a49ad6b285b0b32eba5c4bfa191c69ca62db3e1cf9'),
     ('hasse --m 2 --d 3 --format dot',
      '4eddc81e09171d18c63e5fa4f086eda5c90e24be3b39d8a59a7f4242a2f3ef95'),
     ('hasse --m 2 --d 3 --format json',
@@ -399,6 +419,15 @@ def test_cells_refuse_above_the_bound(capsys):
     # 2^10 * 10! elements: the generating function needs none of them, but the
     # command keeps the enumeration bound's refusal
     code, out, err = run(capsys, "tables", "--kind", "cells", "--m", "2", "--d", "10")
+    assert code == 2
+    assert out == ""
+    assert "exceeds the enumeration bound" in err
+
+
+def test_chars_refuse_a_specht_module_above_the_bound(capsys):
+    # Sigma_9 has 9! = 362,880 elements: the group, and so its Specht
+    # modules, are refused by the one element bound
+    code, out, err = run(capsys, "tables", "--kind", "chars", "--m", "9", "--d", "1")
     assert code == 2
     assert out == ""
     assert "exceeds the enumeration bound" in err

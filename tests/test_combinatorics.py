@@ -66,6 +66,16 @@ def test_compose_degree_mismatch():
         perm_compose((0, 1), (0, 1, 2))
 
 
+def test_adjacent_transposition_index_out_of_range():
+    with pytest.raises(ValueError, match="index 2 out of range for degree 3"):
+        adjacent_transposition(3, 2)
+
+
+def test_partitions_of_a_negative_integer():
+    with pytest.raises(ValueError, match="cannot partition a negative integer"):
+        partitions_of(-1)
+
+
 def test_inverse_law_random():
     rng = random.Random(7)
     for _ in range(100):

@@ -93,6 +93,15 @@ def test_scalar_products_become_integral():
     assert AlgebraVector({missing: Fraction(6, 3)})._terms == {missing: 2}
 
 
+def test_float_coefficients_are_read_exactly():
+    g = WreathGroup(2, 2)
+    i = idx(g, "t1", E2)
+    half = AlgebraVector({i: 0.5})._terms[i]
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    two = AlgebraVector({i: 2.0})._terms[i]
+    assert type(two) is int and two == 2
+
+
 def test_product_result_requires_blockers():
     with pytest.raises(ValueError):
         ProductResult(None)

@@ -39,6 +39,11 @@ def test_orbit_label_d1():
     assert orbit_label(((2, 1),)) == ((2, 1),)
 
 
+def test_orbit_label_of_an_empty_profile():
+    with pytest.raises(ValueError, match="empty profile"):
+        orbit_label(())
+
+
 def test_orbit_label_count_22():
     assert len(all_orbit_labels(2, 2)) == 3
 

@@ -15,7 +15,6 @@ from wreathspringer.combinatorics import (
 from wreathspringer.matrices import BlockMonomial, identity_matrix, kron_all, trace
 from wreathspringer.orbits import CliffordLabel, all_orbit_labels, clifford_label, enumerate_IC, gamma_of
 from wreathspringer.reptheory import (
-    SPECHT_DEGREE_BOUND,
     BimoduleModel,
     Representation,
     _seminormal_generators,
@@ -27,11 +26,12 @@ from wreathspringer.reptheory import (
     induce,
     inflate,
     isotypic_character,
+    slot_basis_permutation,
     specht_matrix,
     specht_rep,
     springer_module,
 )
-from wreathspringer.wreath import CheckFailed, WreathElement, WreathGroup
+from wreathspringer.wreath import BoundExceededError, CheckFailed, WreathElement, WreathGroup
 
 from oracles import (
     induced_character_value,
@@ -72,7 +72,7 @@ def test_specht_dims_match_hook_formula():
             assert specht_rep(lam).dim == hook_dim(lam)
 
 
-@pytest.mark.parametrize("n", range(1, SPECHT_DEGREE_BOUND + 1))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_seminormal_form_from_contents_is_the_one_from_positions(n):
     # entry for entry and type for type: int (never bool) or Fraction
     for lam in partitions_of(n):
@@ -93,11 +93,32 @@ def test_specht_characters_match_rim_hook_oracle():
                 assert chi.value_at(rep) == mn_character(lam, cycle_type(rep.top))
 
 
-def test_specht_degree_bound():
-    with pytest.raises(ValueError):
-        specht_rep((5, 3))
-    with pytest.raises(ValueError):
-        specht_rep((8,))
+def test_specht_degree_bound(monkeypatch):
+    # Sigma_n obeys the element bound like every group: 8! = 40,320 is
+    # within the default 50,000 and 9! is not
+    assert specht_rep((5, 3)).dim == 28
+    assert specht_rep((8,)).dim == 1
+    with pytest.raises(BoundExceededError):
+        specht_rep((9,))
+    monkeypatch.setenv("WREATHSPRINGER_MAX_ELEMENTS", "400000")
+    try:
+        assert specht_rep((9,)).dim == 1
+    finally:
+        clear_caches()  # the module built under the raised bound does not outlive the test
+
+
+def test_specht_degree8_characters_match_rim_hook_oracle():
+    group = WreathGroup(1, 8)
+    for lam in [(5, 3), (3, 3, 2)]:
+        chi = char_of(specht_rep(lam))
+        for rep in group.class_reps:
+            assert chi.value_at(rep) == mn_character(lam, cycle_type(rep.top)), lam
+
+
+@pytest.mark.parametrize("lam", [(1, 2), (2, 0, 1), (-1, 2), (2, 0)])
+def test_specht_refuses_a_non_partition(lam):
+    with pytest.raises(ValueError, match="is not a partition"):
+        specht_rep(lam)
 
 
 def test_specht_orthogonality_degree4():
@@ -487,6 +508,16 @@ def test_bimodule_traces_are_the_traces_of_the_matrices():
         model = BimoduleModel(g, profile)
         _assert_traces_read_the_matrices(model.left)
         _assert_traces_read_the_matrices(model.right)
+
+
+def test_bimodule_refuses_a_profile_of_another_size():
+    with pytest.raises(ValueError, match=r"does not match \(m,d\)=\(2,2\)"):
+        BimoduleModel(WreathGroup(2, 2), ((2,), (2,), (2,)))
+
+
+def test_slot_basis_permutation_needs_constant_dimensions():
+    with pytest.raises(ValueError, match="slot dimensions are not constant"):
+        slot_basis_permutation((1, 2), (1, 0))
 
 
 def test_bimodule_refuses_actions_that_do_not_commute(monkeypatch):

@@ -206,6 +206,12 @@ def test_hu_bijection_with_labels():
         assert set(images) == set(enumerate_IC(m, 2))
 
 
+def test_hu_index_is_the_orbit_side_at_d2():
+    # the oracle states the sign convention on its own: "+" is the row shape
+    for m in range(1, 7):
+        assert [hu_to_clifford(h, m) for h in hu_index(m)] == [s.psi for s in enumerate_IS(m, 2)]
+
+
 def test_hu_to_clifford_cases():
     assert hu_to_clifford(HuLabel(((2,), (2,)), "+"), 2) == clifford_label(2, {(2,): (2,)})
     assert hu_to_clifford(HuLabel(((2,), (2,)), "-"), 2) == clifford_label(2, {(2,): (1, 1)})

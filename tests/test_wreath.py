@@ -616,6 +616,11 @@ def test_typeB_length_grading():
         assert typeB_leq(u, w0)
 
 
+def test_typeB_leq_rank_mismatch():
+    with pytest.raises(ValueError, match="rank mismatch"):
+        typeB_leq((1,), (1, 2))
+
+
 def test_wreath_order_coarser_than_typeB():
     g = WreathGroup(2, 2)
     images = bfs_typeB(g)
