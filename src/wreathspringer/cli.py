@@ -119,20 +119,11 @@ def cmd_verify(args) -> int:
     if args.scope in ("algebra", "all"):
         from .convolution import verify_relations
 
-        checks.extend(verify_relations(group).to_dict()["checks"])
+        checks.extend(c.to_dict() for c in verify_relations(group).checks)
     if args.scope in ("springer", "all"):
         from .springer import verify_springer
 
-        report = verify_springer(group)
-        detail = report.to_dict()
-        checks.append(
-            {
-                "name": "springer_correspondence",
-                "status": "pass" if report.all_pass else "fail",
-                "instances": len(report.rows),
-                "counts": detail["counts"],
-            }
-        )
+        checks.append(verify_springer(group).to_dict())
     if args.scope in ("dimensions", "all"):
         from .orbits import all_profiles, check_dimension_property
 
@@ -150,92 +141,75 @@ def cmd_verify(args) -> int:
     return EXIT_OK if status == "pass" else EXIT_CHECK_FAILED
 
 
-# the size arguments each table kind reads; every other kind reads m and d
+# the size arguments each table kind reads, and so the leading keys of its
+# JSON payload; every other kind reads m and d
 TABLE_SIZES = {"typeB": ("d",), "typeD": ("d",), "hu": ("m",)}
 
 
+# the md/csv cell of a value in a JSON row: a list joins with commas, a dict
+# is its JSON text, anything else is its str (the encoder writes what
+# json.dumps writes, without json.dumps' per-call keyword handling)
+CELL_TEXT = {list: ",".join, dict: json.JSONEncoder().encode}
+
+
+def _orbit_str(orbit) -> str:
+    return "(" + ",".join(format_partition(e) for e in orbit) + ")"
+
+
 def cmd_tables(args) -> int:
-    fmt = args.format
-    if any(getattr(args, name) < 1 for name in TABLE_SIZES.get(args.kind, ("m", "d"))):
+    sizes = TABLE_SIZES.get(args.kind, ("m", "d"))
+    if any(getattr(args, name) < 1 for name in sizes):
         raise ValueError("m and d must be positive")
+    payload = {name: getattr(args, name) for name in sizes}
+    # the row kinds (irreps, springer, typeB, typeD, orbits) end their
+    # payload with a list of row objects, which md and csv print; the other
+    # kinds set their own header and rows
+    header = rows = None
     if args.kind == "irreps":
         from .orbits import enumerate_IC
         from .reptheory import clifford_irrep
 
         group = WreathGroup(args.m, args.d)
         group.check_bound()
-        rows = [
-            [str(label), str(clifford_irrep(group, label).dim)]
+        payload["irreps"] = [
+            {"label": str(label), "dim": clifford_irrep(group, label).dim}
             for label in enumerate_IC(args.m, args.d)
         ]
-        header = ["label", "dim"]
-        payload = {
-            "m": args.m,
-            "d": args.d,
-            "irreps": [{"label": r[0], "dim": int(r[1])} for r in rows],
-        }
     elif args.kind == "springer":
         from .orbits import enumerate_IC
         from .springer import psi
 
-        rows = []
-        for label in enumerate_IC(args.m, args.d):
-            s = psi(label)
-            rows.append(
-                [
-                    str(label),
-                    "(" + ",".join(format_partition(e) for e in s.orbit) + ")",
-                    str(s.psi),
-                ]
-            )
-        header = ["clifford", "orbit", "psi"]
-        payload = {
-            "m": args.m,
-            "d": args.d,
-            "rows": [dict(zip(header, r)) for r in rows],
-        }
+        labels = enumerate_IC(args.m, args.d)
+        payload["rows"] = [
+            {"clifford": str(label), "orbit": _orbit_str(s.orbit), "psi": str(s.psi)}
+            for label, s in zip(labels, map(psi, labels))
+        ]
     elif args.kind == "typeB":
         from .springer import typeB_table
 
-        rows = [
-            [
-                format_partition(row["bipartition"][0]) + "," + format_partition(row["bipartition"][1]),
-                str(row["clifford"]),
-                "(" + ",".join(format_partition(e) for e in row["springer"].orbit) + ")",
-            ]
+        payload["rows"] = [
+            {
+                "bipartition": ",".join(format_partition(p) for p in row["bipartition"]),
+                "clifford": str(row["clifford"]),
+                "orbit": _orbit_str(row["springer"].orbit),
+            }
             for row in typeB_table(args.d)
         ]
-        header = ["bipartition", "clifford", "orbit"]
-        payload = {"d": args.d, "rows": [dict(zip(header, r)) for r in rows]}
     elif args.kind == "typeD":
         from .springer import typeD_table
 
-        rows = [
-            [
-                format_partition(row["pair"][0]) + "," + format_partition(row["pair"][1]),
-                row["sign"] or "",
-                format_partition(row["psi"]),
-            ]
+        payload["rows"] = [
+            {
+                "pair": ",".join(format_partition(p) for p in row["pair"]),
+                "sign": row["sign"] or "",
+                "psi": format_partition(row["psi"]),
+            }
             for row in typeD_table(args.d)
         ]
-        header = ["pair", "sign", "psi"]
-        payload = {"d": args.d, "rows": [dict(zip(header, r)) for r in rows]}
     elif args.kind == "orbits":
         from .orbits import orbit_report
 
-        payload = orbit_report(args.m, args.d)
-        # a generator: only the md and csv formats read the rows
-        rows = (
-            [
-                ",".join(r["label"]),
-                json.dumps(r["gamma"]),
-                str(r["componentGroupOrder"]),
-                str(r["orbitDim"]),
-                str(r["fiberDim"]),
-            ]
-            for r in payload["orbits"]
-        )
-        header = ["label", "gamma", "componentGroupOrder", "orbitDim", "fiberDim"]
+        payload["orbits"] = orbit_report(args.m, args.d)["orbits"]
     elif args.kind == "chars":
         from .reptheory import character_table
 
@@ -244,39 +218,35 @@ def cmd_tables(args) -> int:
         header = ["label"] + class_words
         table = [(str(label), [str(v) for v in chi.values]) for label, _, chi in character_table(group)]
         rows = [[label, *values] for label, values in table]
-        payload = {
-            "m": args.m,
-            "d": args.d,
-            "classes": class_words,
-            "classSizes": list(group.class_sizes),
-            "rows": [{"label": label, "values": values} for label, values in table],
-        }
+        payload["classes"] = class_words
+        payload["classSizes"] = list(group.class_sizes)
+        payload["rows"] = [{"label": label, "values": values} for label, values in table]
     elif args.kind == "cells":
         group = WreathGroup(args.m, args.d)
         count, dist = cell_statistics(group)
-        payload = {
-            "m": args.m,
-            "d": args.d,
-            "cellCount": count,
-            "dimensionCounts": {str(k): v for k, v in dist.items()},
-            "polynomial": dimension_polynomial_str(dist),
-        }
+        payload["cellCount"] = count
+        payload["dimensionCounts"] = {str(k): v for k, v in dist.items()}
+        payload["polynomial"] = dimension_polynomial_str(dist)
         header = ["dimension", "cells"]
         rows = [[str(k), str(v)] for k, v in dist.items()]
     elif args.kind == "hu":
         from .springer import hu_index
 
-        labels = hu_index(args.m)
+        payload["labels"] = [str(label) for label in hu_index(args.m)]
         header = ["label"]
-        rows = [[str(label)] for label in labels]
-        payload = {"m": args.m, "labels": [str(label) for label in labels]}
+        rows = [[label] for label in payload["labels"]]
     else:  # pragma: no cover - argparse restricts the choices
         raise ValueError(args.kind)
 
-    if fmt == "json":
+    if args.format == "json":
         print(_json_text(payload))
-    else:
-        print(_render_table(header, rows, fmt))
+        return EXIT_OK
+    if header is None:
+        *_, records = payload.values()
+        header = list(records[0])
+        # a generator: the md and csv writers consume it row by row
+        rows = ([CELL_TEXT.get(type(v), str)(v) for v in record.values()] for record in records)
+    print(_render_table(header, rows, args.format))
     return EXIT_OK
 
 

@@ -76,40 +76,30 @@ def orbit_dim(profile) -> int:
     """Sum over slots of m^2 minus the squared column lengths: the adjoint
     orbit dimension of the profile."""
     m, _ = validate_profile(profile)
-    return _orbit_dim(m, profile)
+    return sum(m * m - sum(c * c for c in conjugate_partition(tuple(e))) for e in profile)
 
 
 def fiber_dim(profile) -> int:
     """Sum over slots of n(lambda): the common dimension of the fiber
     components over a representative of the profile."""
     validate_profile(profile)
-    return _fiber_dim(profile)
+    return sum(n_stat(tuple(e)) for e in profile)
 
 
 def check_dimension_property(profile) -> bool:
     """fiber_dim == d*m*(m-1)/2 - orbit_dim/2, exactly."""
     m, d = validate_profile(profile)
-    odim = _orbit_dim(m, profile)
-    # odim is even: each slot adds m^2 - sum c^2 with sum c = m, and x^2 = x mod 2
-    return _fiber_dim(profile) == d * m * (m - 1) // 2 - odim // 2
+    # orbit_dim is even: each slot adds m^2 - sum c^2 with sum c = m, and x^2 = x mod 2
+    return fiber_dim(profile) == d * m * (m - 1) // 2 - orbit_dim(profile) // 2
 
-
-# The three below take a profile that is already valid: validated by the
-# caller, or built from `partitions_of`.
 
 def _gamma(entries) -> GammaMap:
+    """`gamma_of` for entries that are already valid: validated by the
+    caller, or built from `partitions_of`."""
     counts: GammaMap = {}
     for entry in sorted(entries, reverse=True):
         counts[entry] = counts.get(entry, 0) + 1
     return counts
-
-
-def _orbit_dim(m: int, profile) -> int:
-    return sum(m * m - sum(c * c for c in conjugate_partition(tuple(e))) for e in profile)
-
-
-def _fiber_dim(profile) -> int:
-    return sum(n_stat(tuple(e)) for e in profile)
 
 
 def jordan_type(matrix) -> Partition:
@@ -283,7 +273,7 @@ def orbit_report(m: int, d: int) -> dict:
     `all_orbit_labels`, so none of them is validated again, and what one
     slot contributes is worked out once per partition of m."""
     slot = {
-        nu: (format_partition(nu), partition_key(nu), _orbit_dim(m, (nu,)), _fiber_dim((nu,)))
+        nu: (format_partition(nu), partition_key(nu), orbit_dim((nu,)), fiber_dim((nu,)))
         for nu in partitions_of(m)
     }
     rows = []

@@ -73,7 +73,7 @@ from .matrices import (
     kron_all,
     permute_columns,
 )
-from .orbits import CliffordLabel, Profile, _gamma, clifford_label, enumerate_IC, orbit_label
+from .orbits import CliffordLabel, Profile, clifford_label, enumerate_IC, gamma_of, orbit_label
 from .wreath import CheckFailed, WreathElement, WreathGroup
 
 
@@ -411,7 +411,7 @@ class BimoduleModel:
                 tuple(row_of[perm_compose(w, c)] for w in cosets), (inner,) * len(cosets)
             )
 
-        right_group = WreathGroup(1, d, tuple(_gamma(self.profile).values()))
+        right_group = WreathGroup(1, d, tuple(gamma_of(self.profile).values()))
         self.right = Representation(right_group, right_fn, name="fiber-right")
 
         for g in group.generators:

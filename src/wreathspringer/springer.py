@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .combinatorics import Partition, format_partition, partitions_of
-from .orbits import CliffordLabel, SpringerLabel, enumerate_IC, enumerate_IS
+from .orbits import CliffordLabel, SpringerLabel, enumerate_IC, enumerate_IS, validate_profile
 from .reptheory import char_of, clifford_irrep, isotypic_character, springer_module
 from .wreath import CheckFailed, WreathGroup
 
@@ -44,23 +44,16 @@ class SpringerReport(NamedTuple):
         return self.all_match and self.counts_consistent
 
     def to_dict(self) -> dict:
+        """The check as the `verify` command prints it."""
         return {
-            "m": self.m,
-            "d": self.d,
-            "labels": [
-                {
-                    "orbit": [format_partition(entry) for entry in s.orbit],
-                    "psi": str(s.psi),
-                    "match": ok,
-                }
-                for s, ok in self.rows
-            ],
+            "name": "springer_correspondence",
+            "status": "pass" if self.all_pass else "fail",
+            "instances": len(self.rows),
             "counts": {
                 "orbitSide": len(self.rows),
                 "cliffordSide": len(enumerate_IC(self.m, self.d)),
                 "conjugacyClasses": self.class_count,
             },
-            "status": "pass" if self.all_pass else "fail",
         }
 
 
@@ -112,6 +105,7 @@ class HuLabel(NamedTuple("HuLabel", [("pair", tuple), ("sign", Optional[str])]))
     __slots__ = ()
 
     def __new__(cls, pair: tuple[Partition, Partition], sign: Optional[str] = None):
+        validate_profile(pair)
         first, second = pair
         if (first == second) != (sign in ("+", "-")):
             raise ValueError("sign is carried exactly by the equal pairs")

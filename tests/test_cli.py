@@ -1,6 +1,8 @@
 import functools
 import gc
+import csv
 import hashlib
+import io
 import json
 import shlex
 from math import prod
@@ -262,6 +264,40 @@ def test_tables_markdown(capsys):
     assert len(lines) == 2 + 13
 
 
+def csv_cell(value) -> str:
+    """The md/csv cell of a JSON row value."""
+    if isinstance(value, list):
+        return ",".join(value)
+    if isinstance(value, dict):
+        return json.dumps(value)
+    return str(value)
+
+
+@pytest.mark.parametrize("kind", ["irreps", "springer", "typeB", "typeD", "orbits", "chars", "cells", "hu"])
+def test_tables_csv_prints_the_json_rows(capsys, kind):
+    # typeB and typeD read d = 3, hu reads m = 3
+    outputs = {}
+    for fmt in ("csv", "json"):
+        code, outputs[fmt], _ = run(capsys, "tables", "--kind", kind, "--m", "3", "--d", "3", "--format", fmt)
+        assert code == 0
+    header, *rows = csv.reader(io.StringIO(outputs["csv"]))
+    payload = json.loads(outputs["json"])
+    if kind == "chars":
+        assert header == ["label", *payload["classes"]]
+        assert rows == [[row["label"], *row["values"]] for row in payload["rows"]]
+    elif kind == "cells":
+        assert header == ["dimension", "cells"]
+        assert rows == [[k, str(v)] for k, v in payload["dimensionCounts"].items()]
+    elif kind == "hu":
+        assert header == ["label"]
+        assert rows == [[label] for label in payload["labels"]]
+    else:
+        # the row kinds end their payload with their list of row objects
+        *_, records = payload.values()
+        assert header == list(records[0])
+        assert rows == [[csv_cell(v) for v in record.values()] for record in records]
+
+
 def test_tables_deterministic(capsys):
     args = ("tables", "--kind", "springer", "--m", "3", "--d", "2", "--format", "json")
     _, out1, _ = run(capsys, *args)
@@ -405,6 +441,28 @@ PINNED_OUTPUTS = [
      'ab46999eeb03eb9c2e45c6cd0f741324c3ca51836f915bc255f2a1ab434f1156'),
     ('verify --scope algebra --m 2 --d 4',
      '5b5e5f9adf49aa0198fab24a95aba5abcd2ed1bc2f3e98f3d18aff6929f8cc56'),
+    # the row kinds at m = 3, where a label has three keys, and verify with
+    # every scope at m = 3 (at (2,2) it is pinned above)
+    ('tables --kind springer --m 3 --d 3 --format md',
+     '4c79fcf293f6faa78d2049b09c8b7727bc0ed59b3430e106a925f2fb92ffb6a1'),
+    ('tables --kind springer --m 3 --d 3 --format csv',
+     'c858f450473d76804301fbcce024acbb1d0318c2f9a925fab263b073e4076197'),
+    ('tables --kind springer --m 3 --d 3 --format json',
+     'aab6a5d1c3d019e489cc169f832afd78cc63cc347c898cccae3df8811d4e7576'),
+    ('tables --kind irreps --m 3 --d 3 --format md',
+     '3564e959df501d77615a2d549a68d50a765598026140999272578925913156e7'),
+    ('tables --kind irreps --m 3 --d 3 --format csv',
+     '05f856fcf3e1ae84e83cb73af16e78b94da6cb4cb419f7af728d6c86440177f2'),
+    ('tables --kind irreps --m 3 --d 3 --format json',
+     '8cc2786232cb0a0d5e737e873be152a5d9d80f4c6c9aa4635cfcd40fd2888857'),
+    ('tables --kind orbits --m 3 --d 3 --format md',
+     '0e0665dc6f1bfa10b398e1438590912cb214f182762ebf0ba66c7cc1a493e43c'),
+    ('tables --kind orbits --m 3 --d 3 --format csv',
+     '46773500a032746f6cf0b5ae0a466dbba0fcaa71d557e89f35d3cacdec6bd351'),
+    ('tables --kind orbits --m 3 --d 3 --format json',
+     'f3ebfd060ea36688d1fceaf365f3402c070101c273ae39984a9affb3469249cd'),
+    ('verify --scope all --m 3 --d 2',
+     '892e959912e2b491a688ee0626582b41c8b5028b2c9390aa51603e1057934989'),
 ]
 
 

@@ -108,6 +108,24 @@ def test_no_module_imports_the_package_inside_a_function():
             assert not local, f"{filename}:{node.lineno} imports the package below module level"
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # a name that another module needs is part of its owner's public surface
+    package = os.path.dirname(wreathspringer.__file__)
+    private = []
+    for filename in sorted(os.listdir(package)):
+        if filename.endswith(".py"):
+            with open(os.path.join(package, filename), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            private.extend(
+                f"{filename[:-3]} <- {alias.name}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0
+                for alias in node.names
+                if alias.name.startswith("_")
+            )
+    assert not private, f"private names imported across modules: {private}"
+
+
 def names_referenced(node) -> set[str]:
     """Every name that `node` reads: Name ids, Attribute attrs and import aliases."""
     names = set()
@@ -187,6 +205,9 @@ def test_records_are_immutable_and_equal_by_their_fields():
     (lambda: SpringerLabel(((1, 1),), CliffordLabel(2, (((2,), (1,)),))), "not an irreducible"),
     (lambda: HuLabel(((2,), (2,))), "sign is carried exactly by the equal pairs"),
     (lambda: HuLabel(pair=((1, 1), (2,)), sign=None), "pair must be sorted"),
+    (lambda: HuLabel(((5,), (1,))), r"^\(1,\) does not partition 5$"),
+    (lambda: HuLabel(((-1,), (-2,))), r"^\(-1,\) does not partition -1$"),
+    (lambda: HuLabel(((1, 2), (1, 2)), "+"), r"^\(1, 2\) does not partition 3$"),
 ])
 def test_records_validate_on_construction(make, message):
     with pytest.raises(ValueError, match=message):
