@@ -7,7 +7,9 @@ property), and ``tables`` (index sets, orbits, characters, and the type
 B/D specializations).
 
 Exit codes: 0 success / all checks pass, 1 a mathematical check failed,
-2 usage or bounds error.  Data goes to stdout, diagnostics to stderr.
+2 usage or bounds error, 141 (128 + SIGPIPE) stdout closed by its reader,
+as when the output is piped into ``head``.  Data goes to stdout,
+diagnostics to stderr.
 All fractions are serialized as strings so no value is ever coerced to a
 float.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Iterable
 from json.encoder import encode_basestring_ascii
@@ -38,6 +41,7 @@ from .wreath import (
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a C tool killed by it
 
 
 def _one_line(p) -> str:
@@ -313,7 +317,17 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point fd 1 at devnull so that the
+        # interpreter's final flush cannot raise again (Python docs, signal
+        # module, "Note on SIGPIPE")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

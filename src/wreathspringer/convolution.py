@@ -295,14 +295,6 @@ class RelationReport(NamedTuple):
     def all_pass(self) -> bool:
         return all(c.status != "fail" for c in self.checks)
 
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "d": self.d,
-            "checks": [c.to_dict() for c in self.checks],
-            "status": "pass" if self.all_pass else "fail",
-        }
-
 
 PRODUCTS_CHECK_LIMIT = 2000  # max basis-index count for the quadratic-cost check
 

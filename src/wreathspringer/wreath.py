@@ -19,9 +19,9 @@ order, which is type A on the letters -d..-1, 1..d.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import chain, product
 from json.encoder import encode_basestring_ascii
 from math import factorial, prod
 from typing import TextIO
@@ -376,21 +376,13 @@ class WreathGroup:
     @cached_property
     def words(self) -> tuple[str, ...]:
         """The presentation's normal-form word of each element ("e" for the
-        identity), in `elements` order, built without the elements.  Every
-        generator changes sum_j l(f_j) + l(top) by exactly one, so this is
-        the lex-smallest shortest word in the order of `named_generators`.
-
-        The normal form is the factor words slot by slot, then the top's, so
-        each word joins one precomputed string per (slot, factor) and one
-        per top, extending the prefixes slot by slot in `elements` order.
-        The bound is checked before anything is built."""
+        identity), in `elements` order, built without the elements: the
+        blocks of `_word_blocks` joined.  Every generator changes
+        sum_j l(f_j) + l(top) by exactly one, so this is the lex-smallest
+        shortest word in the order of `named_generators`.  The bound is
+        checked before anything is built."""
         self.check_bound()
-        prefixes = [""]
-        for j in range(1, self.d + 1):
-            slot = [" ".join(f"s{i + 1}^{j}" for i in perm_to_word(f)) for f in all_perms(self.m)]
-            prefixes = [_join(p, w) for p in prefixes for w in slot]
-        tops = [" ".join(f"t{a + 1}" for a in perm_to_word(t)) for t in self.tops]
-        return tuple([_join(p, w) or "e" for w in tops for p in prefixes])
+        return tuple(chain.from_iterable(_word_blocks(self)))
 
     @cached_property
     def _words(self) -> dict[WreathElement, str]:
@@ -439,6 +431,22 @@ class WreathGroup:
     @property
     def class_sizes(self) -> tuple[int, ...]:
         return tuple(len(cls) for cls in self.conjugacy_classes)
+
+
+def _word_blocks(group: WreathGroup) -> Iterator[list[str]]:
+    """The words of `WreathGroup.words`, one list per top's block of
+    `elements`, each built when it is reached.  The normal form is the
+    factor words slot by slot, then the top's, so a word joins a prefix of
+    the factor slots and a top's word.  The prefixes are extended slot by
+    slot in `elements` order and built once (M^d strings, M = m!).  The
+    bound is the caller's to check."""
+    prefixes = [""]
+    for j in range(1, group.d + 1):
+        slot = [" ".join(f"s{i + 1}^{j}" for i in perm_to_word(f)) for f in all_perms(group.m)]
+        prefixes = [_join(p, w) for p in prefixes for w in slot]
+    for top in group.tops:
+        top_word = " ".join(f"t{a + 1}" for a in perm_to_word(top))
+        yield [_join(p, top_word) or "e" for p in prefixes]
 
 
 def _cover_block(group: WreathGroup) -> tuple[list[tuple[int, int]], int]:
@@ -522,18 +530,17 @@ def hasse_json(group: WreathGroup, out: TextIO) -> None:
     """Write the diagram to `out` as the text of ``json.dumps({"m", "d",
     "nodes", "covers"}, indent=2)`` and a newline: with ``indent`` that call
     runs CPython's pure-Python encoder, which costs more than the covers.
-    The nodes are `group.words` and the covers the pairs of `hasse_covers`,
-    each written as one chunk per top's block of `elements`; no element
-    and no whole-diagram string is built, and a group the bound refuses
-    gets no byte."""
-    words = group.words
+    The nodes are the words of `_word_blocks` and the covers the pairs of
+    `hasse_covers`, each written as one chunk per top's block of
+    `elements`.  A block's words and position strings are built when it is
+    written, so no element, no whole-group table and no whole-diagram
+    string is built, and a group the bound refuses gets no byte."""
+    group.check_bound()
     block, size = _cover_block(group)
-    numbers = list(map(str, range(group.order)))
-    starts = range(0, group.order, size)
-    nodes = (",\n".join([f"    {encode_basestring_ascii(w)}" for w in words[b:b + size]]) for b in starts)
+    nodes = (",\n".join([f"    {encode_basestring_ascii(w)}" for w in words]) for words in _word_blocks(group))
     covers = (
         ",\n".join([f"    [\n      {n[i]},\n      {n[j]}\n    ]" for i, j in block])
-        for n in (numbers[b:b + size] for b in starts)
+        for n in (list(map(str, range(b, b + size))) for b in range(0, group.order, size))
     )
     out.write(f'{{\n  "m": {group.m},\n  "d": {group.d},\n  "nodes": ')
     _write_json_list(out, nodes)
@@ -544,16 +551,15 @@ def hasse_json(group: WreathGroup, out: TextIO) -> None:
 
 def hasse_dot(group: WreathGroup, out: TextIO) -> None:
     """Write the diagram to `out` in DOT: one line per node in `elements`
-    order, then one per cover of `hasse_covers`, each top's block of them
-    as one chunk, as `hasse_json` does."""
-    words = group.words
-    block, size = _cover_block(group)
-    starts = range(0, group.order, size)
+    order, then one per cover of `hasse_covers`.  Each pass walks
+    `_word_blocks` and writes one chunk per top's block, as `hasse_json`
+    does; a cover never leaves its block, so its block's words name it."""
+    group.check_bound()
+    block, _ = _cover_block(group)
     out.write("digraph hasse {\n  rankdir=BT;\n")
-    for b in starts:
-        out.write("".join([f'  "{w}";\n' for w in words[b:b + size]]))
-    for b in starts:
-        w = words[b:b + size]
+    for words in _word_blocks(group):
+        out.write("".join([f'  "{w}";\n' for w in words]))
+    for w in _word_blocks(group):
         out.write("".join([f'  "{w[i]}" -> "{w[j]}";\n' for i, j in block]))
     out.write("}\n")
 

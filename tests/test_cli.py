@@ -4,12 +4,16 @@ import csv
 import hashlib
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
 
+import wreathspringer
 from wreathspringer import clear_caches, reptheory
 from wreathspringer.cli import _json_text, main
 
@@ -130,6 +134,23 @@ def test_math_failure_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "not a homomorphism" in err
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # a 7.6 MB diagram piped into a reader that takes 10 bytes and closes
+    # the pipe, as `head -c 10` does
+    src = os.path.dirname(os.path.dirname(wreathspringer.__file__))
+    with subprocess.Popen(
+        [sys.executable, "-m", "wreathspringer", "hasse", "--m", "3", "--d", "4"],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.read(10) == b"digraph ha"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
 
 
 def package_caches():

@@ -2,8 +2,10 @@ import copy
 import io
 import itertools
 import json
+import os
 import pickle
 import random
+import tracemalloc
 from functools import reduce
 from math import factorial
 
@@ -16,6 +18,7 @@ from wreathspringer.wreath import (
     WreathElement,
     WreathGroup,
     _signed,
+    _word_blocks,
     bruhat_leq_wreath,
     cell_statistics,
     coxeterB_leq,
@@ -399,6 +402,31 @@ def test_hasse_writers_build_no_element_table():
     written(hasse_dot, g)
     assert "elements" not in vars(g)
     assert "_words" not in vars(g)
+    assert "words" not in vars(g)
+
+
+@pytest.mark.parametrize("writer", [hasse_json, hasse_dot], ids=lambda w: w.__name__)
+def test_hasse_writers_hold_one_block_of_words(writer):
+    # a table with an entry per element holds 46,080 words at (2,6), one
+    # top's block 64
+    g = WreathGroup(2, 6)
+    with open(os.devnull, "w") as out:
+        tracemalloc.start()
+        try:
+            writer(g, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("size", DIAGRAM_SIZES, ids=lambda size: "-".join(map(str, size)))
+def test_word_blocks_are_the_words_in_elements_order(size):
+    g = WreathGroup(*size)
+    blocks = list(itertools.chain.from_iterable(_word_blocks(g)))
+    assert blocks == list(g.words)
+    bfs = bfs_words(g)
+    assert blocks == [bfs[x] for x in g.elements]
 
 
 def test_bound_guard(monkeypatch):
