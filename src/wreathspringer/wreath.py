@@ -24,6 +24,7 @@ from functools import cached_property, lru_cache
 from itertools import chain, product
 from json.encoder import encode_basestring_ascii
 from math import factorial, prod
+from operator import itemgetter
 from typing import TextIO
 
 from .combinatorics import (
@@ -204,11 +205,6 @@ def wreath_downset(x: WreathElement) -> list[WreathElement]:
     return [
         WreathElement(fs, x.top) for fs in product(*factor_sets)
     ]
-
-
-def _join(a: str, b: str) -> str:
-    """Two words joined by a space, either of them possibly empty."""
-    return f"{a} {b}" if a and b else a or b
 
 
 class WreathGroup:
@@ -433,37 +429,59 @@ class WreathGroup:
         return tuple(len(cls) for cls in self.conjugacy_classes)
 
 
-def _word_blocks(group: WreathGroup) -> Iterator[list[str]]:
-    """The words of `WreathGroup.words`, one list per top's block of
-    `elements`, each built when it is reached.  The normal form is the
-    factor words slot by slot, then the top's, so a word joins a prefix of
-    the factor slots and a top's word.  The prefixes are extended slot by
-    slot in `elements` order and built once (M^d strings, M = m!).  The
-    bound is the caller's to check."""
-    prefixes = [""]
+def _word_parts(group: WreathGroup, escape=str) -> list[tuple]:
+    """`WreathGroup.words` as a pair ``(prefixes, t)`` per top's block of
+    `elements`, its k-th word ``prefixes[k] + t``, with "e" for the identity;
+    the M^d prefixes, M = m!, are built once.  `escape` maps each slot's and
+    top's word, so it must distribute over concatenation, as JSON's does."""
+    spaced = [""]
     for j in range(1, group.d + 1):
-        slot = [" ".join(f"s{i + 1}^{j}" for i in perm_to_word(f)) for f in all_perms(group.m)]
-        prefixes = [_join(p, w) for p in prefixes for w in slot]
-    for top in group.tops:
-        top_word = " ".join(f"t{a + 1}" for a in perm_to_word(top))
-        yield [_join(p, top_word) or "e" for p in prefixes]
+        slot = [escape("".join(f"s{i + 1}^{j} " for i in perm_to_word(f))) for f in all_perms(group.m)]
+        spaced = list(map("".join, product(spaced, slot)))
+    top_words = [escape(" ".join(f"t{a + 1}" for a in perm_to_word(top))) for top in group.tops]
+    return [(spaced, t) if t else (["e", *map(str.rstrip, spaced[1:])], "") for t in top_words]
 
 
-def _cover_block(group: WreathGroup) -> tuple[list[tuple[int, int]], int]:
-    """The covers within the first top's block of `elements`, as positions,
-    and the block size M^d, M = m!.  Every other top's block is the shift
-    of it by a multiple of M^d; see `hasse_covers`."""
+def _word_blocks(group: WreathGroup) -> Iterator[list[str]]:
+    """The words of `WreathGroup.words`, one list per top's block."""
+    return ([p + t for p in prefixes] for prefixes, t in _word_parts(group))
+
+
+def _block_text(parts: list[str], t: str, lead: str, end: str, mark: str = "") -> str:
+    """``lead + p + t + end`` for each p of `parts`, joined by `mark`, as
+    one join whose separator carries t."""
+    return "".join((lead, (t + end + mark + lead).join(parts), t, end))
+
+
+def _cover_block(group: WreathGroup, shift: int = 0) -> list[list[int]]:
+    """The covers (i, j) within the first top's block of `elements`, sorted
+    by i, as ``i, j + shift`` in M = m! slices by the factor in the first
+    slot.  `elements` is top-major, then the factors in mixed radix with
+    base M: replacing the factor of index a in slot s by its upper cover u
+    moves the position by (index(u) - a) * M^(d-1-s), and every other top's
+    block is a shift of this one.  ``steps[i]`` holds the offsets from i,
+    each plus the shift, slot by slot from the last, which sorts them."""
     perms = all_perms(group.m)
     index = {f: a for a, f in enumerate(perms)}
-    offsets = [
-        [tuple((index[u] - a) * stride for u in upper_covers(f)) for a, f in enumerate(perms)]
-        for stride in (len(perms) ** (group.d - 1 - s) for s in range(group.d))
-    ]
-    block = []
-    for i, slot_offsets in enumerate(product(*offsets)):
-        for step in reversed(slot_offsets):
-            block += [(i, i + o) for o in step]
-    return block, len(perms) ** group.d
+    steps = [()]
+    for s in range(group.d):
+        stride = len(perms) ** (group.d - 1 - s)
+        slot = [tuple((index[u] - a) * stride + shift for u in upper_covers(f)) for a, f in enumerate(perms)]
+        steps = [o + step for step in steps for o in slot]
+    width = len(steps) // len(perms)
+    return [[x for i in range(a, a + width) for o in steps[i] for x in (i, i + o)] for a in range(0, len(steps), width)]
+
+
+def _gather(group: WreathGroup, blocks: Iterable[tuple], head: tuple, tail: tuple) -> Iterator[str]:
+    """Per ``(parts, t)`` of `blocks` and slice of `_cover_block`, the join
+    of ``head[0] + parts[i] + t + head[1] + tail[0] + parts[j] + t + tail[1]``
+    over its covers (i, j): one `itemgetter` of two indices per cover (never
+    one) on a table of the M^d heads, then the M^d tails, from one split."""
+    getters = [itemgetter(*ends) for ends in _cover_block(group, group.order // len(group.tops)) if ends]
+    for parts, t in blocks:
+        table = "\0".join((_block_text(parts, t, *head, "\0"), _block_text(parts, t, *tail, "\0"))).split("\0")
+        for get in getters:
+            yield "".join(get(table))
 
 
 def hasse_covers(group: WreathGroup) -> list[tuple[int, int]]:
@@ -474,17 +492,11 @@ def hasse_covers(group: WreathGroup) -> list[tuple[int, int]]:
     so: equal tops, one factor covered in type A, the rest equal.  The pairs
     come in (x.key(), y.key()) order: x runs through `elements`, and an
     upper cover is lexicographically larger than the factor it replaces, so
-    y grows as its slot moves left and as the cover grows.
-
-    `elements` is top-major, then the factors in mixed radix with base
-    M = m!, so replacing the factor with index a in slot s by its upper
-    cover u moves the position by (index(u) - a) * M^(d-1-s).  Those d*M
-    offset tuples give the covers of one top's block of M^d elements, and
-    every other block is a shift of it.
-    """
+    y grows as its slot moves left and as the cover grows; see `_cover_block`."""
     group.check_bound()
-    block, size = _cover_block(group)
-    return [(b + i, b + j) for b in range(0, group.order, size) for i, j in block]
+    ends = list(chain.from_iterable(_cover_block(group)))
+    size = group.order // len(group.tops)
+    return [(b + i, b + j) for b in range(0, group.order, size) for i, j in zip(ends[::2], ends[1::2])]
 
 
 def cell_statistics(group: WreathGroup) -> tuple[int, dict[int, int]]:
@@ -514,53 +526,41 @@ def dimension_polynomial_str(dist: dict[int, int]) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _write_json_list(out: TextIO, chunks: Iterable[str]) -> None:
-    """Write a JSON list, the value of a top-level key under ``indent=2``,
-    whose items come already written out one per line at depth 2 and
-    joined into chunks, one chunk at a time; empty chunks add no item."""
-    sep = "[\n"
-    for chunk in chunks:
-        if chunk:
-            out.write(sep + chunk)
-            sep = ",\n"
-    out.write("[]" if sep == "[\n" else "\n  ]")
+def _write_json_list(out: TextIO, chunks: Iterator[str]) -> None:
+    """Write a JSON list, a top-level key's value under ``indent=2``, from
+    chunks of its items, one per line at depth 2, each after ",\\n"."""
+    first = next(chunks, None)
+    out.write("[]" if first is None else "[" + first[1:])
+    out.writelines(chunks)
+    out.write("" if first is None else "\n  ]")
 
 
 def hasse_json(group: WreathGroup, out: TextIO) -> None:
     """Write the diagram to `out` as the text of ``json.dumps({"m", "d",
-    "nodes", "covers"}, indent=2)`` and a newline: with ``indent`` that call
-    runs CPython's pure-Python encoder, which costs more than the covers.
-    The nodes are the words of `_word_blocks` and the covers the pairs of
-    `hasse_covers`, each written as one chunk per top's block of
-    `elements`.  A block's words and position strings are built when it is
-    written, so no element, no whole-group table and no whole-diagram
-    string is built, and a group the bound refuses gets no byte."""
+    "nodes", "covers"}, indent=2)`` and a newline: the nodes one join per
+    top's block of `_word_parts`, the covers by `_gather` from each block's
+    position strings.  No element, no whole-group table and no whole-diagram
+    string is built; a group the bound refuses gets no byte."""
     group.check_bound()
-    block, size = _cover_block(group)
-    nodes = (",\n".join([f"    {encode_basestring_ascii(w)}" for w in words]) for words in _word_blocks(group))
-    covers = (
-        ",\n".join([f"    [\n      {n[i]},\n      {n[j]}\n    ]" for i, j in block])
-        for n in (list(map(str, range(b, b + size))) for b in range(0, group.order, size))
-    )
+    parts = _word_parts(group, lambda s: encode_basestring_ascii(s)[1:-1])
     out.write(f'{{\n  "m": {group.m},\n  "d": {group.d},\n  "nodes": ')
-    _write_json_list(out, nodes)
+    _write_json_list(out, (_block_text(p, t, ',\n    "', '"') for p, t in parts))
     out.write(',\n  "covers": ')
-    _write_json_list(out, covers)
+    size = group.order // len(group.tops)
+    blocks = ((list(map(str, range(b, b + size))), "") for b in range(0, group.order, size))
+    _write_json_list(out, _gather(group, blocks, (",\n    [\n      ", ",\n      "), ("", "\n    ]")))
     out.write("\n}\n")
 
 
 def hasse_dot(group: WreathGroup, out: TextIO) -> None:
-    """Write the diagram to `out` in DOT: one line per node in `elements`
-    order, then one per cover of `hasse_covers`.  Each pass walks
-    `_word_blocks` and writes one chunk per top's block, as `hasse_json`
-    does; a cover never leaves its block, so its block's words name it."""
+    """Write the diagram to `out` in DOT: a line per node in `elements` order,
+    one join per top's block of `_word_parts`, then a line per cover, by
+    `_gather` from its block's words.  Both passes share one prefix table."""
     group.check_bound()
-    block, _ = _cover_block(group)
+    parts = _word_parts(group)
     out.write("digraph hasse {\n  rankdir=BT;\n")
-    for words in _word_blocks(group):
-        out.write("".join([f'  "{w}";\n' for w in words]))
-    for w in _word_blocks(group):
-        out.write("".join([f'  "{w[i]}" -> "{w[j]}";\n' for i, j in block]))
+    out.writelines(_block_text(p, t, '  "', '";\n') for p, t in parts)
+    out.writelines(_gather(group, parts, ('  "', '" -> "'), ("", '";\n')))
     out.write("}\n")
 
 

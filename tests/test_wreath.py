@@ -379,7 +379,9 @@ def test_hasse_json_and_dot():
 
 
 # (m, d) or (m, d, blocks)
-DIAGRAM_SIZES = [(1, 1), (1, 3), (3, 1), (2, 2), (3, 2), (2, 3), (2, 5), (3, 4), (2, 3, (2, 1)), (3, 3, (1, 2))]
+DIAGRAM_SIZES = [
+    (1, 1), (1, 3), (2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (2, 3), (2, 5), (3, 4), (2, 3, (2, 1)), (3, 3, (1, 2))
+]
 
 
 @pytest.mark.parametrize("size", DIAGRAM_SIZES, ids=lambda size: "-".join(map(str, size)))
@@ -405,19 +407,33 @@ def test_hasse_writers_build_no_element_table():
     assert "words" not in vars(g)
 
 
-@pytest.mark.parametrize("writer", [hasse_json, hasse_dot], ids=lambda w: w.__name__)
-def test_hasse_writers_hold_one_block_of_words(writer):
-    # a table with an entry per element holds 46,080 words at (2,6), one
-    # top's block 64
-    g = WreathGroup(2, 6)
+def traced_peak(writer, group) -> int:
+    """The peak of traced memory while `writer` streams `group` to the null device."""
     with open(os.devnull, "w") as out:
         tracemalloc.start()
         try:
-            writer(g, out)
-            peak = tracemalloc.get_traced_memory()[1]
+            writer(group, out)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak < 2**20
+
+
+@pytest.mark.parametrize("writer", [hasse_json, hasse_dot], ids=lambda w: w.__name__)
+def test_hasse_writers_hold_one_block_of_words(writer):
+    # a table with an entry per element holds 46,080 words at (2,6); the
+    # writers hold the 64 factor prefixes, one top's block of cover heads and
+    # tails, and the covers from one first-slot factor, 32 sources' worth
+    assert traced_peak(writer, WreathGroup(2, 6)) < 2**20
+
+
+@pytest.mark.parametrize("writer, mib", [(hasse_json, 20), (hasse_dot, 31)], ids=["hasse_json", "hasse_dot"])
+def test_hasse_writers_hold_one_first_slot_slice_of_covers(writer, mib, monkeypatch):
+    # (4,3) has the widest block that the tests reach: 13,824 positions and
+    # 100,224 covers per top.  Joined whole, one block's covers and their
+    # strings peaked at 26.6 MiB (json) and 41.8 MiB (dot); one chunk per
+    # first-slot factor holds 576 sources' covers
+    monkeypatch.setenv("WREATHSPRINGER_MAX_ELEMENTS", "700000")
+    assert traced_peak(writer, WreathGroup(4, 3)) < mib * 2**20
 
 
 @pytest.mark.parametrize("size", DIAGRAM_SIZES, ids=lambda size: "-".join(map(str, size)))
