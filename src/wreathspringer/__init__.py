@@ -42,10 +42,8 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "CliffordLabel",
-            "SpringerLabel",
             "check_dimension_property",
             "clifford_label",
-            "component_group",
             "enumerate_IC",
             "enumerate_IS",
             "fiber_dim",
@@ -75,8 +73,6 @@ _EXPORTS = {
         (
             "HuLabel",
             "hu_index",
-            "psi",
-            "psi_inv",
             "typeB_table",
             "typeD_table",
             "verify_springer",

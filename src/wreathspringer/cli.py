@@ -181,12 +181,12 @@ def cmd_tables(args) -> int:
         ]
     elif args.kind == "springer":
         from .orbits import enumerate_IC
-        from .springer import psi
 
-        labels = enumerate_IC(args.m, args.d)
+        # one label names both sides, so the psi column (the component-group
+        # irreducible of the orbit) repeats the clifford column
         payload["rows"] = [
-            {"clifford": str(label), "orbit": _orbit_str(s.orbit), "psi": str(s.psi)}
-            for label, s in zip(labels, map(psi, labels))
+            {"clifford": str(label), "orbit": _orbit_str(label.orbit), "psi": str(label)}
+            for label in enumerate_IC(args.m, args.d)
         ]
     elif args.kind == "typeB":
         from .springer import typeB_table
@@ -195,7 +195,7 @@ def cmd_tables(args) -> int:
             {
                 "bipartition": ",".join(format_partition(p) for p in row["bipartition"]),
                 "clifford": str(row["clifford"]),
-                "orbit": _orbit_str(row["springer"].orbit),
+                "orbit": _orbit_str(row["clifford"].orbit),
             }
             for row in typeB_table(args.d)
         ]

@@ -1,14 +1,17 @@
 """Nilpotent-orbit combinatorics: Jordan profiles, orbit labels, the
-multiplicity map gamma, component groups, the dimension bookkeeping
-relating orbit dimension to fiber dimension, and the two label sets of
-the correspondence.
+multiplicity map gamma, the dimension bookkeeping relating orbit
+dimension to fiber dimension, and the label set of the correspondence.
 
 A Jordan profile is a tuple of d partitions of m, one per matrix slot;
 its orbit label is the canonical (descending) sorted form, which is a
 complete invariant for simultaneous conjugation plus slot permutation.
-The correspondence matches the multipartitions (`CliffordLabel`, listed by
-`enumerate_IC`) with the orbit labels paired with an irreducible of their
-component group (`SpringerLabel`, listed by `enumerate_IS`).
+The component group of an orbit is the Young subgroup with one symmetric
+factor of degree gamma(nu) per distinct entry nu, so an irreducible of it
+is a partition of gamma(nu) for each nu: a multipartition.  One type,
+`CliffordLabel`, therefore labels both sides of the correspondence: an
+irreducible of Sigma_m wr Sigma_d (Clifford theory, listed by
+`enumerate_IC`), and its `orbit` with an irreducible of that orbit's
+component group (listed orbit by orbit by `enumerate_IS`).
 """
 
 from __future__ import annotations
@@ -56,12 +59,6 @@ def gamma_of(profile) -> GammaMap:
     Keys are listed in canonical descending order."""
     validate_profile(profile)
     return _gamma(tuple(e) for e in profile)
-
-
-def component_group(profile) -> GammaMap:
-    """Descriptor of the component group: the Young subgroup with one
-    symmetric factor of degree gamma(nu) per distinct entry nu."""
-    return gamma_of(profile)
 
 
 def young_order(gamma: GammaMap) -> int:
@@ -229,32 +226,15 @@ def enumerate_IC(m: int, d: int) -> tuple[CliffordLabel, ...]:
     return tuple(out)
 
 
-class SpringerLabel(NamedTuple("SpringerLabel", [("orbit", tuple), ("psi", CliffordLabel)])):
-    """An orbit label together with an irreducible of its component group,
-    the latter encoded as a multipartition with the orbit's multiplicities."""
-
-    __slots__ = ()
-
-    def __new__(cls, orbit: Profile, psi: CliffordLabel):
-        # psi.orbit is in canonical order, so this also checks that orbit is
-        if psi.orbit != orbit:
-            raise ValueError(f"{psi} is not an irreducible of the component group of {orbit}")
-        return super().__new__(cls, orbit, psi)
-
-    def __str__(self):
-        body = ",".join(format_partition(entry) for entry in self.orbit)
-        return f"[({body}),{self.psi}]"
-
-
-def enumerate_IS(m: int, d: int) -> list[SpringerLabel]:
-    """All orbit-side labels: one per (orbit label, irreducible of the
-    component group), the irreducible encoded as a multipartition with
-    multiplicities gamma."""
-    out = []
-    for label in all_orbit_labels(m, d):
-        for assignment in _assignments(list(_gamma(label).items())):
-            out.append(SpringerLabel(label, CliffordLabel(m, assignment)))
-    return out
+def enumerate_IS(m: int, d: int) -> list[CliffordLabel]:
+    """All orbit-side labels, orbit by orbit: for each orbit label, one per
+    irreducible of its component group, the irreducible encoded as a
+    multipartition with multiplicities gamma, whose `orbit` is that label."""
+    return [
+        CliffordLabel(m, assignment)
+        for label in all_orbit_labels(m, d)
+        for assignment in _assignments(list(_gamma(label).items()))
+    ]
 
 
 def _assignments(gamma_items):

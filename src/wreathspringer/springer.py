@@ -1,7 +1,9 @@
-"""The bijection between multipartition labels and orbit-side labels (both
-label types live in `orbits`), its end-to-end character verification, and the small-rank specializations
-(bipartition tables for m = 2, the d = 2 signed index set, and the even /
-odd rank-d tables derived from it).
+"""The orbit/isotypic correspondence and its end-to-end character
+verification, and the small-rank specializations (bipartition tables for
+m = 2, the d = 2 signed index set, and the even / odd rank-d tables derived
+from it).  One `CliffordLabel` names both sides: the irreducible of
+Sigma_m wr Sigma_d, and its `orbit` with an irreducible of that orbit's
+component group (see `orbits`).
 """
 
 from __future__ import annotations
@@ -9,26 +11,14 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .combinatorics import Partition, format_partition, partitions_of
-from .orbits import CliffordLabel, SpringerLabel, enumerate_IC, enumerate_IS, validate_profile
+from .orbits import CliffordLabel, enumerate_IC, enumerate_IS, validate_profile
 from .reptheory import char_of, clifford_irrep, isotypic_character, springer_module
 from .wreath import CheckFailed, WreathGroup
 
 
-def psi(label: CliffordLabel) -> SpringerLabel:
-    """Forward direction: the orbit takes |label(nu)| slots of type nu, and
-    the component-group irreducible is the label itself."""
-    return SpringerLabel(label.orbit, label)
-
-
-def psi_inv(slabel: SpringerLabel) -> CliffordLabel:
-    """Inverse direction; the constructor has already checked consistency."""
-    return slabel.psi
-
-
 class SpringerReport(NamedTuple):
-    m: int
-    d: int
-    rows: tuple[tuple[SpringerLabel, bool], ...]
+    rows: tuple[tuple[CliffordLabel, bool], ...]
+    clifford_count: int
     class_count: int
 
     @property
@@ -51,7 +41,7 @@ class SpringerReport(NamedTuple):
             "instances": len(self.rows),
             "counts": {
                 "orbitSide": len(self.rows),
-                "cliffordSide": len(enumerate_IC(self.m, self.d)),
+                "cliffordSide": self.clifford_count,
                 "conjugacyClasses": self.class_count,
             },
         }
@@ -66,14 +56,14 @@ def verify_springer(group: WreathGroup) -> SpringerReport:
     m, d = group.m, group.d
     labels = enumerate_IS(m, d)
     clifford_labels = enumerate_IC(m, d)
-    if sorted(s.psi for s in labels) != sorted(clifford_labels):
+    if sorted(labels) != sorted(clifford_labels):
         raise CheckFailed("the two index sets are not in bijection")
     rows = []
-    for slabel in labels:
-        geo = isotypic_character(springer_module(group, slabel.orbit), slabel.psi)
-        alg = char_of(clifford_irrep(group, psi_inv(slabel)))
-        rows.append((slabel, geo.values == alg.values))
-    return SpringerReport(m, d, tuple(rows), len(group.conjugacy_classes))
+    for label in labels:
+        geo = isotypic_character(springer_module(group, label.orbit), label)
+        alg = char_of(clifford_irrep(group, label))
+        rows.append((label, geo.values == alg.values))
+    return SpringerReport(tuple(rows), len(clifford_labels), len(group.conjugacy_classes))
 
 
 # ---------------------------------------------------------------------------
@@ -82,13 +72,9 @@ def verify_springer(group: WreathGroup) -> SpringerReport:
 def typeB_table(d: int) -> list[dict]:
     """One row per bipartition of d, identified with a multipartition label
     at m = 2 (first component attached to the row-shape key (2,), second to
-    the column-shape key (1,1)), each carrying its orbit-side label."""
+    the column-shape key (1,1)); the label's `orbit` is its orbit side."""
     return [
-        {
-            "bipartition": (label.value((2,)), label.value((1, 1))),
-            "clifford": label,
-            "springer": psi(label),
-        }
+        {"bipartition": (label.value((2,)), label.value((1, 1))), "clifford": label}
         for label in enumerate_IC(2, d)
     ]
 
@@ -121,7 +107,7 @@ class HuLabel(NamedTuple("HuLabel", [("pair", tuple), ("sign", Optional[str])]))
 def hu_index(m: int) -> list[HuLabel]:
     """The d = 2 index set, read off the orbit side at d = 2: unordered
     distinct pairs plus signed equal pairs."""
-    return [HuLabel(s.orbit, SIGMA2_SIGNS.get(s.psi.value(s.orbit[0]))) for s in enumerate_IS(m, 2)]
+    return [HuLabel(s.orbit, SIGMA2_SIGNS.get(s.value(s.orbit[0]))) for s in enumerate_IS(m, 2)]
 
 
 def typeD_table(d: int) -> list[dict]:

@@ -246,7 +246,11 @@ class WreathGroup:
         return hash((self.m, self.d, self.blocks))
 
     def check_bound(self) -> None:
-        bound = int(os.environ.get(BOUND_ENV_VAR, DEFAULT_MAX_ELEMENTS))
+        raw = os.environ.get(BOUND_ENV_VAR, DEFAULT_MAX_ELEMENTS)
+        try:
+            bound = int(raw)
+        except ValueError:
+            raise ValueError(f"{BOUND_ENV_VAR} must be an integer, got {raw!r}") from None
         if self.order > bound:
             raise BoundExceededError(
                 f"group of order {self.order} exceeds the enumeration bound "

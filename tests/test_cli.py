@@ -121,6 +121,14 @@ def test_verify_bound_exceeded(capsys):
     assert "bound" in err
 
 
+def test_verify_names_an_unreadable_bound(capsys, monkeypatch):
+    monkeypatch.setenv("WREATHSPRINGER_MAX_ELEMENTS", "abc")
+    code, out, err = run(capsys, "verify", "--scope", "algebra", "--m", "2", "--d", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: WREATHSPRINGER_MAX_ELEMENTS must be an integer, got 'abc'\n"
+
+
 def test_math_failure_exits_1(capsys, monkeypatch):
     # tensor slots that never move break the slot action of the extension
     monkeypatch.setattr(

@@ -9,10 +9,7 @@ from wreathspringer.matrices import as_matrix, mat_mul, mat_rank, identity_matri
 from wreathspringer.orbits import (
     all_orbit_labels,
     all_profiles,
-    SpringerLabel,
     check_dimension_property,
-    clifford_label,
-    component_group,
     enumerate_IC,
     enumerate_IS,
     fiber_dim,
@@ -23,7 +20,6 @@ from wreathspringer.orbits import (
     orbit_report,
     young_order,
 )
-from wreathspringer.springer import psi
 from wreathspringer.wreath import WreathGroup
 
 from oracles import deduplicated_orbit_labels
@@ -110,15 +106,15 @@ def test_gamma_known_values():
 
 
 def test_component_group_orders():
-    assert young_order(component_group(((2,), (2,)))) == 2
-    assert young_order(component_group(((2,), (1, 1)))) == 1
-    assert young_order(component_group(((3,), (2, 1), (1, 1, 1)))) == 1
+    assert young_order(gamma_of(((2,), (2,)))) == 2
+    assert young_order(gamma_of(((2,), (1, 1)))) == 1
+    assert young_order(gamma_of(((3,), (2, 1), (1, 1, 1)))) == 1
 
 
 def test_component_group_order_divides_d_factorial():
     for m, d in [(2, 3), (3, 2), (2, 2)]:
         for profile in all_profiles(m, d):
-            assert factorial(d) % young_order(component_group(profile)) == 0
+            assert factorial(d) % young_order(gamma_of(profile)) == 0
 
 
 # -- dimensions
@@ -194,23 +190,18 @@ def test_enumerate_IS_matches_classes_and_IC():
 
 def test_enumerate_IS_entries_consistent():
     for s in enumerate_IS(2, 3):
-        assert s.psi.gamma() == gamma_of(s.orbit)
+        assert s.gamma() == gamma_of(s.orbit)
     # a label's shape: its orbit, the block sizes and values in key order
     for m in range(1, 5):
         for d in range(1, 5):
             for label in enumerate_IC(m, d):
                 gamma = label.gamma()
-                assert label.orbit == psi(label).orbit == orbit_label(label.orbit)
+                assert label.orbit == orbit_label(label.orbit)
                 assert gamma_of(label.orbit) == gamma
                 assert label.blocks == tuple(gamma.values())
                 assert label.values == tuple(label.value(nu) for nu in gamma)
                 assert tuple(map(sum, label.values)) == label.blocks
                 assert sum(label.blocks) == label.d == d
-
-
-def test_springer_label_text():
-    label = SpringerLabel(((2,), (1, 1)), clifford_label(2, {(2,): (1,), (1, 1): (1,)}))
-    assert str(label) == "[([2],[1,1]),{[2]:[1],[1,1]:[1]}]"
 
 
 # -- report

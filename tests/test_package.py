@@ -13,7 +13,7 @@ import wreathspringer
 from wreathspringer import cli
 from wreathspringer.convolution import Check, RelationReport
 from wreathspringer.matrices import BlockMonomial
-from wreathspringer.orbits import CliffordLabel, SpringerLabel
+from wreathspringer.orbits import CliffordLabel
 from wreathspringer.reptheory import Character
 from wreathspringer.springer import HuLabel, SpringerReport
 from wreathspringer.wreath import WreathGroup
@@ -23,18 +23,18 @@ SRC = os.path.dirname(os.path.dirname(wreathspringer.__file__))
 README = os.path.join(os.path.dirname(SRC), "README.md")
 PYPROJECT = os.path.join(os.path.dirname(SRC), "pyproject.toml")
 
-# the public names of the package before they were resolved lazily
+# the public names of the package
 PUBLIC_NAMES = {
     "AlgebraVector", "BasisIndex", "BoundExceededError", "Character", "CheckFailed",
-    "CliffordLabel", "HuLabel", "ProductResult", "Representation", "SpringerLabel",
+    "CliffordLabel", "HuLabel", "ProductResult", "Representation",
     "WreathElement", "WreathGroup", "all_perms", "bruhat_leq_typeA", "bruhat_leq_wreath",
     "cell_statistics", "char_of", "check_dimension_property", "clifford_irrep",
-    "clifford_label", "combinatorics", "component_group", "conjugate_partition", "convolution",
+    "clifford_label", "combinatorics", "conjugate_partition", "convolution",
     "convolve", "convolve_basis", "coxeterB_leq", "embed_md", "enumerate_IC", "enumerate_IS",
     "extend_to_wreath", "fiber_dim", "gamma_of", "hasse_covers", "hook_dim", "hu_index",
     "induce", "inflate", "involution_T", "isotypic_character", "jordan_type", "matrices",
     "n_stat", "orbit_dim", "orbit_label", "orbits", "partitions_of", "perm_compose",
-    "perm_inverse", "perm_length", "pi0_act", "psi", "psi_inv", "reptheory", "specht_rep",
+    "perm_inverse", "perm_length", "pi0_act", "reptheory", "specht_rep",
     "springer", "springer_module", "typeB_table", "typeD_table", "verify_relations",
     "verify_springer", "wreath", "y_bar", "y_bar_sum",
 }
@@ -184,8 +184,8 @@ def test_records_are_immutable_and_equal_by_their_fields():
     check = Check("products", "pass", 32)
     records = [
         check, RelationReport(2, 2, (check,)), BlockMonomial((1, 0), (((1,),), ((-1,),))),
-        label, SpringerLabel(((2,), (1, 1)), label), Character(WreathGroup(2, 2), (1, 1)),
-        SpringerReport(2, 2, (), 0), HuLabel(((2,), (2,)), "+"), HuLabel(((2,), (1, 1))),
+        label, Character(WreathGroup(2, 2), (1, 1)), SpringerReport((), 0, 0),
+        HuLabel(((2,), (2,)), "+"), HuLabel(((2,), (1, 1))),
     ]
     for record in records:
         twin = type(record)(**record._asdict())
@@ -202,7 +202,6 @@ def test_records_are_immutable_and_equal_by_their_fields():
     (lambda: CliffordLabel(m=2, entries=(((3,), (1,)),)), r"key \(3,\) does not partition m=2"),
     (lambda: CliffordLabel(2, (((2,), ()),)), "empty values must be omitted"),
     (lambda: CliffordLabel(2, (((2,), (1, 2)),)), "is not a partition"),
-    (lambda: SpringerLabel(((1, 1),), CliffordLabel(2, (((2,), (1,)),))), "not an irreducible"),
     (lambda: HuLabel(((2,), (2,))), "sign is carried exactly by the equal pairs"),
     (lambda: HuLabel(pair=((1, 1), (2,)), sign=None), "pair must be sorted"),
     (lambda: HuLabel(((5,), (1,))), r"^\(1,\) does not partition 5$"),

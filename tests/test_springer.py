@@ -1,15 +1,15 @@
+from itertools import groupby
 from math import comb
 
 import pytest
 
 from wreathspringer import cli, springer
 from wreathspringer.combinatorics import partitions_of
-from wreathspringer.orbits import SpringerLabel, clifford_label, enumerate_IC, enumerate_IS, gamma_of
+from wreathspringer.orbits import all_orbit_labels, clifford_label, enumerate_IC, enumerate_IS, gamma_of
+from wreathspringer.reptheory import char_of, clifford_irrep, isotypic_character, springer_module
 from wreathspringer.springer import (
     HuLabel,
     hu_index,
-    psi,
-    psi_inv,
     typeB_table,
     typeD_table,
     verify_springer,
@@ -19,48 +19,59 @@ from wreathspringer.wreath import CheckFailed, WreathGroup
 from oracles import even_signed_class_count, hu_to_clifford
 
 
-# -- the bijection
+# -- the orbit side of a label: its orbit, with the label itself as the
+# irreducible psi of the orbit's component group
 
 def test_psi_equal_pair():
-    label = clifford_label(2, {(2,): (2,)})
-    s = psi(label)
-    assert s.orbit == ((2,), (2,))
-    assert s.psi == label
+    assert clifford_label(2, {(2,): (2,)}).orbit == ((2,), (2,))
 
 
 def test_psi_distinct_pair():
     label = clifford_label(2, {(2,): (1,), (1, 1): (1,)})
-    s = psi(label)
-    assert s.orbit == ((2,), (1, 1))
-    assert gamma_of(s.orbit) == {(2,): 1, (1, 1): 1}
+    assert label.orbit == ((2,), (1, 1))
+    assert gamma_of(label.orbit) == {(2,): 1, (1, 1): 1} == label.gamma()
 
 
 def test_psi_single_slot():
     for lam in partitions_of(3):
-        s = psi(clifford_label(3, {lam: (1,)}))
-        assert s.orbit == (lam,)
+        assert clifford_label(3, {lam: (1,)}).orbit == (lam,)
 
 
 def test_psi_roundtrip():
+    # a label is its orbit together with one partition per orbit key: taking
+    # the two apart and putting them back together gives the label again
     for m, d in [(2, 2), (3, 2), (4, 1)]:
         for label in enumerate_IC(m, d):
-            assert psi_inv(psi(label)) == label
-        springer_side = enumerate_IS(m, d)
-        assert [psi(psi_inv(s)) for s in springer_side] == list(springer_side)
+            assert clifford_label(m, dict(zip(gamma_of(label.orbit), label.values))) == label
+        for s in enumerate_IS(m, d):
+            assert s.orbit in all_orbit_labels(m, d)
+            assert clifford_label(m, dict(zip(gamma_of(s.orbit), s.values))) == s
 
 
 def test_psi_bijective():
     for m, d in [(2, 2), (3, 2), (2, 3)]:
-        images = [psi(label) for label in enumerate_IC(m, d)]
-        assert len(set(images)) == len(images)
-        assert set(images) == set(enumerate_IS(m, d))
+        labels = enumerate_IC(m, d)
+        orbit_side = enumerate_IS(m, d)
+        assert len(set(orbit_side)) == len(orbit_side) == len(labels)
+        assert set(orbit_side) == set(labels)
+
+
+def test_orbit_side_lists_every_label_once_by_orbit():
+    for m in range(1, 5):
+        for d in range(1, 5):
+            orbit_side = enumerate_IS(m, d)
+            assert len(set(orbit_side)) == len(orbit_side)
+            assert sorted(orbit_side) == sorted(enumerate_IC(m, d))
+            # one run of labels per orbit, the runs in orbit-label order
+            assert [orbit for orbit, _ in groupby(s.orbit for s in orbit_side)] == all_orbit_labels(m, d)
 
 
 def test_springer_label_validation():
-    with pytest.raises(ValueError):
-        SpringerLabel(((1, 1), (2,)), clifford_label(2, {(2,): (1,), (1, 1): (1,)}))
-    with pytest.raises(ValueError):
-        SpringerLabel(((2,), (2,)), clifford_label(2, {(1, 1): (2,)}))
+    # a fiber's isotypic parts are named by the labels of its own orbit only
+    model = springer_module(WreathGroup(2, 2), ((2,), (2,)))
+    for other in [clifford_label(2, {(2,): (1,), (1, 1): (1,)}), clifford_label(2, {(1, 1): (2,)})]:
+        with pytest.raises(ValueError, match="is not an irreducible of the right group"):
+            isotypic_character(model, other)
 
 
 # -- end-to-end character verification
@@ -79,16 +90,17 @@ def test_verify_springer_22():
 
 
 def test_verify_springer_reports_a_mismatch(monkeypatch, capsys):
-    # send the orbit-side label of {[2]:[2]} to {[2]:[1,1]}: the same gamma,
-    # so every check before the characters passes, but another irreducible
+    # give {[2]:[2]} the irreducible of {[2]:[1,1]}: the same gamma, so
+    # every check before the characters passes, but another irreducible
     trivial = clifford_label(2, {(2,): (2,)})
     sign = clifford_label(2, {(2,): (1, 1)})
-    wrong = psi(trivial)
-    true_inverse = springer.psi_inv
-    monkeypatch.setattr(springer, "psi_inv", lambda s: sign if s == wrong else true_inverse(s))
+    true_irrep = springer.clifford_irrep
+    monkeypatch.setattr(
+        springer, "clifford_irrep", lambda group, label: true_irrep(group, sign if label == trivial else label)
+    )
     report = verify_springer(WreathGroup(2, 2))
     assert not report.all_match
-    assert [s for s, ok in report.rows if not ok] == [wrong]
+    assert [s for s, ok in report.rows if not ok] == [trivial]
     assert cli.main(["verify", "--scope", "springer", "--m", "2", "--d", "2"]) == 1
     assert '"status": "fail"' in capsys.readouterr().out
 
@@ -106,14 +118,12 @@ def test_verify_springer_refuses_index_sets_out_of_bijection(monkeypatch, capsys
 
 def test_isotypic_dimensions_match_irreducible_dimensions():
     # cheaper smoke test implied by the character equality
-    from wreathspringer.reptheory import char_of, clifford_irrep, isotypic_character, springer_module
-
     for m, d in [(2, 2), (3, 2)]:
         g = WreathGroup(m, d)
         for s in enumerate_IS(m, d):
             model = springer_module(g, s.orbit)
-            geo_dim = isotypic_character(model, s.psi).dim
-            alg_dim = char_of(clifford_irrep(g, psi_inv(s))).dim
+            geo_dim = isotypic_character(model, s).dim
+            alg_dim = char_of(clifford_irrep(g, s)).dim
             assert geo_dim == alg_dim
 
 
@@ -128,7 +138,7 @@ def test_typeB_table_row_content():
     rows = {row["bipartition"]: row for row in typeB_table(2)}
     row = rows[((2,), ())]
     assert row["clifford"] == clifford_label(2, {(2,): (2,)})
-    assert row["springer"].orbit == ((2,), (2,))
+    assert row["clifford"].orbit == ((2,), (2,))
     mixed = rows[((1,), (1,))]
     assert mixed["clifford"] == clifford_label(2, {(2,): (1,), (1, 1): (1,)})
 
@@ -209,7 +219,7 @@ def test_hu_bijection_with_labels():
 def test_hu_index_is_the_orbit_side_at_d2():
     # the oracle states the sign convention on its own: "+" is the row shape
     for m in range(1, 7):
-        assert [hu_to_clifford(h, m) for h in hu_index(m)] == [s.psi for s in enumerate_IS(m, 2)]
+        assert [hu_to_clifford(h, m) for h in hu_index(m)] == enumerate_IS(m, 2)
 
 
 def test_hu_to_clifford_cases():
