@@ -229,23 +229,13 @@ def enumerate_IC(m: int, d: int) -> tuple[CliffordLabel, ...]:
 def enumerate_IS(m: int, d: int) -> list[CliffordLabel]:
     """All orbit-side labels, orbit by orbit: for each orbit label, one per
     irreducible of its component group, the irreducible encoded as a
-    multipartition with multiplicities gamma, whose `orbit` is that label."""
+    multipartition with multiplicities gamma, whose `orbit` is that label.
+    The irreducibles come in lex order of each nu's `partitions_of`."""
     return [
-        CliffordLabel(m, assignment)
-        for label in all_orbit_labels(m, d)
-        for assignment in _assignments(list(_gamma(label).items()))
+        CliffordLabel(m, tuple(zip(gamma, lams)))
+        for gamma in map(_gamma, all_orbit_labels(m, d))
+        for lams in product(*map(partitions_of, gamma.values()))
     ]
-
-
-def _assignments(gamma_items):
-    """All ways to attach a partition of gamma(nu) to each nu."""
-    if not gamma_items:
-        yield ()
-        return
-    (nu, count), rest = gamma_items[0], gamma_items[1:]
-    for lam in partitions_of(count):
-        for tail in _assignments(rest):
-            yield ((nu, lam),) + tail
 
 
 def orbit_report(m: int, d: int) -> dict:

@@ -22,7 +22,6 @@ import os
 from collections.abc import Iterable, Iterator
 from functools import cached_property, lru_cache
 from itertools import chain, product
-from json.encoder import encode_basestring_ascii
 from math import factorial, prod
 from operator import itemgetter
 from typing import TextIO
@@ -213,7 +212,7 @@ class WreathGroup:
     (default ``(d,)``, the whole of Sigma_d).
 
     Two contexts are equal when their (m, d, blocks) are.  Caches (tops,
-    elements, words, conjugacy classes) are built once on first use and are
+    elements, conjugacy classes) are built once on first use and are
     immutable afterwards; build before sharing across threads.
     """
 
@@ -373,24 +372,21 @@ class WreathGroup:
 
     # -- words --------------------------------------------------------------
 
-    @cached_property
-    def words(self) -> tuple[str, ...]:
-        """The presentation's normal-form word of each element ("e" for the
-        identity), in `elements` order, built without the elements: the
-        blocks of `_word_blocks` joined.  Every generator changes
-        sum_j l(f_j) + l(top) by exactly one, so this is the lex-smallest
-        shortest word in the order of `named_generators`.  The bound is
-        checked before anything is built."""
-        self.check_bound()
-        return tuple(chain.from_iterable(_word_blocks(self)))
+    def word(self, x: WreathElement) -> str:
+        """The normal-form word of x (``word_of`` of `presentation`) spelled
+        with the names of `named_generators`, "e" for the identity.  Every
+        generator changes sum_j l(f_j) + l(top) by exactly one, so this is
+        the lex-smallest shortest word in the order of `named_generators`."""
+        _, word_of = self.presentation
+        names = [name for name, _ in self.named_generators]
+        return " ".join(names[k] for k in word_of(x)) or "e"
 
     @cached_property
     def _words(self) -> dict[WreathElement, str]:
-        """`words` keyed by element, for `word`."""
-        return dict(zip(self.elements, self.words))
-
-    def word(self, x: WreathElement) -> str:
-        return self._words[x]
+        """`word` of every element, keyed in `elements` order.  Nothing in
+        the package reads it; it stays so that `perfbench/tracer.py`, which
+        wraps it by name, finds it."""
+        return {x: self.word(x) for x in self.elements}
 
     def parse_word(self, text: str) -> WreathElement:
         """Parse an element word: generator names of `named_generators` and
@@ -433,22 +429,16 @@ class WreathGroup:
         return tuple(len(cls) for cls in self.conjugacy_classes)
 
 
-def _word_parts(group: WreathGroup, escape=str) -> list[tuple]:
-    """`WreathGroup.words` as a pair ``(prefixes, t)`` per top's block of
-    `elements`, its k-th word ``prefixes[k] + t``, with "e" for the identity;
-    the M^d prefixes, M = m!, are built once.  `escape` maps each slot's and
-    top's word, so it must distribute over concatenation, as JSON's does."""
+def _word_parts(group: WreathGroup) -> list[tuple]:
+    """The `WreathGroup.word` of each element as a pair ``(prefixes, t)`` per
+    top's block of `elements`, its k-th word ``prefixes[k] + t``, with "e"
+    for the identity; the M^d prefixes, M = m!, are built once."""
     spaced = [""]
     for j in range(1, group.d + 1):
-        slot = [escape("".join(f"s{i + 1}^{j} " for i in perm_to_word(f))) for f in all_perms(group.m)]
+        slot = ["".join(f"s{i + 1}^{j} " for i in perm_to_word(f)) for f in all_perms(group.m)]
         spaced = list(map("".join, product(spaced, slot)))
-    top_words = [escape(" ".join(f"t{a + 1}" for a in perm_to_word(top))) for top in group.tops]
+    top_words = [" ".join(f"t{a + 1}" for a in perm_to_word(top)) for top in group.tops]
     return [(spaced, t) if t else (["e", *map(str.rstrip, spaced[1:])], "") for t in top_words]
-
-
-def _word_blocks(group: WreathGroup) -> Iterator[list[str]]:
-    """The words of `WreathGroup.words`, one list per top's block."""
-    return ([p + t for p in prefixes] for prefixes, t in _word_parts(group))
 
 
 def _block_text(parts: list[str], t: str, lead: str, end: str, mark: str = "") -> str:
@@ -543,10 +533,12 @@ def hasse_json(group: WreathGroup, out: TextIO) -> None:
     """Write the diagram to `out` as the text of ``json.dumps({"m", "d",
     "nodes", "covers"}, indent=2)`` and a newline: the nodes one join per
     top's block of `_word_parts`, the covers by `_gather` from each block's
-    position strings.  No element, no whole-group table and no whole-diagram
-    string is built; a group the bound refuses gets no byte."""
+    position strings.  Every generator name is ``s<i>^<j>`` or ``t<k>``, so
+    JSON writes the words unescaped.  No element, no whole-group table and
+    no whole-diagram string is built; a group the bound refuses gets no
+    byte."""
     group.check_bound()
-    parts = _word_parts(group, lambda s: encode_basestring_ascii(s)[1:-1])
+    parts = _word_parts(group)
     out.write(f'{{\n  "m": {group.m},\n  "d": {group.d},\n  "nodes": ')
     _write_json_list(out, (_block_text(p, t, ',\n    "', '"') for p, t in parts))
     out.write(',\n  "covers": ')

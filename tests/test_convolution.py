@@ -472,14 +472,16 @@ def test_verify_relations_32():
     assert by_name["wreath"].instances == 2
 
 
+def reversed_product(a, b):
+    """`convolve_basis` with every defined nonzero product reversed."""
+    res = convolve_basis(a, b)
+    if res.defined and not res.vector.is_zero():
+        return ProductResult(AlgebraVector.basis(BasisIndex(b.w * a.w, a.tau)))
+    return res
+
+
 def test_failed_relation_report(monkeypatch, capsys):
     # reversing every defined nonzero basis product breaks only `products`
-    def reversed_product(a, b):
-        res = convolve_basis(a, b)
-        if res.defined and not res.vector.is_zero():
-            return ProductResult(AlgebraVector.basis(BasisIndex(b.w * a.w, a.tau)))
-        return res
-
     monkeypatch.setattr(convolution, "convolve_basis", reversed_product)
     report = verify_relations(WreathGroup(2, 2))
     by_name = {c.name: c for c in report.checks}
@@ -494,6 +496,27 @@ def test_failed_relation_report(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_printed_words_need_no_word_table(monkeypatch, capsys):
+    # chars prints one word per class and a failed products check names its
+    # products by their words; both spell them from the normal form alone
+    argvs = [["tables", "--kind", "chars", "--m", "3", "--d", "3", "--format", f] for f in ("md", "csv", "json")]
+
+    def printed(argv):
+        code = cli.main(argv)
+        return code, capsys.readouterr().out
+
+    before = [printed(argv) for argv in argvs]
+
+    def refuse(group):
+        raise AssertionError(f"{group!r}._words built")
+
+    monkeypatch.setattr(WreathGroup, "_words", property(refuse))
+    assert [printed(argv) for argv in argvs] == before
+    monkeypatch.setattr(convolution, "convolve_basis", reversed_product)
+    by_name = {c.name: c for c in verify_relations(WreathGroup(2, 2)).checks}
+    assert by_name["products"].detail == "s1^2 * t1; t1 * s1^2; s1^1 * t1"
+
+
 @pytest.mark.parametrize("m, d", [(2, 2), (3, 2), (2, 3)])
 def test_products_check_matches_the_whole_vector_oracle(m, d):
     g = WreathGroup(m, d)
@@ -503,12 +526,6 @@ def test_products_check_matches_the_whole_vector_oracle(m, d):
 
 
 def test_failed_products_check_matches_the_whole_vector_oracle(monkeypatch):
-    def reversed_product(a, b):
-        res = convolve_basis(a, b)
-        if res.defined and not res.vector.is_zero():
-            return ProductResult(AlgebraVector.basis(BasisIndex(b.w * a.w, a.tau)))
-        return res
-
     monkeypatch.setattr(convolution, "convolve_basis", reversed_product)
     for m, d in [(2, 2), (3, 2)]:
         g = WreathGroup(m, d)

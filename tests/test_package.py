@@ -184,7 +184,7 @@ def test_records_are_immutable_and_equal_by_their_fields():
     check = Check("products", "pass", 32)
     records = [
         check, RelationReport(2, 2, (check,)), BlockMonomial((1, 0), (((1,),), ((-1,),))),
-        label, Character(WreathGroup(2, 2), (1, 1)), SpringerReport((), 0, 0),
+        label, Character(WreathGroup(2, 2), (1, 1)), SpringerReport((), 0),
         HuLabel(((2,), (2,)), "+"), HuLabel(((2,), (1, 1))),
     ]
     for record in records:

@@ -18,7 +18,7 @@ from wreathspringer.wreath import (
     WreathElement,
     WreathGroup,
     _signed,
-    _word_blocks,
+    _word_parts,
     bruhat_leq_wreath,
     cell_statistics,
     coxeterB_leq,
@@ -404,7 +404,6 @@ def test_hasse_writers_build_no_element_table():
     written(hasse_dot, g)
     assert "elements" not in vars(g)
     assert "_words" not in vars(g)
-    assert "words" not in vars(g)
 
 
 def traced_peak(writer, group) -> int:
@@ -439,8 +438,8 @@ def test_hasse_writers_hold_one_first_slot_slice_of_covers(writer, mib, monkeypa
 @pytest.mark.parametrize("size", DIAGRAM_SIZES, ids=lambda size: "-".join(map(str, size)))
 def test_word_blocks_are_the_words_in_elements_order(size):
     g = WreathGroup(*size)
-    blocks = list(itertools.chain.from_iterable(_word_blocks(g)))
-    assert blocks == list(g.words)
+    blocks = [p + t for prefixes, t in _word_parts(g) for p in prefixes]
+    assert blocks == [g.word(x) for x in g.elements]
     bfs = bfs_words(g)
     assert blocks == [bfs[x] for x in g.elements]
 
@@ -455,7 +454,7 @@ def test_bound_guard(monkeypatch):
     with pytest.raises(BoundExceededError):
         cell_statistics(g)
     with pytest.raises(BoundExceededError):
-        _ = g.words
+        _ = g._words
     for writer in (hasse_json, hasse_dot):
         out = io.StringIO()
         with pytest.raises(BoundExceededError):
@@ -474,8 +473,7 @@ def test_bound_env_override(monkeypatch):
 # -- words
 
 def test_word_roundtrip():
-    for m, d in [(2, 2), (3, 2)]:
-        g = WreathGroup(m, d)
+    for g in [WreathGroup(2, 2), WreathGroup(3, 2), WreathGroup(2, 3, (2, 1)), WreathGroup(3, 3, (1, 2))]:
         for x in g.elements:
             assert g.parse_word(g.word(x)) == x
 
@@ -487,9 +485,8 @@ def test_word_roundtrip():
     ids=repr,
 )
 def test_words_follow_the_elements_order(group):
-    # hasse_json and hasse_dot read the words by position
     assert list(group._words) == list(group.elements)
-    assert list(group._words.values()) == list(group.words)
+    assert list(group._words.values()) == [group.word(x) for x in group.elements]
 
 
 @pytest.mark.parametrize(
