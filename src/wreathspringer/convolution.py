@@ -28,11 +28,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .combinatorics import Perm, all_perms, perm_compose
-from .matrices import Scalar
 from .wreath import WreathElement, WreathGroup, wreath_downset
+
+if TYPE_CHECKING:
+    from .matrices import Scalar
 
 
 def _exact(c) -> Scalar:
@@ -180,8 +182,7 @@ class ProductResult(
 def convolve_basis(a: BasisIndex, b: BasisIndex) -> ProductResult:
     """The partial product of two basis classes; see the module docstring."""
     aw, bw = a.w, b.w
-    if len(aw.top) != len(bw.top) or len(aw.factors[0]) != len(bw.factors[0]):
-        raise ValueError(f"context mismatch: ({aw.m},{aw.d}) vs ({bw.m},{bw.d})")
+    aw._check_compatible(bw)
     tau = a.tau
     if tuple([tau[i] for i in aw.top]) != b.tau:  # b.tau != a.tau o top(a.w)
         return ProductResult(AlgebraVector.zero())

@@ -16,7 +16,7 @@ from wreathspringer.matrices import BlockMonomial
 from wreathspringer.orbits import CliffordLabel
 from wreathspringer.reptheory import Character
 from wreathspringer.springer import HuLabel, SpringerReport
-from wreathspringer.wreath import WreathGroup
+from wreathspringer.wreath import WreathGroup, wreath_identity
 
 SRC = os.path.dirname(os.path.dirname(wreathspringer.__file__))
 
@@ -77,6 +77,15 @@ def test_commands_load_neither_dataclasses_nor_inspect(command):
     loaded = loaded_after(code, prefix="")
     assert "wreathspringer.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_algebra_check_loads_no_matrix_module():
+    # the class algebra's coefficients are exact ints and Fractions; the
+    # matrix module's `Scalar` is only an annotation there
+    loaded = loaded_after('from wreathspringer import cli; cli.main(["verify", "--scope", "algebra", "--m", "2", "--d", "2"])')
+    assert loaded == {
+        f"wreathspringer{name}" for name in ("", ".cli", ".combinatorics", ".convolution", ".wreath")
+    }
 
 
 def test_orbit_labels_load_no_representation_module():
@@ -185,7 +194,7 @@ def test_records_are_immutable_and_equal_by_their_fields():
     records = [
         check, RelationReport(2, 2, (check,)), BlockMonomial((1, 0), (((1,),), ((-1,),))),
         label, Character(WreathGroup(2, 2), (1, 1)), SpringerReport((), 0),
-        HuLabel(((2,), (2,)), "+"), HuLabel(((2,), (1, 1))),
+        HuLabel(((2,), (2,)), "+"), HuLabel(((2,), (1, 1))), wreath_identity(2, 2),
     ]
     for record in records:
         twin = type(record)(**record._asdict())

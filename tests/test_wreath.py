@@ -162,9 +162,12 @@ def test_element_equality_hash_and_repr(pair):
 
 def test_element_against_other_types():
     x = wreath_identity(2, 2)
-    for other in [(x.factors, x.top), x.key(), None, "e"]:
+    for other in [x.key(), None, "e"]:
         assert x != other and not (x == other)
         assert other != x and not (other == x)
+    # a named tuple equals its fields
+    pair = (x.factors, x.top)
+    assert x == pair and pair == x and hash(x) == hash(pair)
 
 
 def test_element_is_immutable_and_checks_its_length():
