@@ -71,8 +71,6 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
-            "HuLabel",
-            "hu_index",
             "typeB_table",
             "typeD_table",
             "verify_springer",

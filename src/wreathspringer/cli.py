@@ -234,9 +234,14 @@ def cmd_tables(args) -> int:
         header = ["dimension", "cells"]
         rows = [[str(k), str(v)] for k, v in dist.items()]
     elif args.kind == "hu":
-        from .springer import hu_index
+        from .orbits import SIGMA2_SIGNS, enumerate_IS
 
-        payload["labels"] = [str(label) for label in hu_index(args.m)]
+        # the orbit's pair, then the Sigma_2 sign of an equal pair; a
+        # distinct pair's first value is (1,), which has no sign
+        payload["labels"] = [
+            "[" + ",".join(map(format_partition, s.orbit)) + "]" + SIGMA2_SIGNS.get(s.values[0], "")
+            for s in enumerate_IS(args.m, 2)
+        ]
         header = ["label"]
         rows = [[label] for label in payload["labels"]]
     else:  # pragma: no cover - argparse restricts the choices

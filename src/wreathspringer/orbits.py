@@ -226,6 +226,10 @@ def enumerate_IC(m: int, d: int) -> tuple[CliffordLabel, ...]:
     return tuple(out)
 
 
+# the two irreducibles of the stabilizer Sigma_2 of an equal pair
+SIGMA2_SIGNS = {(2,): "+", (1, 1): "-"}
+
+
 def enumerate_IS(m: int, d: int) -> list[CliffordLabel]:
     """All orbit-side labels, orbit by orbit: for each orbit label, one per
     irreducible of its component group, the irreducible encoded as a

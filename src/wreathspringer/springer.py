@@ -1,17 +1,17 @@
 """The orbit/isotypic correspondence and its end-to-end character
 verification, and the small-rank specializations (bipartition tables for
-m = 2, the d = 2 signed index set, and the even / odd rank-d tables derived
-from it).  One `CliffordLabel` names both sides: the irreducible of
-Sigma_m wr Sigma_d, and its `orbit` with an irreducible of that orbit's
-component group (see `orbits`).
+m = 2, and the even / odd rank-d tables derived from them).  One
+`CliffordLabel` names both sides: the irreducible of Sigma_m wr Sigma_d,
+and its `orbit` with an irreducible of that orbit's component group (see
+`orbits`); at d = 2 those labels are the signed index set, `enumerate_IS(m, 2)`.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .combinatorics import Partition, format_partition, partitions_of
-from .orbits import CliffordLabel, enumerate_IC, enumerate_IS, validate_profile
+from .combinatorics import partitions_of
+from .orbits import SIGMA2_SIGNS, CliffordLabel, enumerate_IC, enumerate_IS
 from .reptheory import char_of, clifford_irrep, isotypic_character, springer_module
 from .wreath import CheckFailed, WreathGroup
 
@@ -78,37 +78,6 @@ def typeB_table(d: int) -> list[dict]:
     ]
 
 
-# the two irreducibles of the stabilizer Sigma_2 of an equal pair
-SIGMA2_SIGNS = {(2,): "+", (1, 1): "-"}
-
-
-class HuLabel(NamedTuple("HuLabel", [("pair", tuple), ("sign", Optional[str])])):
-    """An unordered pair of partitions of m; equal pairs split into a
-    plus and a minus label.  The sign is "+" or "-" exactly when the pair
-    is equal, and None otherwise."""
-
-    __slots__ = ()
-
-    def __new__(cls, pair: tuple[Partition, Partition], sign: Optional[str] = None):
-        validate_profile(pair)
-        first, second = pair
-        if (first == second) != (sign in ("+", "-")):
-            raise ValueError("sign is carried exactly by the equal pairs")
-        if pair != tuple(sorted(pair, reverse=True)):
-            raise ValueError("pair must be sorted")
-        return super().__new__(cls, pair, sign)
-
-    def __str__(self):
-        body = f"[{format_partition(self.pair[0])},{format_partition(self.pair[1])}]"
-        return body + (self.sign or "")
-
-
-def hu_index(m: int) -> list[HuLabel]:
-    """The d = 2 index set, read off the orbit side at d = 2: unordered
-    distinct pairs plus signed equal pairs."""
-    return [HuLabel(s.orbit, SIGMA2_SIGNS.get(s.value(s.orbit[0]))) for s in enumerate_IS(m, 2)]
-
-
 def typeD_table(d: int) -> list[dict]:
     """Index table for the even-signed reflection group of rank d, derived
     from the d = 2 picture: unordered distinct bipartitions carry the
@@ -116,8 +85,8 @@ def typeD_table(d: int) -> list[dict]:
     and a minus (column shape) label."""
     rows = []
     seen = set()
-    for label in enumerate_IC(2, d):
-        pair = tuple(sorted((label.value((2,)), label.value((1, 1))), reverse=True))
+    for row in typeB_table(d):
+        pair = tuple(sorted(row["bipartition"], reverse=True))
         if pair in seen:
             continue
         seen.add(pair)

@@ -22,9 +22,11 @@ sums.
 
 It also holds the helpers that only the tests use: the list of basis
 classes and the rank of the closure-class sums (Q[G] inside the class
-algebra), and the d = 2 index set as multipartition labels.
+algebra), and the d = 2 labels that ``tables --kind hu`` prints, read
+back as multipartition labels.
 """
 
+import json
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
@@ -671,13 +673,17 @@ def products_check_by_whole_vectors(group):
 
 # -- the d = 2 index set ----------------------------------------------------------
 
-def hu_to_clifford(label, m):
-    """The bijection with the multipartition labels at d = 2: a plus pair
-    carries the row shape (2,), a minus pair the column shape (1,1), and a
-    distinct pair puts a single slot on each component."""
-    nu1, nu2 = label.pair
-    if label.sign == "+":
+def hu_to_clifford(text, m):
+    """The bijection of a printed d = 2 label, ``[nu1,nu2]`` for a distinct
+    pair and ``[nu,nu]+`` or ``[nu,nu]-`` for an equal one, with the
+    multipartition labels: a plus pair carries the row shape (2,), a minus
+    pair the column shape (1,1), and a distinct pair puts a single slot on
+    each component."""
+    body = text.rstrip("+-")
+    sign = text[len(body):]
+    nu1, nu2 = (tuple(nu) for nu in json.loads(body))
+    if sign == "+":
         return clifford_label(m, {nu1: (2,)})
-    if label.sign == "-":
+    if sign == "-":
         return clifford_label(m, {nu1: (1, 1)})
     return clifford_label(m, {nu1: (1,), nu2: (1,)})

@@ -24,10 +24,10 @@ from wreathspringer.convolution import (
 )
 from wreathspringer.orbits import all_profiles, check_dimension_property, enumerate_IC, enumerate_IS
 from wreathspringer.reptheory import char_of, clifford_irrep
-from wreathspringer.springer import hu_index, typeB_table, typeD_table, verify_springer
+from wreathspringer.springer import typeB_table, typeD_table, verify_springer
 from wreathspringer.wreath import WreathElement, WreathGroup, cell_statistics
 
-from oracles import basis_indices, brute_force_classes, class_span_rank, even_signed_class_count, hu_to_clifford
+from oracles import basis_indices, brute_force_classes, class_span_rank, even_signed_class_count
 
 
 def report(number: int, name: str, ok: bool, seconds: float) -> None:
@@ -220,7 +220,7 @@ def test_criterion_10_small_rank_tables(capsys):
     for d in [2, 3, 4]:
         ok = ok and len(typeD_table(d)) == even_signed_class_count(d)
     for m in range(1, 5):
-        images = [hu_to_clifford(h, m) for h in hu_index(m)]
+        images = enumerate_IS(m, 2)
         ok = ok and len(set(images)) == len(images)
         ok = ok and set(images) == set(enumerate_IC(m, 2))
     elapsed = time.time() - start

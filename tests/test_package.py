@@ -15,7 +15,7 @@ from wreathspringer.convolution import Check, RelationReport
 from wreathspringer.matrices import BlockMonomial
 from wreathspringer.orbits import CliffordLabel
 from wreathspringer.reptheory import Character
-from wreathspringer.springer import HuLabel, SpringerReport
+from wreathspringer.springer import SpringerReport
 from wreathspringer.wreath import WreathGroup, wreath_identity
 
 SRC = os.path.dirname(os.path.dirname(wreathspringer.__file__))
@@ -26,12 +26,12 @@ PYPROJECT = os.path.join(os.path.dirname(SRC), "pyproject.toml")
 # the public names of the package
 PUBLIC_NAMES = {
     "AlgebraVector", "BasisIndex", "BoundExceededError", "Character", "CheckFailed",
-    "CliffordLabel", "HuLabel", "ProductResult", "Representation",
+    "CliffordLabel", "ProductResult", "Representation",
     "WreathElement", "WreathGroup", "all_perms", "bruhat_leq_typeA", "bruhat_leq_wreath",
     "cell_statistics", "char_of", "check_dimension_property", "clifford_irrep",
     "clifford_label", "combinatorics", "conjugate_partition", "convolution",
     "convolve", "convolve_basis", "coxeterB_leq", "embed_md", "enumerate_IC", "enumerate_IS",
-    "extend_to_wreath", "fiber_dim", "gamma_of", "hasse_covers", "hook_dim", "hu_index",
+    "extend_to_wreath", "fiber_dim", "gamma_of", "hasse_covers", "hook_dim",
     "induce", "inflate", "involution_T", "isotypic_character", "jordan_type", "matrices",
     "n_stat", "orbit_dim", "orbit_label", "orbits", "partitions_of", "perm_compose",
     "perm_inverse", "perm_length", "pi0_act", "reptheory", "specht_rep",
@@ -86,6 +86,13 @@ def test_algebra_check_loads_no_matrix_module():
     assert loaded == {
         f"wreathspringer{name}" for name in ("", ".cli", ".combinatorics", ".convolution", ".wreath")
     }
+
+
+def test_hu_table_loads_no_representation_module():
+    # the d = 2 labels are the orbit side's, printed from `enumerate_IS(m, 2)`
+    loaded = loaded_after('from wreathspringer import cli; cli.main(["tables", "--kind", "hu", "--m", "3"])')
+    assert "wreathspringer.orbits" in loaded
+    assert not loaded & {f"wreathspringer.{name}" for name in ("reptheory", "springer")}
 
 
 def test_orbit_labels_load_no_representation_module():
@@ -193,8 +200,7 @@ def test_records_are_immutable_and_equal_by_their_fields():
     check = Check("products", "pass", 32)
     records = [
         check, RelationReport(2, 2, (check,)), BlockMonomial((1, 0), (((1,),), ((-1,),))),
-        label, Character(WreathGroup(2, 2), (1, 1)), SpringerReport((), 0),
-        HuLabel(((2,), (2,)), "+"), HuLabel(((2,), (1, 1))), wreath_identity(2, 2),
+        label, Character(WreathGroup(2, 2), (1, 1)), SpringerReport((), 0), wreath_identity(2, 2),
     ]
     for record in records:
         twin = type(record)(**record._asdict())
@@ -211,11 +217,6 @@ def test_records_are_immutable_and_equal_by_their_fields():
     (lambda: CliffordLabel(m=2, entries=(((3,), (1,)),)), r"key \(3,\) does not partition m=2"),
     (lambda: CliffordLabel(2, (((2,), ()),)), "empty values must be omitted"),
     (lambda: CliffordLabel(2, (((2,), (1, 2)),)), "is not a partition"),
-    (lambda: HuLabel(((2,), (2,))), "sign is carried exactly by the equal pairs"),
-    (lambda: HuLabel(pair=((1, 1), (2,)), sign=None), "pair must be sorted"),
-    (lambda: HuLabel(((5,), (1,))), r"^\(1,\) does not partition 5$"),
-    (lambda: HuLabel(((-1,), (-2,))), r"^\(-1,\) does not partition -1$"),
-    (lambda: HuLabel(((1, 2), (1, 2)), "+"), r"^\(1, 2\) does not partition 3$"),
 ])
 def test_records_validate_on_construction(make, message):
     with pytest.raises(ValueError, match=message):

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 from itertools import groupby
 from math import comb
 
@@ -7,13 +10,7 @@ from wreathspringer import cli, springer
 from wreathspringer.combinatorics import partitions_of
 from wreathspringer.orbits import all_orbit_labels, clifford_label, enumerate_IC, enumerate_IS, gamma_of
 from wreathspringer.reptheory import char_of, clifford_irrep, isotypic_character, springer_module
-from wreathspringer.springer import (
-    HuLabel,
-    hu_index,
-    typeB_table,
-    typeD_table,
-    verify_springer,
-)
+from wreathspringer.springer import typeB_table, typeD_table, verify_springer
 from wreathspringer.wreath import CheckFailed, WreathGroup
 
 from oracles import even_signed_class_count, hu_to_clifford
@@ -177,10 +174,17 @@ def test_typeD_odd_rank_has_no_split_pairs():
     assert all(r["sign"] is None for r in typeD_table(3))
 
 
-# -- the d = 2 signed index set
+# -- the d = 2 signed index set, as `tables --kind hu` prints it
+
+def hu_labels(m):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["tables", "--kind", "hu", "--m", str(m), "--format", "json"]) == 0
+    return json.loads(out.getvalue())["labels"]
+
 
 def test_hu_index_m2():
-    labels = {str(h) for h in hu_index(2)}
+    labels = set(hu_labels(2))
     assert labels == {
         "[[2],[1,1]]",
         "[[2],[2]]+",
@@ -191,27 +195,20 @@ def test_hu_index_m2():
 
 
 def test_hu_index_m1():
-    labels = hu_index(1)
+    labels = hu_labels(1)
     assert len(labels) == 2
-    assert {h.sign for h in labels} == {"+", "-"}
+    assert {h[-1] for h in labels} == {"+", "-"}
 
 
 def test_hu_index_count_formula():
     for m in range(1, 6):
         p = len(partitions_of(m))
-        assert len(hu_index(m)) == comb(p, 2) + 2 * p == len(enumerate_IC(m, 2))
-
-
-def test_hu_label_validation():
-    with pytest.raises(ValueError):
-        HuLabel(((2,), (2,)))  # equal pair needs a sign
-    with pytest.raises(ValueError):
-        HuLabel(((2,), (1, 1)), "+")  # distinct pair cannot carry one
+        assert len(hu_labels(m)) == comb(p, 2) + 2 * p == len(enumerate_IC(m, 2))
 
 
 def test_hu_bijection_with_labels():
     for m in range(1, 5):
-        images = [hu_to_clifford(h, m) for h in hu_index(m)]
+        images = [hu_to_clifford(h, m) for h in hu_labels(m)]
         assert len(set(images)) == len(images)
         assert set(images) == set(enumerate_IC(m, 2))
 
@@ -219,12 +216,12 @@ def test_hu_bijection_with_labels():
 def test_hu_index_is_the_orbit_side_at_d2():
     # the oracle states the sign convention on its own: "+" is the row shape
     for m in range(1, 7):
-        assert [hu_to_clifford(h, m) for h in hu_index(m)] == enumerate_IS(m, 2)
+        assert [hu_to_clifford(h, m) for h in hu_labels(m)] == enumerate_IS(m, 2)
 
 
 def test_hu_to_clifford_cases():
-    assert hu_to_clifford(HuLabel(((2,), (2,)), "+"), 2) == clifford_label(2, {(2,): (2,)})
-    assert hu_to_clifford(HuLabel(((2,), (2,)), "-"), 2) == clifford_label(2, {(2,): (1, 1)})
-    assert hu_to_clifford(HuLabel(((2,), (1, 1))), 2) == clifford_label(
+    assert hu_to_clifford("[[2],[2]]+", 2) == clifford_label(2, {(2,): (2,)})
+    assert hu_to_clifford("[[2],[2]]-", 2) == clifford_label(2, {(2,): (1, 1)})
+    assert hu_to_clifford("[[2],[1,1]]", 2) == clifford_label(
         2, {(2,): (1,), (1, 1): (1,)}
     )
