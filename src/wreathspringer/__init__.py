@@ -39,6 +39,7 @@ _EXPORTS = {
         ),
         "convolution",
     ),
+    "jordan_type": "matrices",
     **dict.fromkeys(
         (
             "CliffordLabel",
@@ -48,7 +49,6 @@ _EXPORTS = {
             "enumerate_IS",
             "fiber_dim",
             "gamma_of",
-            "jordan_type",
             "orbit_dim",
             "orbit_label",
         ),

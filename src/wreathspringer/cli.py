@@ -33,6 +33,7 @@ from .wreath import (
     WreathGroup,
     bruhat_leq_wreath,
     cell_statistics,
+    class_label,
     dimension_polynomial_str,
     hasse_dot,
     hasse_json,
@@ -215,12 +216,19 @@ def cmd_tables(args) -> int:
 
         payload["orbits"] = orbit_report(args.m, args.d)["orbits"]
     elif args.kind == "chars":
-        from .reptheory import character_table
+        from .orbits import enumerate_IC, wreath_character
 
         group = WreathGroup(args.m, args.d)
+        group.check_bound()
         class_words = [group.word(rep) for rep in group.class_reps]
+        # each class's cycles (r, c): its label in the one block of Sigma_d,
+        # less the block entry; every value is read off the rule, no module
+        cycles = [tuple((r, c) for _, r, c in class_label(rep, (0,) * args.d)) for rep in group.class_reps]
         header = ["label"] + class_words
-        table = [(str(label), [str(v) for v in chi.values]) for label, _, chi in character_table(group)]
+        table = [
+            (str(label), [str(wreath_character(label.entries, rho)) for rho in cycles])
+            for label in enumerate_IC(args.m, args.d)
+        ]
         rows = [[label, *values] for label, values in table]
         payload["classes"] = class_words
         payload["classSizes"] = list(group.class_sizes)

@@ -13,7 +13,8 @@ product costs O(cosets * block^3) instead of O((cosets * block)^3), and a
 trace reads only the cosets the permutation fixes (the Frobenius formula
 for induced characters).  A dense matrix is its one-coset case.  The rank
 uses fraction-free (Bareiss) elimination over the integers to avoid
-denominator churn.
+denominator churn, and the Jordan type of a nilpotent matrix is read off
+its sequence of ranks.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from fractions import Fraction
 from functools import reduce
 from math import lcm
 from typing import NamedTuple
+
+from .combinatorics import Partition, conjugate_partition
 
 Scalar = int | Fraction
 Matrix = tuple[tuple[Scalar, ...], ...]
@@ -198,3 +201,24 @@ def mat_rank(rows) -> int:
         prev = pivot
         rank += 1
     return rank
+
+
+def jordan_type(matrix) -> Partition:
+    """Jordan type of a nilpotent matrix over the rationals, from the exact
+    rank sequence: the conjugate partition has parts rank(A^(k-1)) - rank(A^k).
+    An n x n matrix is nilpotent exactly when one of A, ..., A^n has rank 0."""
+    a = as_matrix(matrix)
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix must be square")
+    ranks = [n]
+    power = a
+    for _ in range(n):
+        ranks.append(mat_rank(power))
+        if not ranks[-1]:
+            break
+        power = mat_mul(power, a)
+    if ranks[-1]:
+        raise ValueError("matrix is not nilpotent")
+    conj = tuple(ranks[k - 1] - ranks[k] for k in range(1, len(ranks)))
+    return conjugate_partition(conj)

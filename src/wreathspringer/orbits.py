@@ -16,6 +16,7 @@ component group (listed orbit by orbit by `enumerate_IS`).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import factorial
 from typing import NamedTuple
@@ -29,7 +30,6 @@ from .combinatorics import (
     partition_key,
     partitions_of,
 )
-from .matrices import as_matrix, mat_mul, mat_rank
 
 Profile = tuple[Partition, ...]
 GammaMap = dict[Partition, int]
@@ -97,27 +97,6 @@ def _gamma(entries) -> GammaMap:
     for entry in sorted(entries, reverse=True):
         counts[entry] = counts.get(entry, 0) + 1
     return counts
-
-
-def jordan_type(matrix) -> Partition:
-    """Jordan type of a nilpotent matrix over the rationals, from the exact
-    rank sequence: the conjugate partition has parts rank(A^(k-1)) - rank(A^k).
-    An n x n matrix is nilpotent exactly when one of A, ..., A^n has rank 0."""
-    a = as_matrix(matrix)
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    ranks = [n]
-    power = a
-    for _ in range(n):
-        ranks.append(mat_rank(power))
-        if not ranks[-1]:
-            break
-        power = mat_mul(power, a)
-    if ranks[-1]:
-        raise ValueError("matrix is not nilpotent")
-    conj = tuple(ranks[k - 1] - ranks[k] for k in range(1, len(ranks)))
-    return conjugate_partition(conj)
 
 
 def all_profiles(m: int, d: int) -> list[Profile]:
@@ -224,6 +203,67 @@ def enumerate_IC(m: int, d: int) -> tuple[CliffordLabel, ...]:
 
     rec(0, d, ())
     return tuple(out)
+
+
+def _rim_hooks(lam: Partition, r: int):
+    """Each partition left by removing a rim hook of length r from lam,
+    with the hook's height (the rows it spans, less one).  On lam's
+    beta-numbers, lam[i] + len(lam) - 1 - i, removing the hook moves one
+    beta-number b down to a free place b - r, and the height is the number
+    of beta-numbers strictly between the two."""
+    n = len(lam)
+    betas = [part + n - 1 - i for i, part in enumerate(lam)]
+    for i, b in enumerate(betas):
+        if b < r or b - r in betas:
+            continue
+        rest = sorted([*betas[:i], *betas[i + 1:], b - r], reverse=True)
+        smaller = tuple(x - (n - 1 - j) for j, x in enumerate(rest))
+        yield tuple(part for part in smaller if part), sum(1 for x in betas if b - r < x < b)
+
+
+@lru_cache(maxsize=None)
+def symmetric_character(lam: Partition, mu: Partition) -> int:
+    """The character of the Sigma_n irreducible lam at cycle type mu, by
+    the Murnaghan-Nakayama rule: the signed sum, over the rim hooks of
+    length mu[0] in lam, of the character of what is left at the rest of
+    mu."""
+    if not mu:
+        return int(not lam)
+    return sum(
+        (-1) ** height * symmetric_character(smaller, mu[1:])
+        for smaller, height in _rim_hooks(lam, mu[0])
+    )
+
+
+@lru_cache(maxsize=None)
+def wreath_character(entries: tuple, cycles: tuple) -> int:
+    """The character of the irreducible of Sigma_m wr Sigma_d whose label
+    has these `CliffordLabel.entries`, at the class with these cycles: one
+    pair (r, c) per cycle of the top, r its length and c the cycle type of
+    the factor of x^r there (`wreath.class_label` without its block).  By
+    the wreath Murnaghan-Nakayama rule (Macdonald, *Symmetric Functions and
+    Hall Polynomials*, Ch. I, App. B), any one cycle (r, c) takes a rim
+    hook xi of length r from one value Lambda(nu), so that
+
+        chi^Lambda(rho) = sum over nu of chi^nu(c) * sum over xi of
+                          (-1)^(height of xi) * chi^(Lambda - xi)(rho - (r, c)),
+
+    an entry whose value empties is dropped, and at no cycles the empty
+    label has value 1 and any other label 0.  The rule takes the last
+    cycle: sorted as `class_label` sorts them, that is a longest one, which
+    leaves the fewest rim hooks."""
+    if not cycles:
+        return int(not entries)
+    rest, (r, c) = cycles[:-1], cycles[-1]
+    total = 0
+    for i, (nu, val) in enumerate(entries):
+        chi = symmetric_character(nu, c)
+        if not chi:
+            continue
+        for smaller, height in _rim_hooks(val, r):
+            kept = ((nu, smaller),) if smaller else ()
+            total += chi * (-1) ** height * wreath_character(entries[:i] + kept + entries[i + 1:], rest)
+    return total
 
 
 # the two irreducibles of the stabilizer Sigma_2 of an equal pair

@@ -73,7 +73,7 @@ from .matrices import (
     kron_all,
     permute_columns,
 )
-from .orbits import CliffordLabel, Profile, clifford_label, enumerate_IC, gamma_of, orbit_label
+from .orbits import CliffordLabel, Profile, clifford_label, gamma_of, orbit_label
 from .wreath import CheckFailed, WreathElement, WreathGroup
 
 
@@ -455,14 +455,3 @@ def isotypic_character(model: BimoduleModel, psi: CliffordLabel) -> Character:
         total = sum(coef * left_mat.trace_of_product(r) for coef, r in terms)
         values.append(Fraction(total) / right.group.order)
     return Character(group, tuple(values))
-
-
-def character_table(group: WreathGroup):
-    """Rows (label, dimension, character) for every irreducible, columns
-    aligned with the group's class representatives.  The dimension is the
-    module's, so no element is looked up in its class."""
-    rows = []
-    for label in enumerate_IC(group.m, group.d):
-        rho = clifford_irrep(group, label)
-        rows.append((label, rho.dim, char_of(rho)))
-    return rows

@@ -85,8 +85,8 @@ def typeD_table(d: int) -> list[dict]:
     and a minus (column shape) label."""
     rows = []
     seen = set()
-    for row in typeB_table(d):
-        pair = tuple(sorted(row["bipartition"], reverse=True))
+    for label in enumerate_IC(2, d):
+        pair = tuple(sorted((label.value((2,)), label.value((1, 1))), reverse=True))
         if pair in seen:
             continue
         seen.add(pair)

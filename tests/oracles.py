@@ -22,7 +22,8 @@ sums.
 
 It also holds the helpers that only the tests use: the list of basis
 classes and the rank of the closure-class sums (Q[G] inside the class
-algebra), and the d = 2 labels that ``tables --kind hu`` prints, read
+algebra), the character table as the traces of the induced matrix
+modules, and the d = 2 labels that ``tables --kind hu`` prints, read
 back as multipartition labels.
 """
 
@@ -38,8 +39,8 @@ from wreathspringer.convolution import (
     AlgebraVector, BasisIndex, Check, ProductResult, convolve, convolve_basis, y_bar_sum,
 )
 from wreathspringer.matrices import BlockMonomial, kron, mat_rank, trace
-from wreathspringer.orbits import all_profiles, clifford_label, orbit_label
-from wreathspringer.reptheory import Representation, inflate, standard_tableaux
+from wreathspringer.orbits import all_profiles, clifford_label, enumerate_IC, orbit_label
+from wreathspringer.reptheory import Representation, char_of, clifford_irrep, inflate, standard_tableaux
 from wreathspringer.wreath import WreathElement, WreathGroup, hasse_covers
 
 
@@ -498,6 +499,19 @@ def seminormal_generators_by_positions(lam):
                 rows[index[_swap_entries(tab, k, k + 1)]][j] = cross
         mats.append(tuple(tuple(row) for row in rows))
     return tuple(mats)
+
+def character_table(group):
+    """Rows (label, dimension, character) for every irreducible, columns
+    aligned with the group's class representatives, read off the induced
+    matrix modules: the traces that the Murnaghan-Nakayama rule of
+    ``tables --kind chars`` must equal.  The dimension is the module's, so
+    no element is looked up in its class."""
+    rows = []
+    for label in enumerate_IC(group.m, group.d):
+        rho = clifford_irrep(group, label)
+        rows.append((label, rho.dim, char_of(rho)))
+    return rows
+
 
 def isotypic_character_by_elements(model, psi):
     """Left character values, on the class representatives, of the

@@ -136,7 +136,7 @@ def test_math_failure_exits_1(capsys, monkeypatch):
     )
     clear_caches()
     try:
-        code, out, err = run(capsys, "tables", "--kind", "chars", "--m", "3", "--d", "2")
+        code, out, err = run(capsys, "tables", "--kind", "irreps", "--m", "3", "--d", "2")
     finally:
         clear_caches()  # nothing built under the broken rule outlives the test
     assert code == 1
@@ -393,6 +393,12 @@ PINNED_OUTPUTS = [
      '9c4889678c61302991e7a7f914cac77a5eea9d233fff743d7a523eb5969c1146'),
     ('tables --kind chars --m 2 --d 3 --format json',
      '1c62271ffb65af0b29fd1c752fd79e63db7247b557818bf692694058ab1f1463'),
+    ('tables --kind chars --m 2 --d 5 --format md',
+     'e5ccd9919441558030c7600717641d4934ea7fbe57abc67b46f4e6f2fae09c05'),
+    ('tables --kind chars --m 2 --d 5 --format csv',
+     '4adf78a00b26c819b68f77f48698eed4749395347991fb333ef116c4c1bdce19'),
+    ('tables --kind chars --m 2 --d 5 --format json',
+     'fadecea7d7cd40afc4b1d72ae40d63653e7e9e1e5c0d9f484d486e1fc4e7354f'),
     ('tables --kind cells --m 2 --d 3 --format md',
      '83d22bf81ff2ee3f9974487503a3405eaea7fee8e75e5f2590044556ce048ccd'),
     ('tables --kind cells --m 2 --d 3 --format csv',
@@ -502,6 +508,22 @@ def test_output_bytes_are_pinned(capsys, command, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+PINNED_CHARS = [(c, h) for c, h in PINNED_OUTPUTS if c.startswith(("tables --kind chars --m 2 --d 3", "tables --kind chars --m 2 --d 5"))]
+
+
+@pytest.mark.parametrize("command, digest", PINNED_CHARS, ids=[c for c, _ in PINNED_CHARS])
+def test_chars_build_no_representation(capsys, monkeypatch, command, digest):
+    # every value is read off the wreath Murnaghan-Nakayama rule
+    def refuse(*args, **kwargs):
+        raise AssertionError("tables --kind chars built a representation")
+
+    monkeypatch.setattr(reptheory, "clifford_irrep", refuse)
+    monkeypatch.setattr(reptheory.Representation, "__init__", refuse)
+    code, out, _ = run(capsys, *shlex.split(command))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_cells_refuse_above_the_bound(capsys):
     # 2^10 * 10! elements: the generating function needs none of them, but the
     # command keeps the enumeration bound's refusal
@@ -512,8 +534,8 @@ def test_cells_refuse_above_the_bound(capsys):
 
 
 def test_chars_refuse_a_specht_module_above_the_bound(capsys):
-    # Sigma_9 has 9! = 362,880 elements: the group, and so its Specht
-    # modules, are refused by the one element bound
+    # Sigma_9 has 9! = 362,880 elements: the command builds no Specht
+    # module, and its explicit `check_bound()` refuses the group
     code, out, err = run(capsys, "tables", "--kind", "chars", "--m", "9", "--d", "1")
     assert code == 2
     assert out == ""

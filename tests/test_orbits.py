@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from wreathspringer.combinatorics import partitions_of
-from wreathspringer.matrices import as_matrix, mat_mul, mat_rank, identity_matrix
+from wreathspringer.matrices import as_matrix, identity_matrix, jordan_type, mat_mul, mat_rank
 from wreathspringer.orbits import (
     all_orbit_labels,
     all_profiles,
@@ -14,15 +14,15 @@ from wreathspringer.orbits import (
     enumerate_IS,
     fiber_dim,
     gamma_of,
-    jordan_type,
     orbit_dim,
     orbit_label,
     orbit_report,
+    symmetric_character,
     young_order,
 )
 from wreathspringer.wreath import WreathGroup
 
-from oracles import deduplicated_orbit_labels
+from oracles import deduplicated_orbit_labels, mn_character
 
 
 # -- orbit labels
@@ -216,3 +216,13 @@ def test_orbit_report_shape():
     assert row["componentGroupOrder"] == 2
     assert row["orbitDim"] == 4
     assert row["fiberDim"] == 0
+
+
+# -- characters by the Murnaghan-Nakayama rule
+
+def test_symmetric_character_is_the_rim_hook_oracle():
+    for n in range(9):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                value = symmetric_character(lam, mu)
+                assert type(value) is int and value == mn_character(lam, mu), (lam, mu)

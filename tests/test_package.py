@@ -88,6 +88,15 @@ def test_algebra_check_loads_no_matrix_module():
     }
 
 
+def test_character_table_loads_no_matrix_module():
+    # every value comes from the wreath Murnaghan-Nakayama rule in `orbits`
+    loaded = loaded_after('from wreathspringer import cli; cli.main(["tables", "--kind", "chars", "--m", "2", "--d", "2"])')
+    assert "wreathspringer.orbits" in loaded
+    assert not loaded & {
+        f"wreathspringer.{name}" for name in ("convolution", "matrices", "reptheory", "springer")
+    }
+
+
 def test_hu_table_loads_no_representation_module():
     # the d = 2 labels are the orbit side's, printed from `enumerate_IS(m, 2)`
     loaded = loaded_after('from wreathspringer import cli; cli.main(["tables", "--kind", "hu", "--m", "3"])')

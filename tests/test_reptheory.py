@@ -13,14 +13,15 @@ from wreathspringer.combinatorics import (
     partitions_of,
 )
 from wreathspringer.matrices import BlockMonomial, identity_matrix, kron_all, trace
-from wreathspringer.orbits import CliffordLabel, all_orbit_labels, clifford_label, enumerate_IC, gamma_of
+from wreathspringer.orbits import (
+    CliffordLabel, all_orbit_labels, clifford_label, enumerate_IC, gamma_of, wreath_character,
+)
 from wreathspringer.reptheory import (
     BimoduleModel,
     Representation,
     _seminormal_generators,
     block_module,
     char_of,
-    character_table,
     clifford_irrep,
     extend_to_wreath,
     induce,
@@ -31,9 +32,10 @@ from wreathspringer.reptheory import (
     specht_rep,
     springer_module,
 )
-from wreathspringer.wreath import BoundExceededError, CheckFailed, WreathElement, WreathGroup
+from wreathspringer.wreath import BoundExceededError, CheckFailed, WreathElement, WreathGroup, class_label
 
 from oracles import (
+    character_table,
     induced_character_value,
     isotypic_character_by_elements,
     mn_character,
@@ -372,6 +374,32 @@ def test_character_table_reads_dimensions_off_the_modules():
     assert "_class_index" not in vars(group)
     assert all(type(dim) is int and dim == chi.dim for _, dim, chi in rows)
     assert sum(dim * dim for _, dim, _ in rows) == group.order
+
+
+# -- the wreath Murnaghan-Nakayama rule against the traces of the modules
+
+def rule_values(group, label):
+    """The rule's value of the label at each class representative, from
+    the class's cycles: its `class_label` less the block entry."""
+    return tuple(
+        wreath_character(label.entries, tuple((r, c) for _, r, c in class_label(rep, (0,) * group.d)))
+        for rep in group.class_reps
+    )
+
+
+@pytest.mark.parametrize("m,d", [(2, 2), (3, 2), (2, 3), (2, 4), (4, 2), (3, 3)])
+def test_murnaghan_nakayama_rule_is_the_matrix_character_table(m, d):
+    group = WreathGroup(m, d)
+    rule = [(label, rule_values(group, label)) for label in enumerate_IC(m, d)]
+    assert rule == [(label, chi.values) for label, _, chi in character_table(group)]
+    assert all(type(v) is int for _, values in rule for v in values)
+
+
+@pytest.mark.parametrize("m,d", [(2, 5), (3, 4)])
+def test_murnaghan_nakayama_rule_is_the_induced_irreducible(m, d):
+    group = WreathGroup(m, d)
+    for label in enumerate_IC(m, d):
+        assert rule_values(group, label) == char_of(clifford_irrep(group, label)).values, label
 
 
 # -- exact scalars: integral entries are ints, the rest Fractions, never floats

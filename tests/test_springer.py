@@ -158,6 +158,15 @@ def test_typeD_table_known_counts():
     assert len(typeD_table(4)) == 13
 
 
+def test_typeD_table_reads_the_labels_without_typeB_rows(monkeypatch):
+    # the 589,128 row dicts of typeB_table(30) are never held
+    def refuse(d):
+        raise AssertionError("typeD_table built typeB_table's rows")
+
+    monkeypatch.setattr(springer, "typeB_table", refuse)
+    assert len(typeD_table(4)) == 13
+
+
 def test_typeD_split_pairs():
     rows = typeD_table(4)
     split = [r for r in rows if r["sign"] is not None]
