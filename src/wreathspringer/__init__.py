@@ -56,7 +56,6 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
-            "Character",
             "Representation",
             "char_of",
             "clifford_irrep",

@@ -7,9 +7,10 @@ matrices have entries 1/axial-distance, the axial distance of k and k+1
 being the difference of their contents (column - row), so everything
 stays in exact rationals.  The seminormal entries 0 and +-1 are ints and
 the others Fractions; products, Kronecker products and traces of these
-are exact.  The two true divisions, `Character.inner` by the group order
-and `isotypic_character` by the right group's order, divide a
-`Fraction`, so neither makes a float.
+are exact.  The one true division, `isotypic_character`'s by the right
+group's order, divides a `Fraction`, so it makes no float.  A character
+is the tuple of its values on ``group.class_reps``, whose first is the
+identity, so ``values[0]`` is the dimension.
 
 Every module over a Young wreath subgroup Sigma_m wr Y comes
 from one rule, `young_module`: slotwise Specht modules of the factors,
@@ -50,7 +51,6 @@ from functools import lru_cache, reduce
 from itertools import accumulate, product
 from math import prod
 from operator import matmul
-from typing import NamedTuple
 
 from .combinatorics import (
     Partition,
@@ -143,33 +143,9 @@ class Representation:
         return self._product(word[:-1]).trace_of_product(self.images[word[-1]])
 
 
-class Character(NamedTuple):
-    """Exact class function, aligned with the group's class representatives."""
-
-    group: object
-    values: tuple[Scalar, ...]
-
-    @property
-    def dim(self) -> Scalar:
-        return self.value_at(self.group.identity)
-
-    def value_at(self, x) -> Scalar:
-        return self.values[self.group.class_index(x)]
-
-    def inner(self, other: "Character") -> Fraction:
-        group = self.group
-        total = sum(
-            size * value * other.value_at(rep.inverse())
-            for rep, size, value in zip(group.class_reps, group.class_sizes, self.values)
-        )
-        return Fraction(total) / group.order
-
-
-def char_of(rho: Representation) -> Character:
+def char_of(rho: Representation) -> tuple[Scalar, ...]:
     """Traces on the class representatives."""
-    return Character(
-        rho.group, tuple(rho.trace(rep) for rep in rho.group.class_reps)
-    )
+    return tuple(map(rho.trace, rho.group.class_reps))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +408,7 @@ def springer_module(group: WreathGroup, profile) -> BimoduleModel:
 _bimodule = lru_cache(maxsize=None)(BimoduleModel)
 
 
-def isotypic_character(model: BimoduleModel, psi: CliffordLabel) -> Character:
+def isotypic_character(model: BimoduleModel, psi: CliffordLabel) -> tuple[Scalar, ...]:
     """Left character of the psi-multiplicity space of the bimodule:
     project with the exact character sum over the right group.  L and R
     commute, so c -> tr(L(g) R(c)) is a class function of the right group
@@ -454,4 +430,4 @@ def isotypic_character(model: BimoduleModel, psi: CliffordLabel) -> Character:
         left_mat = model.left.matrix(rep)
         total = sum(coef * left_mat.trace_of_product(r) for coef, r in terms)
         values.append(Fraction(total) / right.group.order)
-    return Character(group, tuple(values))
+    return tuple(values)

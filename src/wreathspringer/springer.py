@@ -60,8 +60,7 @@ def verify_springer(group: WreathGroup) -> SpringerReport:
     rows = []
     for label in labels:
         geo = isotypic_character(springer_module(group, label.orbit), label)
-        alg = char_of(clifford_irrep(group, label))
-        rows.append((label, geo.values == alg.values))
+        rows.append((label, geo == char_of(clifford_irrep(group, label))))
     return SpringerReport(tuple(rows), len(group.conjugacy_classes))
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 from collections.abc import Iterable, Iterator
 from functools import cached_property, lru_cache
-from itertools import chain, product
+from itertools import chain, product, repeat
 from math import factorial, prod
 from operator import itemgetter
 from typing import NamedTuple, TextIO
@@ -177,9 +177,9 @@ class WreathGroup:
     of Sigma_d that preserves consecutive blocks of the sizes ``blocks``
     (default ``(d,)``, the whole of Sigma_d).
 
-    Two contexts are equal when their (m, d, blocks) are.  Caches (tops,
-    elements, conjugacy classes) are built once on first use and are
-    immutable afterwards; build before sharing across threads.
+    Two contexts are equal when their (m, d, blocks) are.  Caches (order,
+    identity, tops, elements, conjugacy classes) are built once on first
+    use and are immutable afterwards; build before sharing across threads.
     """
 
     def __init__(self, m: int, d: int, blocks: tuple[int, ...] | None = None):
@@ -191,8 +191,6 @@ class WreathGroup:
         self.m = m
         self.d = d
         self.blocks = blocks
-        self.order = factorial(m) ** d * prod(factorial(c) for c in blocks)
-        self.identity = wreath_identity(m, d)
         self._block_of = tuple(b for b, size in enumerate(blocks) for _ in range(size))
         # adjacent swaps (a, a+1), 0-based, that stay inside one block
         self.swaps = tuple(a for a in range(d - 1) if self._block_of[a] == self._block_of[a + 1])
@@ -210,17 +208,44 @@ class WreathGroup:
     def __hash__(self):
         return hash((self.m, self.d, self.blocks))
 
+    def _order_factors(self) -> Iterator[int]:
+        """The integers whose product is the order: 2..m once per slot,
+        then 2..c per block of size c."""
+        slots = repeat(range(2, self.m + 1), self.d)
+        return chain.from_iterable(chain(slots, (range(2, c + 1) for c in self.blocks)))
+
+    @cached_property
+    def order(self) -> int:
+        return prod(self._order_factors())
+
+    @cached_property
+    def identity(self) -> WreathElement:
+        return wreath_identity(self.m, self.d)
+
     def check_bound(self) -> None:
+        """Refuse a group of more elements than the bound.  The order's
+        factors are multiplied one at a time, and the product stops once
+        past both the bound and 10^30, so a group too large to multiply out
+        is refused at once; an order of up to 30 digits is stated exactly."""
         raw = os.environ.get(BOUND_ENV_VAR, DEFAULT_MAX_ELEMENTS)
         try:
             bound = int(raw)
         except ValueError:
             raise ValueError(f"{BOUND_ENV_VAR} must be an integer, got {raw!r}") from None
-        if self.order > bound:
-            raise BoundExceededError(
-                f"group of order {self.order} exceeds the enumeration bound "
-                f"{bound} (override with {BOUND_ENV_VAR})"
-            )
+        order, cap = 1, max(bound, 10**30)
+        for factor in self._order_factors():
+            order *= factor
+            if order > cap:
+                stated = "over 10^30" if cap == 10**30 else f"over {cap}"
+                break
+        else:
+            if order <= bound:
+                return
+            stated = order
+        raise BoundExceededError(
+            f"group of order {stated} exceeds the enumeration bound "
+            f"{bound} (override with {BOUND_ENV_VAR})"
+        )
 
     @cached_property
     def tops(self) -> tuple[Perm, ...]:
@@ -370,21 +395,13 @@ class WreathGroup:
     @cached_property
     def conjugacy_classes(self) -> tuple[tuple[WreathElement, ...], ...]:
         """The conjugacy classes, each in key order, ordered by their minimal
-        element; the first member of each class is the representative.
-        One pass over `elements` groups them by `class_label`."""
+        element; the first member of each class is the representative, and
+        the first class is the identity's.  One pass over `elements` groups
+        them by `class_label`."""
         classes: dict[tuple, list[WreathElement]] = {}
         for x in self.elements:
             classes.setdefault(class_label(x, self._block_of), []).append(x)
         return tuple(tuple(cls) for cls in classes.values())
-
-    @cached_property
-    def _class_index(self) -> dict[WreathElement, int]:
-        return {
-            x: k for k, cls in enumerate(self.conjugacy_classes) for x in cls
-        }
-
-    def class_index(self, x: WreathElement) -> int:
-        return self._class_index[x]
 
     @property
     def class_reps(self) -> tuple[WreathElement, ...]:

@@ -23,8 +23,10 @@ sums.
 It also holds the helpers that only the tests use: the list of basis
 classes and the rank of the closure-class sums (Q[G] inside the class
 algebra), the character table as the traces of the induced matrix
-modules, and the d = 2 labels that ``tables --kind hu`` prints, read
-back as multipartition labels.
+modules, a character's value at any element and the inner product of two
+characters, through an element-to-class map of their own, the block sizes
+of every Young subgroup, and the d = 2 labels that ``tables --kind hu``
+prints, read back as multipartition labels.
 """
 
 import json
@@ -499,6 +501,36 @@ def seminormal_generators_by_positions(lam):
                 rows[index[_swap_entries(tab, k, k + 1)]][j] = cross
         mats.append(tuple(tuple(row) for row in rows))
     return tuple(mats)
+
+
+@lru_cache(maxsize=None)
+def _class_of(group):
+    """Each element's position among the group's conjugacy classes."""
+    return {x: k for k, cls in enumerate(group.conjugacy_classes) for x in cls}
+
+
+def value_at(group, chi, x):
+    """The value at x of the character with values ``chi`` on
+    ``group.class_reps``."""
+    return chi[_class_of(group)[x]]
+
+
+def inner(group, chi, psi):
+    """The inner product (1/|G|) sum over the classes C of
+    |C| chi(C) psi(C^-1), divided as a Fraction."""
+    total = sum(
+        size * value * value_at(group, psi, rep.inverse())
+        for rep, size, value in zip(group.class_reps, group.class_sizes, chi)
+    )
+    return Fraction(total) / group.order
+
+
+def compositions(d):
+    """Every tuple of positive block sizes summing to d."""
+    if d == 0:
+        return [()]
+    return [(first,) + rest for first in range(1, d + 1) for rest in compositions(d - first)]
+
 
 def character_table(group):
     """Rows (label, dimension, character) for every irreducible, columns

@@ -27,7 +27,7 @@ from wreathspringer.reptheory import char_of, clifford_irrep
 from wreathspringer.springer import typeB_table, typeD_table, verify_springer
 from wreathspringer.wreath import WreathElement, WreathGroup, cell_statistics
 
-from oracles import basis_indices, brute_force_classes, class_span_rank, even_signed_class_count
+from oracles import basis_indices, brute_force_classes, class_span_rank, even_signed_class_count, inner
 
 
 def report(number: int, name: str, ok: bool, seconds: float) -> None:
@@ -150,10 +150,10 @@ def test_criterion_06_clifford_completeness(capsys):
     for m, d, order in [(2, 2, 8), (3, 2, 72), (2, 3, 48)]:
         g = WreathGroup(m, d)
         chars = [char_of(clifford_irrep(g, lab)) for lab in enumerate_IC(m, d)]
-        ok = ok and sum(chi.dim**2 for chi in chars) == order
+        ok = ok and sum(chi[0] ** 2 for chi in chars) == order
         for i, chi1 in enumerate(chars):
             for j, chi2 in enumerate(chars):
-                ok = ok and chi1.inner(chi2) == (1 if i == j else 0)
+                ok = ok and inner(g, chi1, chi2) == (1 if i == j else 0)
     elapsed = time.time() - start
     ok = ok and elapsed < 120.0
     with capsys.disabled():

@@ -121,6 +121,23 @@ def test_verify_bound_exceeded(capsys):
     assert "bound" in err
 
 
+@pytest.mark.parametrize("command, stated", [
+    ("verify --scope springer --m 2 --d 9", "185794560"),
+    ("tables --kind chars --m 9 --d 1", "362880"),
+    # orders of thousands of digits: Python refuses to print one past 4,300
+    ("tables --kind chars --m 2 --d 1500", "over 10^30"),
+    ("hasse --m 1500 --d 1500", "over 10^30"),
+])
+def test_bound_refusal_states_the_order(capsys, monkeypatch, command, stated):
+    monkeypatch.delenv("WREATHSPRINGER_MAX_ELEMENTS", raising=False)
+    code, out, err = run(capsys, *shlex.split(command))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: group of order {stated} exceeds the enumeration bound 50000 "
+        "(override with WREATHSPRINGER_MAX_ELEMENTS)\n"
+    )
+
+
 def test_verify_names_an_unreadable_bound(capsys, monkeypatch):
     monkeypatch.setenv("WREATHSPRINGER_MAX_ELEMENTS", "abc")
     code, out, err = run(capsys, "verify", "--scope", "algebra", "--m", "2", "--d", "2")

@@ -27,6 +27,7 @@ from wreathspringer.wreath import WreathGroup
 from oracles import (
     bfs_word_lengths,
     bfs_words,
+    compositions,
     count_syt_brute,
     minimal_coset_rep_by_search,
     subword_downset,
@@ -252,13 +253,6 @@ def test_n_stat_known_values():
 @given(lam=partition_strategy())
 def test_n_stat_column_identity(lam):
     assert n_stat(lam) == sum(comb(c, 2) for c in conjugate_partition(lam))
-
-
-def compositions(d):
-    """Every tuple of positive block sizes summing to d."""
-    if d == 0:
-        return [()]
-    return [(first,) + rest for first in range(1, d + 1) for rest in compositions(d - first)]
 
 
 @pytest.mark.parametrize("d", range(1, 6))

@@ -37,10 +37,12 @@ from wreathspringer.wreath import BoundExceededError, CheckFailed, WreathElement
 from oracles import (
     character_table,
     induced_character_value,
+    inner,
     isotypic_character_by_elements,
     mn_character,
     rep_tensor,
     seminormal_generators_by_positions,
+    value_at,
 )
 
 
@@ -65,7 +67,7 @@ def test_specht_21_character():
     chi = char_of(rep)
     g = rep.group
     three_cycle = g.gen_t(1) * g.gen_t(2)
-    assert (chi.value_at(three_cycle), chi.value_at(g.gen_t(1)), chi.dim) == (-1, 0, 2)
+    assert (value_at(g, chi, three_cycle), value_at(g, chi, g.gen_t(1)), chi[0]) == (-1, 0, 2)
 
 
 def test_specht_dims_match_hook_formula():
@@ -92,7 +94,7 @@ def test_specht_characters_match_rim_hook_oracle():
         for lam in partitions_of(n):
             chi = char_of(specht_rep(lam))
             for rep in group.class_reps:
-                assert chi.value_at(rep) == mn_character(lam, cycle_type(rep.top))
+                assert value_at(group, chi, rep) == mn_character(lam, cycle_type(rep.top))
 
 
 def test_specht_degree_bound(monkeypatch):
@@ -114,7 +116,7 @@ def test_specht_degree8_characters_match_rim_hook_oracle():
     for lam in [(5, 3), (3, 3, 2)]:
         chi = char_of(specht_rep(lam))
         for rep in group.class_reps:
-            assert chi.value_at(rep) == mn_character(lam, cycle_type(rep.top)), lam
+            assert value_at(group, chi, rep) == mn_character(lam, cycle_type(rep.top)), lam
 
 
 @pytest.mark.parametrize("lam", [(1, 2), (2, 0, 1), (-1, 2), (2, 0)])
@@ -128,7 +130,7 @@ def test_specht_orthogonality_degree4():
         chi1 = char_of(specht_rep(lam))
         for mu in partitions_of(4):
             chi2 = char_of(specht_rep(mu))
-            assert chi1.inner(chi2) == (1 if lam == mu else 0)
+            assert inner(WreathGroup(1, 4), chi1, chi2) == (1 if lam == mu else 0)
 
 
 def test_regular_representation_character():
@@ -144,7 +146,7 @@ def test_regular_representation_character():
 
     chi = char_of(Representation(group, fn, name="regular"))
     for x in elements:
-        assert chi.value_at(x) == (6 if x == group.identity else 0)
+        assert value_at(group, chi, x) == (6 if x == group.identity else 0)
 
 
 def test_specht_matrix_reads_a_bare_permutation():
@@ -266,7 +268,7 @@ def test_induce_from_whole_group_keeps_character():
     assert induced.dim == rep.dim
     chi = char_of(induced)
     for rep_el in g.class_reps:
-        assert chi.value_at(rep_el) == trace(rep.matrix(rep_el).dense())
+        assert value_at(g, chi, rep_el) == trace(rep.matrix(rep_el).dense())
 
 
 def test_induce_trivial_from_factor_part():
@@ -287,7 +289,7 @@ def test_induce_trivial_from_factor_part():
             mul,
             WreathElement.inverse,
         )
-        assert chi.value_at(rep_el) == expected
+        assert value_at(g, chi, rep_el) == expected
 
 
 @pytest.mark.parametrize("m,d", [(2, 3), (3, 2)])
@@ -353,7 +355,23 @@ def test_clifford_characters_orthonormal_22():
     chars = [char_of(clifford_irrep(g, lab)) for lab in enumerate_IC(2, 2)]
     for i, chi1 in enumerate(chars):
         for j, chi2 in enumerate(chars):
-            assert chi1.inner(chi2) == (1 if i == j else 0)
+            assert inner(g, chi1, chi2) == (1 if i == j else 0)
+
+
+@pytest.mark.parametrize("m,d", [(2, 3), (3, 2)])
+def test_a_character_is_its_values_identity_first(m, d):
+    g = WreathGroup(m, d)
+    for label in enumerate_IC(m, d):
+        rho = clifford_irrep(g, label)
+        chi = char_of(rho)
+        assert type(chi) is tuple and len(chi) == len(g.conjugacy_classes)
+        assert chi[0] == rho.dim, label
+    for label in all_orbit_labels(m, d):
+        model = springer_module(g, label)
+        for psi in enumerate_IC(m, d):
+            if psi.orbit == model.profile:
+                values = isotypic_character(model, psi)
+                assert type(values) is tuple and len(values) == len(g.conjugacy_classes), psi
 
 
 def test_clifford_count_matches_classes():
@@ -371,8 +389,7 @@ def test_character_table_reads_dimensions_off_the_modules():
     clear_caches()  # so that the modules are built over this group object
     group = WreathGroup(2, 3)
     rows = character_table(group)
-    assert "_class_index" not in vars(group)
-    assert all(type(dim) is int and dim == chi.dim for _, dim, chi in rows)
+    assert all(type(dim) is int and dim == chi[0] for _, dim, chi in rows)
     assert sum(dim * dim for _, dim, _ in rows) == group.order
 
 
@@ -391,7 +408,7 @@ def rule_values(group, label):
 def test_murnaghan_nakayama_rule_is_the_matrix_character_table(m, d):
     group = WreathGroup(m, d)
     rule = [(label, rule_values(group, label)) for label in enumerate_IC(m, d)]
-    assert rule == [(label, chi.values) for label, _, chi in character_table(group)]
+    assert rule == [(label, chi) for label, _, chi in character_table(group)]
     assert all(type(v) is int for _, values in rule for v in values)
 
 
@@ -399,7 +416,7 @@ def test_murnaghan_nakayama_rule_is_the_matrix_character_table(m, d):
 def test_murnaghan_nakayama_rule_is_the_induced_irreducible(m, d):
     group = WreathGroup(m, d)
     for label in enumerate_IC(m, d):
-        assert rule_values(group, label) == char_of(clifford_irrep(group, label)).values, label
+        assert rule_values(group, label) == char_of(clifford_irrep(group, label)), label
 
 
 # -- exact scalars: integral entries are ints, the rest Fractions, never floats
@@ -427,7 +444,7 @@ def test_character_table_builds_no_float(monkeypatch, m, d):
     ]
     assert all(map(_exact, entries))
     assert {type(x) for x in entries} == {int, Fraction}  # 1/dist entries stay Fractions
-    assert all(_exact(v) for _, _, chi in rows for v in chi.values)
+    assert all(_exact(v) for _, _, chi in rows for v in chi)
 
 
 def test_isotypic_characters_are_exact(monkeypatch):
@@ -435,7 +452,7 @@ def test_isotypic_characters_are_exact(monkeypatch):
 
     def recording(model, psi):
         chi = isotypic_character(model, psi)
-        values.extend(chi.values)
+        values.extend(chi)
         return chi
 
     monkeypatch.setattr(springer, "isotypic_character", recording)
@@ -447,10 +464,10 @@ def test_inner_product_of_an_integral_character_is_a_fraction():
     # int / int would be a float: the inner product divides a Fraction
     g = WreathGroup(2, 3)
     chars = [char_of(clifford_irrep(g, lab)) for lab in enumerate_IC(2, 3)]
-    integral = [chi for chi in chars if all(type(v) is int for v in chi.values)]
+    integral = [chi for chi in chars if all(type(v) is int for v in chi)]
     assert integral
     for chi in integral:
-        got = chi.inner(chi)
+        got = inner(g, chi, chi)
         assert type(got) is Fraction and got == 1
 
 
@@ -570,13 +587,12 @@ def test_young_subgroup_characters_orthonormal_23():
         by_gamma.setdefault(tuple(label.gamma().items()), []).append(label)
     for labels in by_gamma.values():
         gamma = labels[0].gamma()
-        chars = [
-            char_of(block_module(g, label)) for label in labels
-        ]
-        assert {chi.group.blocks for chi in chars} == {tuple(gamma.values())}
+        modules = [block_module(g, label) for label in labels]
+        assert {rho.group.blocks for rho in modules} == {tuple(gamma.values())}
+        chars = [char_of(rho) for rho in modules]
         for i, chi1 in enumerate(chars):
             for j, chi2 in enumerate(chars):
-                assert chi1.inner(chi2) == (1 if i == j else 0)
+                assert inner(modules[0].group, chi1, chi2) == (1 if i == j else 0)
 
 
 def test_tensor_and_induce_reject_other_groups():
@@ -670,7 +686,7 @@ def test_isotypic_trivial_right_group_gives_full_character():
     model = springer_module(g, ((2,), (1, 1)))
     psi = clifford_label(2, {(2,): (1,), (1, 1): (1,)})
     chi = isotypic_character(model, psi)
-    assert chi.values == char_of(model.left).values
+    assert chi == char_of(model.left)
 
 
 def test_isotypic_rejects_wrong_label():
@@ -691,7 +707,7 @@ def test_isotypic_dimensions_fill_the_bimodule():
                 if psi.gamma() != gamma:
                     continue
                 dim_psi = prod(hook_dim(val) for _, val in psi.entries)
-                total += dim_psi * isotypic_character(model, psi).dim
+                total += dim_psi * isotypic_character(model, psi)[0]
             assert total == model.dim
 
 
@@ -702,7 +718,7 @@ def test_isotypic_class_sum_equals_element_sum(m, d):
         model = springer_module(g, label)
         for psi in enumerate_IC(m, d):
             if psi.gamma() == gamma_of(label):
-                assert isotypic_character(model, psi).values == isotypic_character_by_elements(
+                assert isotypic_character(model, psi) == isotypic_character_by_elements(
                     model, psi
                 ), (label, psi)
 
@@ -712,8 +728,8 @@ def test_isotypic_equal_pair_values():
     model = springer_module(g, ((2,), (2,)))
     chi = isotypic_character(model, clifford_label(2, {(2,): (2,)}))
     # the trivial isotypic piece of this orbit is the trivial character
-    assert all(v == 1 for v in chi.values)
+    assert all(v == 1 for v in chi)
     chi_sign = isotypic_character(model, clifford_label(2, {(2,): (1, 1)}))
-    assert chi_sign.dim == 1
-    assert chi_sign.value_at(g.gen_t(1)) == -1
-    assert chi_sign.value_at(g.gen_s(1, 1)) == 1
+    assert chi_sign[0] == 1
+    assert value_at(g, chi_sign, g.gen_t(1)) == -1
+    assert value_at(g, chi_sign, g.gen_s(1, 1)) == 1

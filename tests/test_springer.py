@@ -119,8 +119,8 @@ def test_isotypic_dimensions_match_irreducible_dimensions():
         g = WreathGroup(m, d)
         for s in enumerate_IS(m, d):
             model = springer_module(g, s.orbit)
-            geo_dim = isotypic_character(model, s).dim
-            alg_dim = char_of(clifford_irrep(g, s)).dim
+            geo_dim = isotypic_character(model, s)[0]
+            alg_dim = char_of(clifford_irrep(g, s))[0]
             assert geo_dim == alg_dim
 
 

@@ -38,6 +38,7 @@ from oracles import (
     bfs_words,
     brute_force_classes,
     cell_statistics_by_elements,
+    compositions,
     hasse_dot_text,
     hasse_json_dict,
     sorted_hasse_covers,
@@ -465,6 +466,22 @@ def test_bound_guard(monkeypatch):
         assert out.getvalue() == ""
 
 
+def test_bound_stops_multiplying_past_the_bound(monkeypatch):
+    # 3000!^3000 has millions of digits: the product stops past 10^30, or
+    # past the bound if that is larger, and the message states only that
+    monkeypatch.delenv("WREATHSPRINGER_MAX_ELEMENTS", raising=False)
+    with pytest.raises(BoundExceededError, match=r"^group of order over 10\^30 exceeds the enumeration bound 50000 "):
+        WreathGroup(3000, 3000).check_bound()
+    bound = 10**40
+    monkeypatch.setenv("WREATHSPRINGER_MAX_ELEMENTS", str(bound))
+    WreathGroup(2, 25).check_bound()  # 2^25 * 25!, about 5.2 * 10^32
+    with pytest.raises(BoundExceededError, match=rf"^group of order over {bound} exceeds the enumeration bound {bound} "):
+        WreathGroup(2, 40).check_bound()
+    monkeypatch.setenv("WREATHSPRINGER_MAX_ELEMENTS", str(10**20))
+    with pytest.raises(BoundExceededError, match=rf"^group of order {2**20 * factorial(20)} exceeds"):
+        WreathGroup(2, 20).check_bound()  # 25 digits, stated exactly
+
+
 def test_bound_env_override(monkeypatch):
     monkeypatch.setenv("WREATHSPRINGER_MAX_ELEMENTS", "4")
     with pytest.raises(BoundExceededError):
@@ -535,6 +552,14 @@ def test_conjugacy_class_counts():
     assert len(WreathGroup(3, 2).conjugacy_classes) == 9
     for m in range(1, 5):
         assert len(WreathGroup(m, 1).conjugacy_classes) == len(partitions_of(m))
+
+
+@pytest.mark.parametrize("m,d", [(m, d) for m in range(1, 7) for d in range(1, 7) if m * d <= 6])
+def test_the_identity_leads_the_class_representatives(m, d):
+    # a character's first value is its dimension
+    for blocks in compositions(d):
+        group = WreathGroup(m, d, blocks)
+        assert group.class_reps[0] == group.identity, blocks
 
 
 def test_conjugacy_classes_partition_the_group():
