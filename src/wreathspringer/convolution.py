@@ -1,8 +1,9 @@
 """The component-class algebra: exact-rational linear combinations of basis
 classes indexed by (group element, component index) pairs, with a partial
 convolution product.  A coefficient is an `int` where it is integral and a
-`fractions.Fraction` otherwise: both are exact, and ints add and multiply
-without building a Fraction.
+`fractions.Fraction` otherwise: both are exact, ints add and multiply
+without building a Fraction, and `fractions` is imported only when a
+coefficient is not an int.
 
 The product of two basis classes is only defined in two cases:
 
@@ -17,16 +18,23 @@ distinguish "provably zero" from "not computable".  `expect()` converts an
 undefined result into a hard error for checks that are guaranteed to stay
 inside the computable cases.
 
+There is one product loop, `_product`.  It works on vectors keyed by ints,
+``element id * d! + tau id`` (`_Basis` numbers them), visits only the
+chaining pairs, and asks the rule `convolve_basis` once per pair of
+elements: the rule's component index only rides along, so its answer at
+one tau serves every other.  `convolve` numbers its two vectors' terms,
+calls `_product` and maps the result back.
+
 `verify_relations` checks the defining relations inside the algebra.  Its
 `products` check uses bilinearity: a closure-class sum is the sum of the
 plain class sums below it, so each product of a plain sum with a pure-top
 closure-class sum is formed once and the products the check compares are
-sums of those parts.
+sums of those parts.  It numbers the elements by their position in
+`group.elements` and works on int-keyed vectors throughout.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -39,7 +47,11 @@ if TYPE_CHECKING:
 
 def _exact(c) -> Scalar:
     """c as an int where it is integral, else as a Fraction."""
-    if c.__class__ is not int and c.__class__ is not Fraction:
+    if c.__class__ is int:
+        return c
+    from fractions import Fraction
+
+    if c.__class__ is not Fraction:
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
@@ -191,6 +203,101 @@ def convolve_basis(a: BasisIndex, b: BasisIndex) -> ProductResult:
     return ProductResult(None, ((a, b),))
 
 
+class _Basis:
+    """The basis classes [Y_{w, tau}] of one (m, d), numbered by the int
+    ``id(w) * d! + id(tau)``: an element's id is its position in `elements`,
+    which grows as elements are met, and tau's is its position in
+    all_perms(d).  `right_tau[key]` is the id of tau * top(w), the
+    component index that a right factor needs to chain with the class `key`."""
+
+    __slots__ = ("n", "perms", "tau_ids", "elements", "ids", "right_tau", "_right_taus")
+
+    def __init__(self, d: int, elements: tuple[WreathElement, ...] = ()):
+        self.perms = all_perms(d)
+        self.n = len(self.perms)
+        self.tau_ids = {tau: t for t, tau in enumerate(self.perms)}
+        self.elements: list[WreathElement] = []
+        self.ids: dict[WreathElement, int] = {}
+        self.right_tau: list[int] = []
+        self._right_taus: dict[Perm, list[int]] = {}  # top -> right_tau of each tau
+        for w in elements:
+            self.element_id(w)
+
+    def element_id(self, w: WreathElement) -> int:
+        i = self.ids.get(w)
+        if i is None:
+            i = self.ids[w] = len(self.elements)
+            self.elements.append(w)
+            taus = self._right_taus.get(w.top)
+            if taus is None:
+                taus = self._right_taus[w.top] = [self.tau_ids[perm_compose(tau, w.top)] for tau in self.perms]
+            self.right_tau.extend(taus)
+        return i
+
+    def key(self, idx: BasisIndex) -> int:
+        return self.element_id(idx.w) * self.n + self.tau_ids[idx.tau]
+
+    def index(self, key: int) -> BasisIndex:
+        i, t = divmod(key, self.n)
+        return BasisIndex(self.elements[i], self.perms[t])
+
+    def rows(self, b: dict[int, Scalar]) -> dict[int, list[tuple[int, Scalar]]]:
+        """b by component index: rows[s] lists its (element id, coefficient)
+        pairs at tau id s, the form `_product` takes its right factor in."""
+        rows: dict[int, list] = {}
+        for key, c in b.items():
+            j, s = divmod(key, self.n)
+            rows.setdefault(s, []).append((j, c))
+        return rows
+
+
+def _product(a: dict[int, Scalar], rows: dict[int, list], basis: _Basis):
+    """The bilinear product of the int-keyed vectors a and b, with b given
+    by `basis.rows(b)`: the sums by key, which may hold a zero or an
+    integral Fraction where terms met, and the blocking pairs of keys.
+
+    Only chaining pairs are visited.  The rule `convolve_basis` is asked
+    once per pair of elements (i, j), at the first component index that
+    chains them, and its answer is kept for the call: the product of
+    [Y_{w_i, t}] and [Y_{w_j, s}] is the answer's element terms at t, and
+    where the rule is undefined, so is every such pair."""
+    n, right_tau, elements, perms = basis.n, basis.right_tau, basis.elements, basis.perms
+    out: dict[int, Scalar] = {}
+    get = out.get
+    blocked = []
+    # (i, j) -> [(product id * n, coefficient)], None where undefined; False until asked
+    answers = {}
+    for ka, ca in a.items():
+        s = right_tau[ka]
+        row = rows.get(s)
+        if row is None:
+            continue
+        i = ka // n
+        t = ka - i * n
+        for j, cb in row:
+            answer = answers.get((i, j), False)
+            if answer is False:
+                vector = convolve_basis(
+                    BasisIndex(elements[i], perms[t]), BasisIndex(elements[j], perms[s])
+                ).vector
+                answer = answers[i, j] = None if vector is None else [
+                    (basis.element_id(idx.w) * n, c) for idx, c in vector._terms.items()
+                ]
+            if answer is None:
+                blocked.append((ka, j * n + s))
+                continue
+            coeff = ca * cb
+            for p, c in answer:
+                out[p + t] = get(p + t, 0) + coeff * c
+    return out, blocked
+
+
+def _blocked(pairs, basis: _Basis) -> ProductResult:
+    """The undefined product blocked by `pairs` of keys."""
+    indices = ((basis.index(x), basis.index(y)) for x, y in pairs)
+    return ProductResult(None, tuple(sorted(indices, key=lambda p: (p[0].key(), p[1].key()))))
+
+
 def convolve(a: AlgebraVector, b: AlgebraVector) -> ProductResult:
     """Bilinear extension of convolve_basis.  Undefined as soon as any
     needed basis product is undefined, reporting every blocking pair.
@@ -198,32 +305,21 @@ def convolve(a: AlgebraVector, b: AlgebraVector) -> ProductResult:
     Only chaining pairs (b.tau == a.tau * top(a.w)) are visited; every other
     basis product is zero.  Both vectors must hold elements of one (m, d);
     each vector reads the shapes of its terms once."""
-    if a._terms and b._terms:
-        shapes = {**a.shapes(), **b.shapes()}
-        if len(shapes) > 1:
-            (m0, d0), (m1, d1) = list(shapes)[:2]
-            raise ValueError(f"context mismatch: ({m0},{d0}) vs ({m1},{d1})")
-    by_tau: dict[Perm, list] = {}
-    for ib, cb in b._terms.items():
-        by_tau.setdefault(ib.tau, []).append((ib, cb))
-    out: dict[BasisIndex, Scalar] = {}
-    blockers = []
-    for ia, ca in a._terms.items():
-        for ib, cb in by_tau.get(perm_compose(ia.tau, ia.w.top), ()):
-            vector = (res := convolve_basis(ia, ib)).vector
-            if vector is None:
-                blockers.extend(res.blockers)
-                continue
-            coeff = ca * cb
-            for idx, c in vector._terms.items():
-                if idx in out:
-                    out[idx] += coeff * c
-                else:
-                    out[idx] = coeff * c
-    if blockers:
-        return ProductResult(None, tuple(sorted(set(blockers), key=lambda p: (p[0].key(), p[1].key()))))
+    if not (a._terms and b._terms):
+        return ProductResult(AlgebraVector.zero())
+    shapes = {**a.shapes(), **b.shapes()}
+    if len(shapes) > 1:
+        (m0, d0), (m1, d1) = list(shapes)[:2]
+        raise ValueError(f"context mismatch: ({m0},{d0}) vs ({m1},{d1})")
+    [(_, d)] = shapes
+    basis = _Basis(d)
+    numbered = {basis.key(idx): c for idx, c in a._terms.items()}
+    rows = basis.rows({basis.key(idx): c for idx, c in b._terms.items()})
+    out, blocked = _product(numbered, rows, basis)
+    if blocked:
+        return _blocked(blocked, basis)
     # the constructor drops the sums that cancelled and makes integral ones ints
-    return ProductResult(AlgebraVector(out))
+    return ProductResult(AlgebraVector({basis.index(key): c for key, c in out.items()}))
 
 
 def convolve_chain(*vectors: AlgebraVector) -> ProductResult:
@@ -368,24 +464,52 @@ def verify_relations(group: WreathGroup) -> RelationReport:
         detail = f"{index_count} basis indices exceed the limit {PRODUCTS_CHECK_LIMIT}"
         checks.append(Check("products", "skipped", 0, detail))
     else:
-        sums = {w: y_bar_sum(group, w) for w in group.elements}
-        tops = [w for w in group.elements if w.has_trivial_factors()]
-        plain = {w: y_plain_sum(group, w) for w in group.elements}
-        down = {w: wreath_downset(w) for w in group.elements}
-        # parts[u, sigma] holds plain[u] * sums[sigma] and sums[sigma] * plain[u]
-        parts = {
-            (u, sigma): (mul(plain[u], sums[sigma]), mul(sums[sigma], plain[u]))
-            for u in group.elements
-            for sigma in tops
-        }
+        # int-keyed vectors; an element is its position in group.elements
+        elements = group.elements
+        basis = _Basis(d, elements)
+        ids, n, taus = basis.ids, basis.n, range(basis.n)
+        tops = [i for i, w in enumerate(elements) if w.has_trivial_factors()]
+        down = [[ids[u] for u in wreath_downset(w)] for w in elements]
+        sums = [{u * n + t: 1 for t in taus for u in us} for us in down]
+        plain = [{i * n + t: 1 for t in taus} for i in range(len(elements))]
 
-        def side(w: WreathElement, sigma: WreathElement, k: int) -> AlgebraVector:
-            # sums[w] is the sum of plain[u] over u <= w
-            return _collect(chain.from_iterable(parts[u, sigma][k]._terms.items() for u in down[w]))
+        def mul_ids(a: dict[int, Scalar], rows: dict[int, list]) -> dict[int, Scalar]:
+            out, blocked = _product(a, rows, basis)
+            if blocked:
+                _blocked(blocked, basis).expect()
+            return out
+
+        sum_rows = {sigma: basis.rows(sums[sigma]) for sigma in tops}
+        # parts[u, sigma] holds plain[u] * sums[sigma] and sums[sigma] * plain[u]
+        parts = {}
+        for u in range(len(elements)):
+            plain_rows = basis.rows(plain[u])
+            for sigma in tops:
+                parts[u, sigma] = (mul_ids(plain[u], sum_rows[sigma]), mul_ids(sums[sigma], plain_rows))
+
+        def side(w: int, sigma: int, k: int) -> dict[int, Scalar]:
+            # sums[w] is the sum of plain[u] over u <= w.  The parts of
+            # distinct u have disjoint supports wherever their products
+            # differ, and then the union of their terms is their sum
+            terms = [parts[u, sigma][k] for u in down[w]]
+            out: dict[int, Scalar] = {}
+            for part in terms:
+                out.update(part)
+            if len(out) < sum(map(len, terms)):
+                out = {}
+                get = out.get
+                for part in terms:
+                    for key, c in part.items():
+                        out[key] = get(key, 0) + c
+            return {key: c for key, c in out.items() if c} if 0 in out.values() else out
 
         check("products", (
-            (lambda: f"{group.word(x)} * {group.word(y)}", side(w, sigma, k), sums[x * y])
-            for w in group.elements
+            (
+                lambda: f"{group.word(elements[x])} * {group.word(elements[y])}",
+                side(w, sigma, k),
+                sums[ids[elements[x] * elements[y]]],
+            )
+            for w in range(len(elements))
             for sigma in tops
             for x, y, k in ((w, sigma, 0), (sigma, w, 1))
         ))

@@ -83,10 +83,11 @@ class WreathElement(NamedTuple("WreathElement", [("factors", tuple), ("top", tup
         self._check_compatible(other)
         return self._mul_unchecked(other)
 
-    # Products repeat: the relation checks of the class algebra form 4,116
-    # products at (2,3) but only 540 distinct ones, and 284 of 878 at
-    # (3,2).  The bound holds four times the larger count, and memory stays
-    # flat at larger sizes.
+    # Products repeat: the relation checks of the class algebra form 1,166
+    # products at (2,3) but only 540 distinct ones, and 284 of 583 at
+    # (3,2), since the `products` check forms each product that the rule
+    # answered again, as the class it compares with.  The bound holds four
+    # times the larger count, and memory stays flat at larger sizes.
     @lru_cache(maxsize=2048)
     def _mul_unchecked(self, other: "WreathElement") -> "WreathElement":
         """The product, for callers that have already checked (m, d)."""

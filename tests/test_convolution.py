@@ -227,22 +227,28 @@ def test_convolve_matches_all_pairs_oracle_on_mixed_coefficients():
 
 
 def test_convolve_visits_only_chaining_pairs(monkeypatch):
-    g = WreathGroup(2, 2)
-    t = y_bar_sum(g, g.gen_t(1))
+    # the rule's component index only rides along, so each pair of elements
+    # is asked once, at a chaining pair of basis classes, and never again
+    g = WreathGroup(2, 3)
+    a = y_bar_sum(g, g.parse_word("s1^1 t1")) + y_plain_sum(g, g.gen_t(2))
+    b = y_bar_sum(g, g.gen_t(1)) + y_plain_sum(g, g.identity)
     visited = []
 
-    def counting(a, b):
-        visited.append((a, b))
-        return convolve_basis(a, b)
+    def counting(x, y):
+        visited.append((x, y))
+        return convolve_basis(x, y)
 
     monkeypatch.setattr(convolution, "convolve_basis", counting)
-    assert convolve(t, t).expect() == y_bar_sum(g, g.identity)
-    chaining = [
-        (a, b) for a in t.support() for b in t.support()
-        if perm_compose(a.tau, a.w.top) == b.tau
-    ]
-    assert sorted(visited, key=lambda p: (p[0].key(), p[1].key())) == chaining
-    assert len(chaining) < len(t.support()) ** 2
+    assert convolve(a, b) == convolve_all_pairs(a, b)
+    assert all(perm_compose(x.tau, x.w.top) == y.tau for x, y in visited)
+    asked = [(x.w, y.w) for x, y in visited]
+    chaining = {
+        (x.w, y.w) for x in a.support() for y in b.support()
+        if perm_compose(x.tau, x.w.top) == y.tau
+    }
+    assert len(asked) == len(set(asked))
+    assert set(asked) == chaining
+    assert len(asked) < len(a.support()) * len(b.support())
 
 
 GROUP_22 = WreathGroup(2, 2)
@@ -470,6 +476,13 @@ def test_verify_relations_32():
     by_name = {c.name: c for c in report.checks}
     assert by_name["quadratic"].status == "pass"
     assert by_name["wreath"].instances == 2
+
+
+@pytest.mark.parametrize("m, d, instances", [(4, 2, 4608), (2, 4, 18432), (3, 3, 15552)])
+def test_products_check_passes_above_the_limit(monkeypatch, m, d, instances):
+    monkeypatch.setattr(convolution, "PRODUCTS_CHECK_LIMIT", 10**6)
+    by_name = {c.name: c for c in verify_relations(WreathGroup(m, d)).checks}
+    assert by_name["products"] == convolution.Check("products", "pass", instances)
 
 
 def reversed_product(a, b):

@@ -41,13 +41,25 @@ PUBLIC_NAMES = {
 
 def loaded_after(code: str, prefix: str = "wreathspringer") -> set[str]:
     """The modules named `prefix`... that a fresh interpreter holds after
-    running `code`."""
-    report = f"import sys, json; print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))"
+    running `code`, listed before the report imports `json` to print them."""
+    report = (
+        f"import sys\n_loaded = sorted(m for m in sys.modules if m.startswith({prefix!r}))\n"
+        "import json\nprint(json.dumps(_loaded))"
+    )
     env = {**os.environ, "PYTHONPATH": SRC}
     out = subprocess.run(
         [sys.executable, "-c", f"{code}\n{report}"], env=env, capture_output=True, text=True, check=True
     ).stdout
     return set(json.loads(out.splitlines()[-1]))
+
+
+def _main_loads(args: list[str]) -> set[str]:
+    """Every module a fresh interpreter holds after `cli.main(args)`."""
+    code = (
+        "import contextlib, io\nfrom wreathspringer import cli\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main({args!r}) == 0"
+    )
+    return loaded_after(code, prefix="")
 
 
 def test_importing_the_package_loads_no_module():
@@ -68,23 +80,36 @@ def test_hasse_loads_no_algebra_module():
 def test_commands_load_neither_dataclasses_nor_inspect(command):
     # the immutable records are named tuples, so no command pays for
     # `dataclasses`, which imports `inspect`, `ast`, `dis` and `tokenize`
-    args = [*command.split(), "--m", "2", "--d", "2"]
-    code = (
-        "import contextlib, io\nfrom wreathspringer import cli\n"
-        f"with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main({args!r}) == 0"
-    )
-    loaded = loaded_after(code, prefix="")
+    loaded = _main_loads([*command.split(), "--m", "2", "--d", "2"])
     assert "wreathspringer.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_algebra_check_loads_no_matrix_module():
-    # the class algebra's coefficients are exact ints and Fractions; the
-    # matrix module's `Scalar` is only an annotation there
+    # the class algebra's coefficients are exact ints, and Fractions where a
+    # coefficient is not integral; the matrix module's `Scalar` is only an
+    # annotation there
     loaded = loaded_after('from wreathspringer import cli; cli.main(["verify", "--scope", "algebra", "--m", "2", "--d", "2"])')
     assert loaded == {
         f"wreathspringer{name}" for name in ("", ".cli", ".combinatorics", ".convolution", ".wreath")
     }
+
+
+def test_algebra_check_loads_neither_fractions_nor_json():
+    # every coefficient of the check is an int, so `fractions` (which imports
+    # `decimal`) is never needed, and the report is written without `json`
+    loaded = _main_loads(["verify", "--scope", "algebra", "--m", "2", "--d", "3"])
+    assert "wreathspringer.convolution" in loaded
+    assert not loaded & {"fractions", "decimal", "json"}
+
+
+@pytest.mark.parametrize("command", ["hasse", "hasse --format json", "tables --kind chars", "tables --kind cells"])
+def test_commands_that_print_ascii_load_no_json(command):
+    # their strings are printable ASCII with no quote or backslash, which
+    # `_json_text` writes as they are
+    loaded = _main_loads([*command.split(), "--m", "2", "--d", "2"])
+    assert "wreathspringer.wreath" in loaded
+    assert "json" not in loaded
 
 
 def test_character_table_loads_no_matrix_module():
