@@ -17,9 +17,11 @@ float.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from collections.abc import Iterable
+from json.encoder import encode_basestring_ascii
 
 # wreath, and with it combinatorics, serves every command but `tables --kind
 # orbits`; the other modules are imported inside the commands that use them,
@@ -66,23 +68,13 @@ def _render_table(header: list[str], rows: Iterable[list[str]], fmt: str) -> str
     raise ValueError(f"unknown table format {fmt!r}")
 
 
-def _json_str(s: str) -> str:
-    """The text of ``json.dumps(s)``.  Printable ASCII with no quote and no
-    backslash is written as it is, so most commands never import `json`."""
-    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
-        return f'"{s}"'
-    from json.encoder import encode_basestring_ascii
-
-    return encode_basestring_ascii(s)
-
-
 def _json_text(value, indent: str = "") -> str:
     """The text of ``json.dumps(value, indent=2)`` for str-keyed dicts,
     lists, str, int and bool, written directly: with ``indent`` set, that
     call runs the pure-Python ``json.encoder._make_iterencode`` instead of
     the C encoder."""
     if isinstance(value, str):
-        return _json_str(value)
+        return encode_basestring_ascii(value)
     if value is True or value is False:
         return "true" if value else "false"
     if isinstance(value, int):
@@ -92,7 +84,7 @@ def _json_text(value, indent: str = "") -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        body = sep.join([f"{_json_str(k)}: {_json_text(v, inner)}" for k, v in value.items()])
+        body = sep.join([f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()])
         return f"{{\n{inner}{body}\n{indent}}}"
     if isinstance(value, list):
         if not value:
@@ -159,15 +151,10 @@ def cmd_verify(args) -> int:
 TABLE_SIZES = {"typeB": ("d",), "typeD": ("d",), "hu": ("m",)}
 
 
-def _json_cell(value: dict) -> str:
-    from json import dumps
-
-    return dumps(value)
-
-
 # the md/csv cell of a value in a JSON row: a list joins with commas, a dict
-# is its JSON text, anything else is its str
-CELL_TEXT = {list: ",".join, dict: _json_cell}
+# is its JSON text, anything else is its str (the encoder writes what
+# json.dumps writes, without json.dumps' per-call keyword handling)
+CELL_TEXT = {list: ",".join, dict: json.JSONEncoder().encode}
 
 
 def _orbit_str(orbit) -> str:

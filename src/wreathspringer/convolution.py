@@ -22,8 +22,9 @@ There is one product loop, `_product`.  It works on vectors keyed by ints,
 ``element id * d! + tau id`` (`_Basis` numbers them), visits only the
 chaining pairs, and asks the rule `convolve_basis` once per pair of
 elements: the rule's component index only rides along, so its answer at
-one tau serves every other.  `convolve` numbers its two vectors' terms,
-calls `_product` and maps the result back.
+one tau serves every other, and a term it puts at another tau raises.
+`convolve` numbers its two vectors' terms, calls `_product` and maps the
+result back.
 
 `verify_relations` checks the defining relations inside the algebra.  Its
 `products` check uses bilinearity: a closure-class sum is the sum of the
@@ -36,6 +37,7 @@ sums of those parts.  It numbers the elements by their position in
 from __future__ import annotations
 
 from itertools import chain
+from math import factorial
 from typing import TYPE_CHECKING, NamedTuple
 
 from .combinatorics import Perm, all_perms, perm_compose
@@ -203,43 +205,48 @@ def convolve_basis(a: BasisIndex, b: BasisIndex) -> ProductResult:
     return ProductResult(None, ((a, b),))
 
 
+def _number(ids: dict, items: list, x) -> int:
+    """x's position in `items`, appending it on first sight."""
+    i = ids.get(x)
+    if i is None:
+        i = ids[x] = len(items)
+        items.append(x)
+    return i
+
+
 class _Basis:
     """The basis classes [Y_{w, tau}] of one (m, d), numbered by the int
-    ``id(w) * d! + id(tau)``: an element's id is its position in `elements`,
-    which grows as elements are met, and tau's is its position in
-    all_perms(d).  `right_tau[key]` is the id of tau * top(w), the
-    component index that a right factor needs to chain with the class `key`."""
+    ``id(w) * d! + id(tau)``: an id is the position of w in `elements`, or
+    of tau in `perms`, and both lists grow as their entries are met.
+    `right_tau[key]` is the id of tau * top(w), the component index that a
+    right factor needs to chain with the class `key`, found on first use."""
 
-    __slots__ = ("n", "perms", "tau_ids", "elements", "ids", "right_tau", "_right_taus")
+    __slots__ = ("n", "perms", "tau_ids", "elements", "ids", "right_tau")
 
-    def __init__(self, d: int, elements: tuple[WreathElement, ...] = ()):
-        self.perms = all_perms(d)
-        self.n = len(self.perms)
-        self.tau_ids = {tau: t for t, tau in enumerate(self.perms)}
+    def __init__(self, d: int, perms: tuple[Perm, ...] = (), elements: tuple[WreathElement, ...] = ()):
+        self.n = factorial(d)
+        self.perms: list[Perm] = []
+        self.tau_ids: dict[Perm, int] = {}
         self.elements: list[WreathElement] = []
         self.ids: dict[WreathElement, int] = {}
-        self.right_tau: list[int] = []
-        self._right_taus: dict[Perm, list[int]] = {}  # top -> right_tau of each tau
+        self.right_tau: dict[int, int] = {}
+        for tau in perms:
+            _number(self.tau_ids, self.perms, tau)
         for w in elements:
-            self.element_id(w)
-
-    def element_id(self, w: WreathElement) -> int:
-        i = self.ids.get(w)
-        if i is None:
-            i = self.ids[w] = len(self.elements)
-            self.elements.append(w)
-            taus = self._right_taus.get(w.top)
-            if taus is None:
-                taus = self._right_taus[w.top] = [self.tau_ids[perm_compose(tau, w.top)] for tau in self.perms]
-            self.right_tau.extend(taus)
-        return i
+            _number(self.ids, self.elements, w)
 
     def key(self, idx: BasisIndex) -> int:
-        return self.element_id(idx.w) * self.n + self.tau_ids[idx.tau]
+        return _number(self.ids, self.elements, idx.w) * self.n + _number(self.tau_ids, self.perms, idx.tau)
 
     def index(self, key: int) -> BasisIndex:
         i, t = divmod(key, self.n)
         return BasisIndex(self.elements[i], self.perms[t])
+
+    def chain_tau(self, key: int) -> int:
+        """right_tau[key], computed and kept."""
+        i, t = divmod(key, self.n)
+        s = self.right_tau[key] = _number(self.tau_ids, self.perms, perm_compose(self.perms[t], self.elements[i].top))
+        return s
 
     def rows(self, b: dict[int, Scalar]) -> dict[int, list[tuple[int, Scalar]]]:
         """b by component index: rows[s] lists its (element id, coefficient)
@@ -249,6 +256,19 @@ class _Basis:
             j, s = divmod(key, self.n)
             rows.setdefault(s, []).append((j, c))
         return rows
+
+
+def _element_terms(vector: AlgebraVector, tau: Perm, basis: _Basis) -> list[tuple[int, Scalar]]:
+    """The rule's answer at the left factor's tau as (element id * d!,
+    coefficient) pairs, which `_product` reuses at every tau where the same
+    two elements chain.  A term at any other tau breaks that reuse, so it
+    raises instead of giving wrong sums."""
+    terms = []
+    for idx, c in vector._terms.items():
+        if idx.tau != tau:
+            raise RuntimeError(f"convolve_basis put a term at {idx.tau}, not at the left factor's {tau}")
+        terms.append((_number(basis.ids, basis.elements, idx.w) * basis.n, c))
+    return terms
 
 
 def _product(a: dict[int, Scalar], rows: dict[int, list], basis: _Basis):
@@ -268,7 +288,9 @@ def _product(a: dict[int, Scalar], rows: dict[int, list], basis: _Basis):
     # (i, j) -> [(product id * n, coefficient)], None where undefined; False until asked
     answers = {}
     for ka, ca in a.items():
-        s = right_tau[ka]
+        s = right_tau.get(ka)
+        if s is None:
+            s = basis.chain_tau(ka)
         row = rows.get(s)
         if row is None:
             continue
@@ -280,9 +302,7 @@ def _product(a: dict[int, Scalar], rows: dict[int, list], basis: _Basis):
                 vector = convolve_basis(
                     BasisIndex(elements[i], perms[t]), BasisIndex(elements[j], perms[s])
                 ).vector
-                answer = answers[i, j] = None if vector is None else [
-                    (basis.element_id(idx.w) * n, c) for idx, c in vector._terms.items()
-                ]
+                answer = answers[i, j] = None if vector is None else _element_terms(vector, perms[t], basis)
             if answer is None:
                 blocked.append((ka, j * n + s))
                 continue
@@ -466,7 +486,7 @@ def verify_relations(group: WreathGroup) -> RelationReport:
     else:
         # int-keyed vectors; an element is its position in group.elements
         elements = group.elements
-        basis = _Basis(d, elements)
+        basis = _Basis(d, all_perms(d), elements)
         ids, n, taus = basis.ids, basis.n, range(basis.n)
         tops = [i for i, w in enumerate(elements) if w.has_trivial_factors()]
         down = [[ids[u] for u in wreath_downset(w)] for w in elements]
@@ -488,20 +508,13 @@ def verify_relations(group: WreathGroup) -> RelationReport:
                 parts[u, sigma] = (mul_ids(plain[u], sum_rows[sigma]), mul_ids(sums[sigma], plain_rows))
 
         def side(w: int, sigma: int, k: int) -> dict[int, Scalar]:
-            # sums[w] is the sum of plain[u] over u <= w.  The parts of
-            # distinct u have disjoint supports wherever their products
-            # differ, and then the union of their terms is their sum
-            terms = [parts[u, sigma][k] for u in down[w]]
+            # sums[w] is the sum of plain[u] over u <= w
             out: dict[int, Scalar] = {}
-            for part in terms:
-                out.update(part)
-            if len(out) < sum(map(len, terms)):
-                out = {}
-                get = out.get
-                for part in terms:
-                    for key, c in part.items():
-                        out[key] = get(key, 0) + c
-            return {key: c for key, c in out.items() if c} if 0 in out.values() else out
+            get = out.get
+            for u in down[w]:
+                for key, c in parts[u, sigma][k].items():
+                    out[key] = get(key, 0) + c
+            return {key: c for key, c in out.items() if c}
 
         check("products", (
             (

@@ -251,6 +251,45 @@ def test_convolve_visits_only_chaining_pairs(monkeypatch):
     assert len(asked) < len(a.support()) * len(b.support())
 
 
+
+def test_convolve_refuses_a_rule_that_moves_the_component_index(monkeypatch):
+    # the loop reuses the rule's answer at every tau where the same two
+    # elements chain, which holds only while each term stays at the left
+    # factor's tau; a rule that moves it raises instead of giving wrong sums
+    def moved(x, y):
+        res = convolve_basis(x, y)
+        if res.defined and not res.vector.is_zero():
+            return ProductResult(AlgebraVector._of({BasisIndex(i.w, y.tau): c for i, c in res.vector.items()}))
+        return res
+
+    g = WreathGroup(2, 2)
+    t = y_bar_sum(g, g.gen_t(1))
+    monkeypatch.setattr(convolution, "convolve_basis", moved)
+    with pytest.raises(RuntimeError, match="not at the left factor's"):
+        convolve(t, t)
+
+
+def test_convolve_of_basis_classes_numbers_only_their_taus(monkeypatch):
+    # at d = 8 there are 40,320 component indices; a product of two basis
+    # classes composes one permutation and builds no table of all of them
+    x = WreathElement(((0, 1),) * 8, (1, 0, 2, 3, 4, 5, 6, 7))
+    tau = (2, 0, 1, 3, 4, 5, 6, 7)
+    a = AlgebraVector.basis(BasisIndex(x, tau))
+    b = AlgebraVector.basis(BasisIndex(x, perm_compose(tau, x.top)))
+    composed = []
+
+    def counting(p, q):
+        composed.append((p, q))
+        return perm_compose(p, q)
+
+    def refused(n):
+        raise AssertionError(f"all_perms({n})")
+
+    monkeypatch.setattr(convolution, "perm_compose", counting)
+    monkeypatch.setattr(convolution, "all_perms", refused)
+    assert convolve(a, b).expect() == AlgebraVector.basis(BasisIndex(x * x, tau))
+    assert composed == [(tau, x.top)]
+
 GROUP_22 = WreathGroup(2, 2)
 INDICES_22 = basis_indices(GROUP_22)
 # negative, non-unit and unit coefficients; equal indices drawn twice with

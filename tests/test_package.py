@@ -41,11 +41,8 @@ PUBLIC_NAMES = {
 
 def loaded_after(code: str, prefix: str = "wreathspringer") -> set[str]:
     """The modules named `prefix`... that a fresh interpreter holds after
-    running `code`, listed before the report imports `json` to print them."""
-    report = (
-        f"import sys\n_loaded = sorted(m for m in sys.modules if m.startswith({prefix!r}))\n"
-        "import json\nprint(json.dumps(_loaded))"
-    )
+    running `code`."""
+    report = f"import sys, json; print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))"
     env = {**os.environ, "PYTHONPATH": SRC}
     out = subprocess.run(
         [sys.executable, "-c", f"{code}\n{report}"], env=env, capture_output=True, text=True, check=True
@@ -95,21 +92,12 @@ def test_algebra_check_loads_no_matrix_module():
     }
 
 
-def test_algebra_check_loads_neither_fractions_nor_json():
+def test_algebra_check_loads_no_fractions_module():
     # every coefficient of the check is an int, so `fractions` (which imports
-    # `decimal`) is never needed, and the report is written without `json`
+    # `decimal`) is never needed
     loaded = _main_loads(["verify", "--scope", "algebra", "--m", "2", "--d", "3"])
     assert "wreathspringer.convolution" in loaded
-    assert not loaded & {"fractions", "decimal", "json"}
-
-
-@pytest.mark.parametrize("command", ["hasse", "hasse --format json", "tables --kind chars", "tables --kind cells"])
-def test_commands_that_print_ascii_load_no_json(command):
-    # their strings are printable ASCII with no quote or backslash, which
-    # `_json_text` writes as they are
-    loaded = _main_loads([*command.split(), "--m", "2", "--d", "2"])
-    assert "wreathspringer.wreath" in loaded
-    assert "json" not in loaded
+    assert not loaded & {"fractions", "decimal"}
 
 
 def test_character_table_loads_no_matrix_module():
