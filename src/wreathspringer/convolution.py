@@ -19,19 +19,16 @@ undefined result into a hard error for checks that are guaranteed to stay
 inside the computable cases.
 
 There is one product loop, `_product`.  It works on vectors keyed by ints,
-``element id * d! + tau id`` (`_Basis` numbers them), visits only the
-chaining pairs, and asks the rule `convolve_basis` once per pair of
-elements: the rule's component index only rides along, so its answer at
-one tau serves every other, and a term it puts at another tau raises.
-`convolve` numbers its two vectors' terms, calls `_product` and maps the
-result back.
+``element id * d! + tau id`` (`_Basis` numbers them, and refuses a tau that
+is not a permutation of degree d), visits only the chaining pairs, and asks
+the rule `convolve_basis` once per pair of elements: the rule's component
+index only rides along, so its answer at one tau serves every other, and a
+term it puts at another tau raises.  `convolve` numbers its two vectors'
+terms, calls `_product` and maps the result back.
 
-`verify_relations` checks the defining relations inside the algebra.  Its
-`products` check uses bilinearity: a closure-class sum is the sum of the
-plain class sums below it, so each product of a plain sum with a pure-top
-closure-class sum is formed once and the products the check compares are
-sums of those parts.  It numbers the elements by their position in
-`group.elements` and works on int-keyed vectors throughout.
+`verify_relations` checks the defining relations on one `_Basis`, through
+the same loop.  A pure-top element is the bottom of its own down-set, so
+its closure-class sum is its plain sum: the generators' sums are plain.
 """
 
 from __future__ import annotations
@@ -74,9 +71,9 @@ class UndefinedProductError(Exception):
 class AlgebraVector:
     """Finitely supported map BasisIndex -> int | Fraction, an int wherever
     the coefficient is integral; no zero coefficients are stored.
-    Immutable: the (m, d) shapes of its terms are read once, on first use."""
+    Immutable."""
 
-    __slots__ = ("_terms", "_shapes")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[BasisIndex, Scalar] | None = None):
         clean = {}
@@ -86,7 +83,6 @@ class AlgebraVector:
                 if coeff:
                     clean[idx] = coeff
         self._terms = clean
-        self._shapes = None
 
     @classmethod
     def zero(cls) -> "AlgebraVector":
@@ -102,14 +98,7 @@ class AlgebraVector:
         where integral."""
         vector = object.__new__(cls)
         vector._terms = terms
-        vector._shapes = None
         return vector
-
-    def shapes(self) -> dict[tuple[int, int], None]:
-        """The (m, d) of the terms' elements, in the order they first come."""
-        if self._shapes is None:
-            self._shapes = dict.fromkeys((len(i.w.factors[0]), len(i.w.top)) for i in self._terms)
-        return self._shapes
 
     def items(self):
         return sorted(self._terms.items(), key=lambda kv: kv[0].key())
@@ -124,7 +113,7 @@ class AlgebraVector:
         return not self._terms
 
     def __add__(self, other: "AlgebraVector") -> "AlgebraVector":
-        return _collect(chain(self._terms.items(), other._terms.items()))
+        return AlgebraVector._of(_collect(chain(self._terms.items(), other._terms.items())))
 
     def __sub__(self, other: "AlgebraVector") -> "AlgebraVector":
         return self + (-1) * other
@@ -143,11 +132,11 @@ class AlgebraVector:
         return "AlgebraVector(" + " + ".join(bits) + ")"
 
 
-def _collect(pairs) -> AlgebraVector:
-    """Sum (index, nonzero coefficient) pairs into one vector.  Only an
-    index that comes twice is added to, so only those can cancel to zero or
-    become integral."""
-    out: dict[BasisIndex, Scalar] = {}
+def _collect(pairs) -> dict:
+    """Sum (key, nonzero coefficient) pairs into a dict with no zero
+    coefficient.  Only a key that comes twice is added to, so only those
+    can cancel to zero or become integral."""
+    out: dict = {}
     collided = []
     for idx, coeff in pairs:
         if idx in out:
@@ -161,7 +150,7 @@ def _collect(pairs) -> AlgebraVector:
                 out[idx] = _exact(out[idx])
             else:
                 del out[idx]
-    return AlgebraVector._of(out)
+    return out
 
 
 class ProductResult(
@@ -221,22 +210,34 @@ class _Basis:
     `right_tau[key]` is the id of tau * top(w), the component index that a
     right factor needs to chain with the class `key`, found on first use."""
 
-    __slots__ = ("n", "perms", "tau_ids", "elements", "ids", "right_tau")
+    __slots__ = ("n", "degree", "perms", "tau_ids", "elements", "ids", "right_tau")
 
     def __init__(self, d: int, perms: tuple[Perm, ...] = (), elements: tuple[WreathElement, ...] = ()):
         self.n = factorial(d)
+        self.degree = list(range(d))
         self.perms: list[Perm] = []
         self.tau_ids: dict[Perm, int] = {}
         self.elements: list[WreathElement] = []
         self.ids: dict[WreathElement, int] = {}
         self.right_tau: dict[int, int] = {}
         for tau in perms:
-            _number(self.tau_ids, self.perms, tau)
+            self.tau_id(tau)
         for w in elements:
             _number(self.ids, self.elements, w)
 
+    def tau_id(self, tau: Perm) -> int:
+        """tau's id; a tau that is not a permutation of degree d would take
+        an id of d! or more, so that its keys collide with another element's."""
+        t = self.tau_ids.get(tau)
+        if t is None:
+            if sorted(tau) != self.degree:
+                raise ValueError(f"component index {tau} is not a permutation of degree {len(self.degree)}")
+            t = self.tau_ids[tau] = len(self.perms)
+            self.perms.append(tau)
+        return t
+
     def key(self, idx: BasisIndex) -> int:
-        return _number(self.ids, self.elements, idx.w) * self.n + _number(self.tau_ids, self.perms, idx.tau)
+        return _number(self.ids, self.elements, idx.w) * self.n + self.tau_id(idx.tau)
 
     def index(self, key: int) -> BasisIndex:
         i, t = divmod(key, self.n)
@@ -245,7 +246,7 @@ class _Basis:
     def chain_tau(self, key: int) -> int:
         """right_tau[key], computed and kept."""
         i, t = divmod(key, self.n)
-        s = self.right_tau[key] = _number(self.tau_ids, self.perms, perm_compose(self.perms[t], self.elements[i].top))
+        s = self.right_tau[key] = self.tau_id(perm_compose(self.perms[t], self.elements[i].top))
         return s
 
     def rows(self, b: dict[int, Scalar]) -> dict[int, list[tuple[int, Scalar]]]:
@@ -323,15 +324,15 @@ def convolve(a: AlgebraVector, b: AlgebraVector) -> ProductResult:
     needed basis product is undefined, reporting every blocking pair.
 
     Only chaining pairs (b.tau == a.tau * top(a.w)) are visited; every other
-    basis product is zero.  Both vectors must hold elements of one (m, d);
-    each vector reads the shapes of its terms once."""
+    basis product is zero.  Both vectors must hold elements of one (m, d),
+    and every component index must be a permutation of degree d."""
     if not (a._terms and b._terms):
         return ProductResult(AlgebraVector.zero())
-    shapes = {**a.shapes(), **b.shapes()}
-    if len(shapes) > 1:
-        (m0, d0), (m1, d1) = list(shapes)[:2]
+    contexts = dict.fromkeys((len(i.w.factors[0]), len(i.w.top)) for i in chain(a._terms, b._terms))
+    if len(contexts) > 1:
+        (m0, d0), (m1, d1) = list(contexts)[:2]
         raise ValueError(f"context mismatch: ({m0},{d0}) vs ({m1},{d1})")
-    [(_, d)] = shapes
+    [(_, d)] = contexts
     basis = _Basis(d)
     numbered = {basis.key(idx): c for idx, c in a._terms.items()}
     rows = basis.rows({basis.key(idx): c for idx, c in b._terms.items()})
@@ -340,16 +341,6 @@ def convolve(a: AlgebraVector, b: AlgebraVector) -> ProductResult:
         return _blocked(blocked, basis)
     # the constructor drops the sums that cancelled and makes integral ones ints
     return ProductResult(AlgebraVector({basis.index(key): c for key, c in out.items()}))
-
-
-def convolve_chain(*vectors: AlgebraVector) -> ProductResult:
-    out: AlgebraVector = vectors[0]
-    for v in vectors[1:]:
-        res = convolve(out, v)
-        if not res.defined:
-            return res
-        out = res.vector
-    return ProductResult(out)
 
 
 def y_bar(group: WreathGroup, w: WreathElement, tau: Perm) -> AlgebraVector:
@@ -366,25 +357,20 @@ def y_bar_sum(group: WreathGroup, w: WreathElement) -> AlgebraVector:
     )
 
 
-def y_plain_sum(group: WreathGroup, w: WreathElement) -> AlgebraVector:
-    """Sum of the plain classes [Y_{w, tau}] over every component index."""
-    return AlgebraVector._of({BasisIndex(w, tau): 1 for tau in all_perms(group.d)})
-
-
 def involution_T(a: AlgebraVector) -> AlgebraVector:
     """The factor-swap anti-involution: [Y_{w,tau}] -> [Y_{w^-1, tau*top(w)}]."""
-    return _collect(
+    return AlgebraVector._of(_collect(
         (BasisIndex(idx.w.inverse(), perm_compose(idx.tau, idx.w.top)), coeff)
         for idx, coeff in a._terms.items()
-    )
+    ))
 
 
 def pi0_act(eta: Perm, a: AlgebraVector) -> AlgebraVector:
     """Component shuffle: [Y_{w,tau}] -> [Y_{w, eta*tau}], extended linearly."""
-    return _collect(
+    return AlgebraVector._of(_collect(
         (BasisIndex(idx.w, perm_compose(eta, idx.tau)), coeff)
         for idx, coeff in a._terms.items()
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +413,12 @@ def verify_relations(group: WreathGroup) -> RelationReport:
       relations;
     * products: w -> y_bar_sum(w) respects multiplication by pure-top
       elements on either side (skipped above `PRODUCTS_CHECK_LIMIT` indices).
-      y_bar_sum(w) is the sum of y_plain_sum(u) over u <= w, so by
-      bilinearity each side is a sum of the products of y_plain_sum(u) with
-      y_bar_sum(sigma), and each of those is formed once.
+      y_bar_sum(w) is the sum of the plain sums of u over u <= w, so by
+      bilinearity each side is a sum of the products of a plain sum with a
+      pure-top sum, and each of those is formed once.
 
-    Any undefined product raises UndefinedProductError: these checks are
+    Every check compares zero-free int-keyed vectors on one `_Basis`.  Any
+    undefined product raises UndefinedProductError: these checks are
     guaranteed computable, so an undefined result is an implementation bug.
     """
     group.check_bound()
@@ -449,77 +436,75 @@ def verify_relations(group: WreathGroup) -> RelationReport:
         status = "fail" if failures else "pass"
         checks.append(Check(name, status, instances, "; ".join(failures[:3])))
 
-    def mul(*vectors: AlgebraVector) -> AlgebraVector:
-        return convolve_chain(*vectors).expect()
+    index_count = group.order * len(all_perms(d))
+    # the elements are numbered in order only for the products check
+    elements = group.elements if index_count <= PRODUCTS_CHECK_LIMIT else ()
+    basis = _Basis(d, all_perms(d), elements)
+    ids, n, taus = basis.ids, basis.n, range(basis.n)
 
-    t = {k: y_bar_sum(group, group.gen_t(k)) for k in range(1, d)}
-    e = y_bar_sum(group, group.identity)
-    check("quadratic", ((lambda: f"t{k}^2", mul(t[k], t[k]), e) for k in range(1, d)))
+    def plain(w: WreathElement) -> dict[int, Scalar]:
+        # the sum of the plain classes [Y_{w, tau}] over every tau
+        i = _number(ids, basis.elements, w) * n
+        return {i + t: 1 for t in taus}
 
-    tp = {k: y_plain_sum(group, group.gen_t(k)) for k in range(1, d)}
-    ep = y_plain_sum(group, group.identity)
+    def times(a: dict[int, Scalar], rows: dict[int, list]) -> dict[int, Scalar]:
+        out, blocked = _product(a, rows, basis)
+        if blocked:
+            _blocked(blocked, basis).expect()
+        return {key: c for key, c in out.items() if c}
+
+    # pure-top elements: each closure sum is its plain sum
+    t = {k: plain(group.gen_t(k)) for k in range(1, d)}
+    rows = {k: basis.rows(t[k]) for k in t}
+    e = plain(group.identity)
+    check("quadratic", ((lambda: f"t{k}^2", times(t[k], rows[k]), e) for k in range(1, d)))
+
     # the identity terms t_k * e and e * t_k do not depend on i
-    tp_e = {k: (mul(tp[k], ep), mul(ep, tp[k])) for k in range(1, d)} if m > 1 else {}
+    e_rows = basis.rows(e)
+    t_e = {k: (times(t[k], e_rows), times(e, rows[k])) for k in range(1, d)} if m > 1 else {}
     check("wreath", (
         (
             lambda: f"t{k} s{i}",
-            mul(tp[k], y_plain_sum(group, group.gen_s(i, k))) + tp_e[k][0],
-            mul(y_plain_sum(group, group.gen_s(i, k + 1)), tp[k]) + tp_e[k][1],
+            _collect(chain(times(t[k], basis.rows(plain(group.gen_s(i, k)))).items(), t_e[k][0].items())),
+            _collect(chain(times(plain(group.gen_s(i, k + 1)), rows[k]).items(), t_e[k][1].items())),
         )
         for k in range(1, d)
         for i in range(1, m)
     ))
     check("braid", (
-        (lambda: f"t{k} t{k + 1} t{k}", mul(t[k], t[k + 1], t[k]), mul(t[k + 1], t[k], t[k + 1]))
+        (
+            lambda: f"t{k} t{k + 1} t{k}",
+            times(times(t[k], rows[k + 1]), rows[k]),
+            times(times(t[k + 1], rows[k]), rows[k + 1]),
+        )
         for k in range(1, d - 1)
     ))
     check("commuting", (
-        (lambda: f"t{k} t{l}", mul(t[k], t[l]), mul(t[l], t[k]))
+        (lambda: f"t{k} t{l}", times(t[k], rows[l]), times(t[l], rows[k]))
         for k in range(1, d)
         for l in range(k + 2, d)
     ))
 
-    index_count = group.order * len(all_perms(d))
-    if index_count > PRODUCTS_CHECK_LIMIT:
+    if not elements:
         detail = f"{index_count} basis indices exceed the limit {PRODUCTS_CHECK_LIMIT}"
         checks.append(Check("products", "skipped", 0, detail))
     else:
-        # int-keyed vectors; an element is its position in group.elements
-        elements = group.elements
-        basis = _Basis(d, all_perms(d), elements)
-        ids, n, taus = basis.ids, basis.n, range(basis.n)
         tops = [i for i, w in enumerate(elements) if w.has_trivial_factors()]
         down = [[ids[u] for u in wreath_downset(w)] for w in elements]
         sums = [{u * n + t: 1 for t in taus for u in us} for us in down]
-        plain = [{i * n + t: 1 for t in taus} for i in range(len(elements))]
-
-        def mul_ids(a: dict[int, Scalar], rows: dict[int, list]) -> dict[int, Scalar]:
-            out, blocked = _product(a, rows, basis)
-            if blocked:
-                _blocked(blocked, basis).expect()
-            return out
-
-        sum_rows = {sigma: basis.rows(sums[sigma]) for sigma in tops}
-        # parts[u, sigma] holds plain[u] * sums[sigma] and sums[sigma] * plain[u]
-        parts = {}
-        for u in range(len(elements)):
-            plain_rows = basis.rows(plain[u])
-            for sigma in tops:
-                parts[u, sigma] = (mul_ids(plain[u], sum_rows[sigma]), mul_ids(sums[sigma], plain_rows))
-
-        def side(w: int, sigma: int, k: int) -> dict[int, Scalar]:
-            # sums[w] is the sum of plain[u] over u <= w
-            out: dict[int, Scalar] = {}
-            get = out.get
-            for u in down[w]:
-                for key, c in parts[u, sigma][k].items():
-                    out[key] = get(key, 0) + c
-            return {key: c for key, c in out.items() if c}
-
+        plains = [plain(w) for w in elements]
+        plain_rows = [basis.rows(v) for v in plains]
+        # parts[u, sigma] holds plain(u) * plain(sigma) and plain(sigma) * plain(u)
+        parts = {
+            (u, sigma): (times(plains[u], plain_rows[sigma]), times(plains[sigma], plain_rows[u]))
+            for u in range(len(elements))
+            for sigma in tops
+        }
+        # sums[w] is the sum of plain(u) over u <= w, so a side sums its parts
         check("products", (
             (
                 lambda: f"{group.word(elements[x])} * {group.word(elements[y])}",
-                side(w, sigma, k),
+                _collect(chain.from_iterable(parts[u, sigma][k].items() for u in down[w])),
                 sums[ids[elements[x] * elements[y]]],
             )
             for w in range(len(elements))

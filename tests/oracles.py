@@ -669,6 +669,11 @@ def basis_indices(group):
     ]
 
 
+def y_plain_sum(group, w):
+    """Sum of the plain classes [Y_{w, tau}] over every component index."""
+    return AlgebraVector._of({BasisIndex(w, tau): 1 for tau in all_perms(group.d)})
+
+
 def class_span_rank(group):
     """Rank over the rationals of the coefficient matrix of the vectors
     y_bar_sum(w), one row per group element."""

@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import basis_indices, class_span_rank, convolve_all_pairs, products_check_by_whole_vectors
+from oracles import (
+    basis_indices, class_span_rank, convolve_all_pairs, products_check_by_whole_vectors, y_plain_sum,
+)
 from wreathspringer import cli, convolution
 from wreathspringer.combinatorics import all_perms, identity_perm, perm_compose, perm_inverse
 from wreathspringer.convolution import (
@@ -14,13 +17,11 @@ from wreathspringer.convolution import (
     UndefinedProductError,
     convolve,
     convolve_basis,
-    convolve_chain,
     involution_T,
     pi0_act,
     verify_relations,
     y_bar,
     y_bar_sum,
-    y_plain_sum,
 )
 from wreathspringer.wreath import WreathElement, WreathGroup
 
@@ -356,16 +357,35 @@ def test_convolve_rejects_mixed_contexts():
 
 def test_convolve_checks_every_term_of_either_vector():
     # the (3,2) term chains with no term of the other side, so only the
-    # check of each vector's shapes can see it
+    # check of every term's shape can see it
     g22, g32 = WreathGroup(2, 2), WreathGroup(3, 2)
     e, odd = BasisIndex(g22.identity, E2), BasisIndex(g32.identity, T2)
     mixed = AlgebraVector.basis(e) + AlgebraVector.basis(odd)
-    assert mixed.shapes() == {(2, 2): None, (3, 2): None}
     plain = AlgebraVector.basis(e)
     for a, b in [(mixed, plain), (plain, mixed)]:
         with pytest.raises(ValueError, match=r"context mismatch: \(2,2\) vs \(3,2\)"):
             convolve(a, b)
     assert convolve(mixed, AlgebraVector.zero()) == ProductResult(AlgebraVector.zero())
+
+
+def test_convolve_refuses_a_component_index_that_is_not_a_permutation():
+    # a tau that is not a permutation of degree d would be numbered d! or
+    # more, and its keys would collide with the next element's: here the
+    # [e;(0,0)] term was lost where the all-pairs oracle keeps it
+    g = GROUP_22
+    e, t1 = g.identity, g.gen_t(1)
+    a = sum(
+        (AlgebraVector.basis(BasisIndex(w, tau)) for w, tau in [(e, E2), (t1, T2), (e, (0, 0)), (t1, E2)]),
+        AlgebraVector.zero(),
+    )
+    assert convolve_all_pairs(a, a).vector.coeff(BasisIndex(e, (0, 0))) == 1
+    with pytest.raises(ValueError, match=r"component index \(0, 0\) is not a permutation of degree 2"):
+        convolve(a, a)
+    for tau in [(0, 1, 2), (1,)]:
+        b = AlgebraVector.basis(BasisIndex(e, tau))
+        for x, y in [(a, b), (b, a)]:
+            with pytest.raises(ValueError, match="is not a permutation of degree 2"):
+                convolve(x, y)
 
 
 def test_quadratic_identity():
@@ -524,6 +544,31 @@ def test_products_check_passes_above_the_limit(monkeypatch, m, d, instances):
     assert by_name["products"] == convolution.Check("products", "pass", instances)
 
 
+RELATION_INSTANCES = {  # quadratic, wreath, braid, commuting, products
+    (2, 2): (1, 1, 0, 0, 32),
+    (2, 3): (2, 2, 1, 0, 576),
+    (3, 2): (1, 2, 0, 0, 288),
+    (2, 5): (4, 4, 3, 3, 0),
+}
+
+
+@pytest.mark.parametrize("m, d", list(RELATION_INSTANCES))
+def test_relation_checks_take_one_product_path(monkeypatch, m, d):
+    # every check multiplies int-keyed vectors in `_product`; none builds a
+    # class sum with y_bar_sum or multiplies through convolve
+    def refuse(*args):
+        raise AssertionError("the vector path was taken")
+
+    monkeypatch.setattr(convolution, "convolve", refuse)
+    monkeypatch.setattr(convolution, "y_bar_sum", refuse)
+    names = ("quadratic", "wreath", "braid", "commuting", "products")
+    skipped = convolution.Check("products", "skipped", 0, "460800 basis indices exceed the limit 2000")
+    expected = [convolution.Check(name, "pass", k) for name, k in zip(names, RELATION_INSTANCES[m, d])]
+    if (m, d) == (2, 5):
+        expected[-1] = skipped
+    assert verify_relations(WreathGroup(m, d)) == convolution.RelationReport(m, d, tuple(expected))
+
+
 def reversed_product(a, b):
     """`convolve_basis` with every defined nonzero product reversed."""
     res = convolve_basis(a, b)
@@ -589,19 +634,8 @@ def test_failed_products_check_matches_the_whole_vector_oracle(monkeypatch):
 def test_braid_triple_products_directly():
     g = WreathGroup(2, 3)
     t1, t2 = y_bar_sum(g, g.gen_t(1)), y_bar_sum(g, g.gen_t(2))
-    assert convolve_chain(t1, t2, t1).expect() == convolve_chain(t2, t1, t2).expect()
-
-
-def test_convolve_chain_stops_at_the_first_undefined_product():
-    i = idx(WreathGroup(2, 1), "s1^1", (0,))
-    s = AlgebraVector.basis(i)
-    # a vector of another group: multiplying by it would raise a context mismatch
-    g = WreathGroup(2, 2)
-    res = convolve_chain(s, s, y_bar_sum(g, g.identity))
-    assert not res.defined and res.blockers == ((i, i),)
-    assert res == convolve(s, s)
-    with pytest.raises(UndefinedProductError):
-        res.expect()
+    left = convolve(convolve(t1, t2).expect(), t1).expect()
+    assert left == convolve(convolve(t2, t1).expect(), t2).expect()
 
 
 # -- census
@@ -619,3 +653,10 @@ def test_plain_sum_definition():
     assert v.support() == sorted(
         [BasisIndex(w, E2), BasisIndex(w, T2)], key=BasisIndex.key
     )
+    # a pure-top element is the bottom of its own down-set, so its closure
+    # sum is its plain sum: verify_relations builds the generators' sums so
+    for g in [WreathGroup(2, 3), WreathGroup(3, 2)]:
+        tops = [sigma for sigma in g.elements if sigma.has_trivial_factors()]
+        assert len(tops) == factorial(g.d)
+        for sigma in tops:
+            assert y_bar_sum(g, sigma) == y_plain_sum(g, sigma)
