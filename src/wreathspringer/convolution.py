@@ -415,7 +415,9 @@ def verify_relations(group: WreathGroup) -> RelationReport:
       elements on either side (skipped above `PRODUCTS_CHECK_LIMIT` indices).
       y_bar_sum(w) is the sum of the plain sums of u over u <= w, so by
       bilinearity each side is a sum of the products of a plain sum with a
-      pure-top sum, and each of those is formed once.
+      pure-top sum.  Each of those is formed once, at the component index
+      e alone: the rule's answer for two elements is the same at every
+      chaining tau, so the other taus hold copies of it.
 
     Every check compares zero-free int-keyed vectors on one `_Basis`.  Any
     undefined product raises UndefinedProductError: these checks are
@@ -491,16 +493,17 @@ def verify_relations(group: WreathGroup) -> RelationReport:
     else:
         tops = [i for i, w in enumerate(elements) if w.has_trivial_factors()]
         down = [[ids[u] for u in wreath_downset(w)] for w in elements]
-        sums = [{u * n + t: 1 for t in taus for u in us} for us in down]
-        plains = [plain(w) for w in elements]
-        plain_rows = [basis.rows(v) for v in plains]
-        # parts[u, sigma] holds plain(u) * plain(sigma) and plain(sigma) * plain(u)
+        # both sides are compared at tau id 0, which is e: `all_perms` lists
+        # the identity first (the docstring says why one tau suffices)
+        sums = [dict.fromkeys([u * n for u in us], 1) for us in down]
+        plain_rows = [basis.rows(plain(w)) for w in elements]
+        # parts[u, sigma] holds [Y_{u, e}] * plain(sigma) and [Y_{sigma, e}] * plain(u)
         parts = {
-            (u, sigma): (times(plains[u], plain_rows[sigma]), times(plains[sigma], plain_rows[u]))
+            (u, sigma): (times({u * n: 1}, plain_rows[sigma]), times({sigma * n: 1}, plain_rows[u]))
             for u in range(len(elements))
             for sigma in tops
         }
-        # sums[w] is the sum of plain(u) over u <= w, so a side sums its parts
+        # sums[w] is the sum of [Y_{u, e}] over u <= w, so a side sums its parts
         check("products", (
             (
                 lambda: f"{group.word(elements[x])} * {group.word(elements[y])}",

@@ -400,12 +400,10 @@ class BimoduleModel:
 def springer_module(group: WreathGroup, profile) -> BimoduleModel:
     """The fiber bimodule of a Jordan profile: the induced tensor of the
     slotwise Specht modules, with the commuting block-permutation action
-    on the right.  Profiles in the same slot-permutation orbit share one
-    model."""
-    return _bimodule(group, orbit_label(profile))
-
-
-_bimodule = lru_cache(maxsize=None)(BimoduleModel)
+    on the right.  It builds the model of the profile's slot-permutation
+    orbit, so profiles in one orbit give equal models; nothing keeps it, so
+    its d!-coset matrices go with the caller's last reference."""
+    return BimoduleModel(group, profile)
 
 
 def isotypic_character(model: BimoduleModel, psi: CliffordLabel) -> tuple[Scalar, ...]:

@@ -8,6 +8,8 @@ and its `orbit` with an irreducible of that orbit's component group (see
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import attrgetter
 from typing import NamedTuple
 
 from .combinatorics import partitions_of
@@ -58,9 +60,13 @@ def verify_springer(group: WreathGroup) -> SpringerReport:
     if sorted(labels) != sorted(enumerate_IC(m, d)):
         raise CheckFailed("the two index sets are not in bijection")
     rows = []
-    for label in labels:
-        geo = isotypic_character(springer_module(group, label.orbit), label)
-        rows.append((label, geo == char_of(clifford_irrep(group, label))))
+    # the labels come orbit by orbit, so each orbit's model is built once
+    # and held only until the next orbit's replaces it
+    for orbit, same_orbit in groupby(labels, key=attrgetter("orbit")):
+        model = springer_module(group, orbit)
+        for label in same_orbit:
+            geo = isotypic_character(model, label)
+            rows.append((label, geo == char_of(clifford_irrep(group, label))))
     return SpringerReport(tuple(rows), len(group.conjugacy_classes))
 
 

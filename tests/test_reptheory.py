@@ -14,7 +14,7 @@ from wreathspringer.combinatorics import (
 )
 from wreathspringer.matrices import BlockMonomial, identity_matrix, kron_all, trace
 from wreathspringer.orbits import (
-    CliffordLabel, all_orbit_labels, clifford_label, enumerate_IC, gamma_of, wreath_character,
+    CliffordLabel, all_orbit_labels, clifford_label, enumerate_IC, enumerate_IS, gamma_of, wreath_character,
 )
 from wreathspringer.reptheory import (
     BimoduleModel,
@@ -649,8 +649,17 @@ def test_springer_module_single_slot():
 
 
 def test_springer_module_keys_on_the_orbit():
+    # nothing keeps a model, so two profiles of one orbit give two equal
+    # models, not one shared object
     g = WreathGroup(2, 2)
-    assert springer_module(g, [(1, 1), (2,)]) is springer_module(g, ((2,), (1, 1)))
+    orbit = ((2,), (1, 1))
+    models = [springer_module(g, [(1, 1), (2,)]), springer_module(g, orbit)]
+    assert [model.profile for model in models] == [orbit, orbit]
+    labels = [label for label in enumerate_IS(2, 2) if label.orbit == orbit]
+    assert labels
+    for label in labels:
+        first, second = (isotypic_character(model, label) for model in models)
+        assert first == second, label
 
 
 def test_springer_module_mixed_pair():

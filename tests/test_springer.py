@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import weakref
 from itertools import groupby
 from math import comb
 
@@ -112,6 +113,24 @@ def test_verify_springer_refuses_index_sets_out_of_bijection(monkeypatch, capsys
     out, err = capsys.readouterr()
     assert out == ""
     assert "the two index sets are not in bijection" in err
+
+
+def test_verify_springer_builds_one_model_per_orbit_and_keeps_none(monkeypatch):
+    # the labels come orbit by orbit, so each orbit's fiber bimodule is built
+    # once, and nothing holds it after its labels are compared
+    for m, d in [(2, 3), (3, 2), (2, 4)]:
+        built = []
+
+        def build(group, profile):
+            model = springer_module(group, profile)
+            built.append((model.profile, weakref.ref(model)))
+            return model
+
+        monkeypatch.setattr(springer, "springer_module", build)
+        assert verify_springer(WreathGroup(m, d)).all_pass
+        assert [profile for profile, _ in built] == all_orbit_labels(m, d)
+        assert [ref() for _, ref in built] == [None] * len(built), (m, d)
+
 
 def test_isotypic_dimensions_match_irreducible_dimensions():
     # cheaper smoke test implied by the character equality
