@@ -59,9 +59,7 @@ _EXPORTS = {
             "Representation",
             "char_of",
             "clifford_irrep",
-            "extend_to_wreath",
             "induce",
-            "inflate",
             "isotypic_character",
             "specht_rep",
             "springer_module",

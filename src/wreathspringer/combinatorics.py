@@ -8,8 +8,8 @@ Conventions used throughout the package:
 * the canonical order on partitions of the same number is descending
   lexicographic, so ``(3,) > (2, 1) > (1, 1, 1)`` (plain tuple comparison).
 
-Two permutations are compared in the Bruhat order by the rank criterion
-(Bjorner-Brenti, *Combinatorics of Coxeter Groups*, Thm 2.1.5).  Covers
+Two permutations are compared in the Bruhat order by the tableau criterion
+(Bjorner-Brenti, *Combinatorics of Coxeter Groups*, Thm 2.6.3).  Covers
 (multiplication by a transposition that changes the inversion count by
 exactly one) and down-sets are for enumeration: Hasse diagrams and the
 wreath product order's down-sets.
@@ -17,6 +17,7 @@ wreath product order's down-sets.
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
@@ -174,17 +175,19 @@ def bruhat_downset(w: Perm) -> frozenset[Perm]:
 
 
 def bruhat_leq_typeA(u: Perm, w: Perm) -> bool:
-    """u <= w in the strong Bruhat order, by the rank criterion:
-    #{a < i : u(a) >= j} <= #{a < i : w(a) >= j} for all i and j (0-based;
-    i = n and j = 0 always tie)."""
+    """u <= w in the strong Bruhat order, by the tableau criterion: for
+    every i, the sorted values u(0..i-1) are entrywise at most the sorted
+    w(0..i-1).  Each prefix is kept sorted by insertion, so the comparison
+    costs O(n^2)."""
     if len(u) != len(w):
         raise ValueError(f"degree mismatch: {len(u)} vs {len(w)}")
-    n = len(u)
-    return all(
-        sum(a >= j for a in u[:i]) <= sum(a >= j for a in w[:i])
-        for i in range(1, n)
-        for j in range(1, n)
-    )
+    su, sw = [], []
+    for a, b in zip(u, w):
+        insort(su, a)
+        insort(sw, b)
+        if any(x > y for x, y in zip(su, sw)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

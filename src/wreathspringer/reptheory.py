@@ -15,9 +15,9 @@ identity, so ``values[0]`` is the dimension.
 Every module over a Young wreath subgroup Sigma_m wr Y comes
 from one rule, `young_module`: slotwise Specht modules of the factors,
 permuted by the top, tensored with Specht modules of the top's blocks.
-The extension, the inflation, the block module of a multipartition (their
-tensor) and the fiber's slotwise module are its cases; an irreducible is
-its block module induced up (Clifford theory).  The multipartition labels
+The block module of a multipartition and the fiber's slotwise module are
+its two cases; an irreducible is its block module induced up (Clifford
+theory).  The multipartition labels
 are `orbits.CliffordLabel`: a label's `blocks`, `orbit` and `values` are
 the block subgroup, the slots and the top Specht modules of its block
 module.  Every matrix is a `BlockMonomial`: an induced module has one
@@ -47,15 +47,16 @@ are handled uniformly; matrices of dimension one are still matrices.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, product
 from math import prod
-from operator import matmul
+from operator import matmul, mul
 
 from .combinatorics import (
     Partition,
     Perm,
     all_perms,
+    cycle_type,
     format_partition,
     hook_dim,
     identity_perm,
@@ -64,16 +65,8 @@ from .combinatorics import (
     perm_compose,
     perm_inverse,
 )
-from .matrices import (
-    BlockMonomial,
-    Matrix,
-    Scalar,
-    identity_matrix,
-    kron,
-    kron_all,
-    permute_columns,
-)
-from .orbits import CliffordLabel, Profile, clifford_label, gamma_of, orbit_label
+from .matrices import BlockMonomial, Matrix, Scalar, identity_matrix, kron, kron_all, permute_columns
+from .orbits import CliffordLabel, Profile, gamma_of, orbit_label, symmetric_character
 from .wreath import CheckFailed, WreathElement, WreathGroup
 
 
@@ -253,6 +246,13 @@ def slot_basis_permutation(dims: tuple[int, ...], u: Perm) -> tuple[int, ...]:
     return tuple(row_of[tuple(k[uinv[i]] for i in range(len(dims)))] for k in basis)
 
 
+def block_tops(top: Perm, blocks: tuple[int, ...]) -> tuple[Perm, ...]:
+    """A top that keeps consecutive blocks of these sizes, restricted to
+    each block and renumbered from 0."""
+    starts = accumulate(blocks, initial=0)
+    return tuple(tuple(t - start for t in top[start:start + size]) for start, size in zip(starts, blocks))
+
+
 def young_module(
     sub: WreathGroup, slots: tuple[Partition, ...], values: tuple[Partition, ...], name: str
 ) -> Representation:
@@ -261,49 +261,28 @@ def young_module(
     m per slot) with the Specht modules ``values`` of the top blocks (a
     partition of each block's size).  The factors of x act slot by slot,
     its top permutes the slots and acts on block b through its restriction
-    to that block.  The extension, the inflation, their tensor and the
+    to that block (`block_tops`).  The block module of a label and the
     fiber's slotwise module are the cases of this one rule."""
     dims = tuple(hook_dim(nu) for nu in slots)
-    starts = tuple(accumulate(sub.blocks[:-1], initial=0))
 
     def fn(x: WreathElement) -> BlockMonomial:
         # the factor part times the slot permutation: reorder its columns
         factor_part = kron_all(specht_matrix(nu, f) for nu, f in zip(slots, x.factors))
-        top_part = kron_all(
-            specht_matrix(val, tuple(x.top[i] - start for i in range(start, start + size)))
-            for val, start, size in zip(values, starts, sub.blocks)
-        )
+        top_part = kron_all(map(specht_matrix, values, block_tops(x.top, sub.blocks)))
         moved = permute_columns(factor_part, slot_basis_permutation(dims, x.top))
-        # a trivial top part (every extension and slotwise module) leaves it as it is
+        # a trivial top part (a slotwise module, trivial values) leaves it as it is
         return BlockMonomial.one_coset(moved if top_part == ((1,),) else kron(moved, top_part))
 
     return Representation(sub, fn, name=name)
 
 
 def block_module(group: WreathGroup, label: CliffordLabel) -> Representation:
-    """The module that `clifford_irrep` induces: the extension tensored
-    with the inflation, over the block subgroup Sigma_m wr Sigma_gamma."""
+    """The module that `clifford_irrep` induces, over the block subgroup
+    Sigma_m wr Sigma_gamma: the extension of the factorwise module (the
+    label's slots) tensored with the inflation of its top Specht modules
+    (the label's values)."""
     sub = WreathGroup(group.m, group.d, label.blocks)
     return young_module(sub, label.orbit, label.values, f"block{label}")
-
-
-def extend_to_wreath(group: WreathGroup, gamma: dict[Partition, int]) -> Representation:
-    """The extension of the factorwise module to the block wreath subgroup:
-    factors act slotwise on a tensor of Specht modules (one slot per count),
-    tops in the block subgroup permute equal slots.  It is the block module
-    of the label with trivial values; `CliffordLabel` rejects a key that
-    does not partition m."""
-    return block_module(group, clifford_label(group.m, {nu: (c,) for nu, c in gamma.items()}))
-
-
-def inflate(group: WreathGroup, label: CliffordLabel) -> Representation:
-    """Inflation of the block-group module through the top quotient: the
-    factor part acts trivially, each top block acts by its own Specht
-    module.  Only the label's multiplicities and values are read, so at
-    m = 1 this is the irreducible of the Young subgroup of Sigma_d that
-    the label's values name, block by block."""
-    sub = WreathGroup(group.m, group.d, label.blocks)
-    return young_module(sub, ((group.m,),) * group.d, label.values, "inflation")
 
 
 def induce(rho: Representation, group: WreathGroup) -> Representation:
@@ -355,7 +334,8 @@ class BimoduleModel:
     """Commuting left (wreath group) and right (block permutations) actions
     on the induced tensor space attached to a Jordan profile.  The right
     action R reverses products, so it is held as the representation
-    x -> R(x.top^-1) of a block subgroup of Sigma_1 wr Sigma_d."""
+    x -> R(x.top^-1) of a block subgroup of Sigma_1 wr Sigma_d.  Every
+    projection of the model reads its one table of `traces`."""
 
     def __init__(self, group: WreathGroup, profile: Profile):
         # the right action permutes the cosets of all of Sigma_d
@@ -396,6 +376,16 @@ class BimoduleModel:
                 if lg @ rc != rc @ lg:
                     raise CheckFailed("left and right actions do not commute")
 
+    @cached_property
+    def traces(self) -> tuple[tuple[Scalar, ...], ...]:
+        """``traces[g][c]`` = tr(L(g) R(c)), g and c over the class
+        representatives of the group and of the right group.  Each L(g) is
+        formed along g's word and dropped with its row, uncached."""
+        left, right = self.left, self.right
+        rights = tuple(map(right.matrix, right.group.class_reps))
+        lefts = (left._product(left._word_of(g)) for g in self.group.class_reps)
+        return tuple(tuple(lg.trace_of_product(r) for r in rights) for lg in lefts)
+
 
 def springer_module(group: WreathGroup, profile) -> BimoduleModel:
     """The fiber bimodule of a Jordan profile: the induced tensor of the
@@ -406,26 +396,27 @@ def springer_module(group: WreathGroup, profile) -> BimoduleModel:
     return BimoduleModel(group, profile)
 
 
+def component_character(psi: CliffordLabel, group: WreathGroup) -> tuple[int, ...]:
+    """The component-group irreducible psi on the class representatives of
+    its Young subgroup ``group`` of Sigma_1 wr Sigma_d: the product over
+    the blocks of the Murnaghan-Nakayama value of psi's partition there."""
+    return tuple(
+        prod(map(symmetric_character, psi.values, map(cycle_type, block_tops(c.top, group.blocks))))
+        for c in group.class_reps
+    )
+
+
 def isotypic_character(model: BimoduleModel, psi: CliffordLabel) -> tuple[Scalar, ...]:
-    """Left character of the psi-multiplicity space of the bimodule:
-    project with the exact character sum over the right group.  L and R
-    commute, so c -> tr(L(g) R(c)) is a class function of the right group
-    and the sum runs over its classes, weighted by their sizes."""
+    """Left character of the psi-multiplicity space of the bimodule: the
+    exact projection over the right group R, class by class.  L and R
+    commute, so at g it weighs row g of the model's `traces` by |c| psi(c) / |R|."""
     if psi.orbit != model.profile:
         raise ValueError(
             f"label {psi} is not an irreducible of the right group of {model.profile}"
         )
-    group = model.group
-    right = model.right
-    psi_rep = inflate(WreathGroup(1, group.d), psi)
-    terms = []
-    for c, size in zip(right.group.class_reps, right.group.class_sizes):
-        chi = psi_rep.trace(c)
-        if chi:
-            terms.append((size * chi, right.matrix(c)))
-    values = []
-    for rep in group.class_reps:
-        left_mat = model.left.matrix(rep)
-        total = sum(coef * left_mat.trace_of_product(r) for coef, r in terms)
-        values.append(Fraction(total) / right.group.order)
-    return tuple(values)
+    right = model.right.group
+    weights = tuple(map(mul, right.class_sizes, component_character(psi, right)))
+    return tuple(
+        Fraction(sum(map(mul, weights, row))) / right.order
+        for row in model.traces
+    )

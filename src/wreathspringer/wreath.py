@@ -382,14 +382,31 @@ class WreathGroup:
 
     def parse_word(self, text: str) -> WreathElement:
         """Parse an element word: generator names of `named_generators` and
-        ``e``, multiplied left to right."""
-        gens = dict(self.named_generators, e=self.identity)
+        ``e``, multiplied left to right.  Only the generators the word names
+        are built: a name is read as its numbers, and taken only if it is
+        their canonical spelling and in range."""
         x = self.identity
         for token in text.split():
-            if token not in gens:
-                raise ValueError(f"bad token {token!r}: not a generator of {self!r}")
-            x = x * gens[token]
+            x = x * self._generator_named(token)
         return x
+
+    def _generator_named(self, token: str) -> WreathElement:
+        """The element that `token` names in `parse_word`, built alone."""
+        if token == "e":
+            return self.identity
+        try:
+            numbers = tuple(map(int, token[1:].split("^")))
+        except ValueError:
+            numbers = ()
+        # int() also reads "01", "+1" and non-ASCII digits: keep only the canonical spelling
+        if token[1:] == "^".join(map(str, numbers)):
+            if token[:1] == "s" and len(numbers) == 2:
+                i, j = numbers
+                if 1 <= i < self.m and 1 <= j <= self.d:
+                    return self.gen_s(i, j)
+            elif token[:1] == "t" and len(numbers) == 1 and numbers[0] - 1 in self.swaps:
+                return self.gen_t(numbers[0])
+        raise ValueError(f"bad token {token!r}: not a generator of {self!r}")
 
     # -- conjugacy ----------------------------------------------------------
 

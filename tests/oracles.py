@@ -4,7 +4,7 @@ Everything here is implemented from first principles, separately from the
 package code paths it checks: rim-hook recursion for symmetric-group
 characters, brute-force standard-tableau enumeration, Cayley-graph word
 lengths, breadth-first generator words and type B images of wreath
-elements, the subword criterion for the Bruhat order, the type B Bruhat
+elements, the subword and rank criteria for the Bruhat order, the type B Bruhat
 order by reflections and down-sets, the globally sorted Hasse covers, the
 Hasse diagram as the dict that ``json.dumps`` encodes and as DOT text
 rebuilt from the sorted covers, cell statistics by walking the elements,
@@ -16,9 +16,11 @@ by the triple loop, the tensor product of two representations by
 Kronecker products, the exhaustive homomorphism check, Young's seminormal
 form by searching each tableau for the positions of k and k+1, Todd-Coxeter coset
 enumeration, the wreath product by composing permutations, the
-all-pairs bilinear extension of the basis convolution, and the class-algebra
+all-pairs bilinear extension of the basis convolution, the class-algebra
 products check with each side formed as one product of two closure-class
-sums.
+sums, the extension and inflation modules of a label, and the isotypic
+projection label by label, with psi read off its inflation and each left
+matrix multiplied out along its word.
 
 It also holds the helpers that only the tests use: the list of basis
 classes and the rank of the closure-class sums (Q[G] inside the class
@@ -40,9 +42,11 @@ from wreathspringer.combinatorics import all_perms, lower_covers, perm_compose, 
 from wreathspringer.convolution import (
     AlgebraVector, BasisIndex, Check, ProductResult, convolve, convolve_basis, y_bar_sum,
 )
-from wreathspringer.matrices import BlockMonomial, kron, mat_rank, trace
+from wreathspringer.matrices import BlockMonomial, kron, kron_all, mat_rank, trace
 from wreathspringer.orbits import all_profiles, clifford_label, enumerate_IC, orbit_label
-from wreathspringer.reptheory import Representation, char_of, clifford_irrep, inflate, standard_tableaux
+from wreathspringer.reptheory import (
+    Representation, block_module, char_of, clifford_irrep, specht_matrix, standard_tableaux,
+)
 from wreathspringer.wreath import WreathElement, WreathGroup, hasse_covers
 
 
@@ -125,6 +129,18 @@ def _reduced_word(p):
         q[i], q[i + 1] = q[i + 1], q[i]
         rev.append(i)
     return tuple(reversed(rev))
+
+
+def bruhat_leq_by_ranks(u, w):
+    """u <= w in the strong Bruhat order by the rank criterion
+    (Bjorner-Brenti, Thm 2.1.5): #{a < i : u(a) >= j} <= #{a < i : w(a) >= j}
+    for all i and j (0-based; i = n and j = 0 always tie)."""
+    n = len(u)
+    return all(
+        sum(a >= j for a in u[:i]) <= sum(a >= j for a in w[:i])
+        for i in range(1, n)
+        for j in range(1, n)
+    )
 
 
 def subword_downset(w):
@@ -543,6 +559,55 @@ def character_table(group):
         rho = clifford_irrep(group, label)
         rows.append((label, rho.dim, char_of(rho)))
     return rows
+
+
+def extend_to_wreath(group, gamma):
+    """The extension of the factorwise module to the block wreath subgroup:
+    factors act slotwise on a tensor of Specht modules (one slot per count),
+    tops in the block subgroup permute equal slots.  It is the block module
+    of the label with trivial values; `CliffordLabel` rejects a key that
+    does not partition m."""
+    return block_module(group, clifford_label(group.m, {nu: (c,) for nu, c in gamma.items()}))
+
+
+def inflate(group, label):
+    """Inflation of the block-group module through the top quotient: the
+    factors act trivially, and the top acts on each block by the Specht
+    module of that block's value, through its restriction to the block.
+    At m = 1 this is the irreducible of the Young subgroup of Sigma_d that
+    the label's values name, block by block."""
+    sub = WreathGroup(group.m, group.d, label.blocks)
+
+    def fn(x):
+        mats, start = [], 0
+        for val in label.values:
+            size = sum(val)
+            mats.append(specht_matrix(val, tuple(t - start for t in x.top[start:start + size])))
+            start += size
+        return BlockMonomial.one_coset(kron_all(mats))
+
+    return Representation(sub, fn, name="inflation")
+
+
+def isotypic_character_by_words(model, psi):
+    """Left character values, on the class representatives, of the
+    psi-isotypic part of a fiber bimodule, one label at a time: psi's
+    values are the traces of its inflation to the right group, and each
+    class's left matrix is multiplied out along its word and paired with
+    the right matrices of the classes where psi is nonzero."""
+    group, right = model.group, model.right
+    psi_rep = inflate(WreathGroup(1, group.d), psi)
+    terms = []
+    for c, size in zip(right.group.class_reps, right.group.class_sizes):
+        chi = psi_rep.trace(c)
+        if chi:
+            terms.append((size * chi, right.matrix(c)))
+    values = []
+    for rep in group.class_reps:
+        left_mat = model.left.matrix(rep)
+        total = sum(coef * left_mat.trace_of_product(r) for coef, r in terms)
+        values.append(Fraction(total) / right.group.order)
+    return tuple(values)
 
 
 def isotypic_character_by_elements(model, psi):

@@ -29,6 +29,7 @@ from oracles import (
     bfs_words,
     compositions,
     count_syt_brute,
+    bruhat_leq_by_ranks,
     minimal_coset_rep_by_search,
     subword_downset,
 )
@@ -137,6 +138,14 @@ def test_rank_criterion_matches_downsets():
             below = bruhat_downset(w)
             for u in all_perms(n):
                 assert bruhat_leq_typeA(u, w) == (u in below)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_tableau_criterion_is_the_rank_criterion(n):
+    perms = all_perms(n)
+    for u in perms:
+        for w in perms:
+            assert bruhat_leq_typeA(u, w) == bruhat_leq_by_ranks(u, w), (u, w)
 
 
 def test_upper_covers_invert_lower_covers():

@@ -30,8 +30,8 @@ PUBLIC_NAMES = {
     "cell_statistics", "char_of", "check_dimension_property", "clifford_irrep",
     "clifford_label", "combinatorics", "conjugate_partition", "convolution",
     "convolve", "convolve_basis", "coxeterB_leq", "embed_md", "enumerate_IC", "enumerate_IS",
-    "extend_to_wreath", "fiber_dim", "gamma_of", "hasse_covers", "hook_dim",
-    "induce", "inflate", "involution_T", "isotypic_character", "jordan_type", "matrices",
+    "fiber_dim", "gamma_of", "hasse_covers", "hook_dim",
+    "induce", "involution_T", "isotypic_character", "jordan_type", "matrices",
     "n_stat", "orbit_dim", "orbit_label", "orbits", "partitions_of", "perm_compose",
     "perm_inverse", "perm_length", "pi0_act", "reptheory", "specht_rep",
     "springer", "springer_module", "typeB_table", "typeD_table", "verify_relations",

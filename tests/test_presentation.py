@@ -17,14 +17,12 @@ from wreathspringer.reptheory import (
     Representation,
     block_module,
     clifford_irrep,
-    extend_to_wreath,
-    inflate,
     specht_rep,
     springer_module,
 )
 from wreathspringer.wreath import CheckFailed, WreathGroup
 
-from oracles import coset_count, is_homomorphism
+from oracles import coset_count, extend_to_wreath, inflate, is_homomorphism
 
 W = WreathGroup
 

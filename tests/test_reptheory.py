@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction
+from itertools import groupby
 from math import factorial, prod
-from operator import mul
+from operator import attrgetter, mul
 
 import pytest
 
@@ -23,9 +24,8 @@ from wreathspringer.reptheory import (
     block_module,
     char_of,
     clifford_irrep,
-    extend_to_wreath,
+    component_character,
     induce,
-    inflate,
     isotypic_character,
     slot_basis_permutation,
     specht_matrix,
@@ -36,9 +36,12 @@ from wreathspringer.wreath import BoundExceededError, CheckFailed, WreathElement
 
 from oracles import (
     character_table,
+    extend_to_wreath,
     induced_character_value,
+    inflate,
     inner,
     isotypic_character_by_elements,
+    isotypic_character_by_words,
     mn_character,
     rep_tensor,
     seminormal_generators_by_positions,
@@ -730,6 +733,56 @@ def test_isotypic_class_sum_equals_element_sum(m, d):
                 assert isotypic_character(model, psi) == isotypic_character_by_elements(
                     model, psi
                 ), (label, psi)
+
+
+def _orbit_models(m, d):
+    """Each orbit's model with the orbit-side labels of that orbit."""
+    g = WreathGroup(m, d)
+    for orbit, labels in groupby(enumerate_IS(m, d), key=attrgetter("orbit")):
+        yield springer_module(g, orbit), list(labels)
+
+
+@pytest.mark.parametrize("m,d", [(2, 3), (3, 2), (2, 4)])
+def test_isotypic_character_builds_no_module(monkeypatch, m, d):
+    built = []
+    init = Representation.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    for model, labels in _orbit_models(m, d):
+        monkeypatch.setattr(Representation, "__init__", counting_init)
+        for label in labels:
+            isotypic_character(model, label)
+        monkeypatch.undo()
+    assert built == []
+
+
+@pytest.mark.parametrize("m,d", [(2, 3), (3, 2), (2, 4)])
+def test_projection_leaves_only_generators_in_the_left_cache(m, d):
+    # the class matrices of the left module are formed once, for the
+    # model's table of traces, and none of them is kept
+    for model, labels in _orbit_models(m, d):
+        for label in labels:
+            isotypic_character(model, label)
+        assert set(model.left._cache) <= set(model.group.generators), model.profile
+
+
+@pytest.mark.parametrize("m,d", [(1, 4), (2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (4, 2)])
+def test_component_character_is_the_trace_of_the_inflation(m, d):
+    for psi in enumerate_IS(m, d):
+        rep = inflate(WreathGroup(1, d), psi)
+        right = rep.group
+        assert right == WreathGroup(1, d, tuple(gamma_of(psi.orbit).values()))
+        assert component_character(psi, right) == tuple(map(rep.trace, right.class_reps)), psi
+
+
+@pytest.mark.parametrize("m,d", [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3)])
+def test_isotypic_character_is_the_projection_label_by_label(m, d):
+    for model, labels in _orbit_models(m, d):
+        for label in labels:
+            assert isotypic_character(model, label) == isotypic_character_by_words(model, label), label
 
 
 def test_isotypic_equal_pair_values():

@@ -5,6 +5,7 @@ import json
 import os
 import pickle
 import random
+import re
 import tracemalloc
 from functools import reduce
 from math import factorial
@@ -543,6 +544,49 @@ def test_parse_word_errors():
     with pytest.raises(ValueError):
         g.parse_word("t2")
     assert g.parse_word("e") == g.identity
+
+
+MALFORMED_TOKENS = [
+    "s01^1", "s1^01", "s+1^1", "s1^+1", "s1_0^1", "s\uff11^1", "s1^\uff11", "S1^1", "s^1", "s1^",
+    "s1", "s", "s1^1^1", "s-1^1", "t0", "t01", "t+1", "t-1", "t\uff11", "T1", "t", "e1", "E", "ee",
+]
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        WreathGroup(m, d, blocks)
+        for m, d, blocks in [
+            (1, 3, None), (2, 1, None), (2, 2, None), (3, 2, None),
+            (2, 3, (2, 1)), (2, 3, (1, 1, 1)), (3, 3, (1, 2)), (2, 4, (2, 2)),
+        ]
+    ],
+    ids=repr,
+)
+def test_parse_word_reads_exactly_the_named_generators(group):
+    names = dict(group.named_generators)
+    for name, x in names.items():
+        assert group.parse_word(name) == x
+        assert group.parse_word(f"e {name} e") == x
+    assert group.parse_word("e") == group.parse_word("") == group.identity
+    spelled = {f"s{i}^{j}" for i in range(-1, group.m + 2) for j in range(-1, group.d + 2)}
+    spelled |= {f"t{k}" for k in range(-1, group.d + 2)}
+    for token in sorted(spelled - set(names)) + MALFORMED_TOKENS:
+        with pytest.raises(ValueError, match=r"^bad token .*: not a generator of WreathGroup"):
+            group.parse_word(f"e {token}")
+
+
+def test_parse_word_builds_only_the_generators_it_names(monkeypatch):
+    def refuse(self):
+        raise AssertionError("parse_word built every named generator")
+
+    monkeypatch.setattr(WreathGroup, "named_generators", property(refuse))
+    g = WreathGroup(100, 100)
+    got = g.parse_word("s1^1 e s99^100 t99 t1")
+    assert got == g.gen_s(1, 1) * g.gen_s(99, 100) * g.gen_t(99) * g.gen_t(1)
+    for token in ["s100^1", "s1^101", "t100", "t01"]:
+        with pytest.raises(ValueError, match=re.escape(f"bad token '{token}'")):
+            g.parse_word(token)
 
 
 # -- conjugacy classes
