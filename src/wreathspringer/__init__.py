@@ -111,11 +111,14 @@ def __dir__() -> list[str]:
 
 
 def clear_caches() -> None:
-    """Empty every ``functools.lru_cache`` of the package's loaded modules,
-    among them `reptheory.clifford_irrep` and the product cache of
-    `wreath.WreathElement`.  The modules' other state is per object.  A
-    test that patches a rule needs this, or a module built before the patch
-    is served from a cache and the broken rule goes unchecked."""
+    """Empty every ``functools.lru_cache`` of the package's loaded modules.
+    A function is memoized only where one command asks it the same question
+    again: the recursions (`bruhat_downset`, `standard_tableaux`,
+    `partitions_of`, `symmetric_character`, `wreath_character`) and the
+    tables read many times (`all_perms`, `perm_to_word`, `lower_covers`,
+    `upper_covers`, `specht_rep`).  The modules' other state is per object.
+    A test that patches a rule needs this, or a module built before the
+    patch is served from a cache and the broken rule goes unchecked."""
     for name, module in list(_sys.modules.items()):
         if module is None or not name.startswith(f"{__name__}."):
             continue

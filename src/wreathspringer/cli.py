@@ -31,7 +31,6 @@ from .wreath import (
     BoundExceededError,
     CheckFailed,
     WreathGroup,
-    bruhat_leq_wreath,
     cell_statistics,
     class_label,
     dimension_polynomial_str,
@@ -108,12 +107,15 @@ def cmd_order(args) -> int:
     group = WreathGroup(args.m, args.d)
     x = group.parse_word(args.x)
     y = group.parse_word(args.y)
-    tops_equal = x.top == y.top
-    print(f"top: {_one_line(x.top)} vs {_one_line(y.top)} -> {'equal' if tops_equal else 'different'}")
+    # x <= y when the tops are equal and every factor is below (`bruhat_leq_wreath`),
+    # read off the lines printed here, so each factor is compared once
+    result = x.top == y.top
+    print(f"top: {_one_line(x.top)} vs {_one_line(y.top)} -> {'equal' if result else 'different'}")
     for i, (xf, yf) in enumerate(zip(x.factors, y.factors), start=1):
         ok = bruhat_leq_typeA(xf, yf)
+        result = result and ok
         print(f"factor {i}: {_one_line(xf)} <= {_one_line(yf)} -> {str(ok).lower()}")
-    print(f"result: {str(bruhat_leq_wreath(x, y)).lower()}")
+    print(f"result: {str(result).lower()}")
     return EXIT_OK
 
 

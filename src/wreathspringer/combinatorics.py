@@ -80,7 +80,6 @@ def adjacent_transposition(n: int, i: int) -> Perm:
     return tuple(img)
 
 
-@lru_cache(maxsize=None)
 def transpositions(n: int) -> tuple[Perm, ...]:
     """All transpositions (i j) of degree n."""
     out = []
@@ -177,10 +176,12 @@ def bruhat_downset(w: Perm) -> frozenset[Perm]:
 def bruhat_leq_typeA(u: Perm, w: Perm) -> bool:
     """u <= w in the strong Bruhat order, by the tableau criterion: for
     every i, the sorted values u(0..i-1) are entrywise at most the sorted
-    w(0..i-1).  Each prefix is kept sorted by insertion, so the comparison
-    costs O(n^2)."""
+    w(0..i-1).  Equal permutations answer at once; otherwise each prefix
+    is kept sorted by insertion, so the comparison costs O(n^2)."""
     if len(u) != len(w):
         raise ValueError(f"degree mismatch: {len(u)} vs {len(w)}")
+    if u == w:
+        return True
     su, sw = [], []
     for a, b in zip(u, w):
         insort(su, a)

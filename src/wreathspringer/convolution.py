@@ -185,12 +185,12 @@ class ProductResult(
 def convolve_basis(a: BasisIndex, b: BasisIndex) -> ProductResult:
     """The partial product of two basis classes; see the module docstring."""
     aw, bw = a.w, b.w
-    aw._check_compatible(bw)
+    aw._check_compatible(bw)  # up front: a pair that does not chain raises too
     tau = a.tau
     if tuple([tau[i] for i in aw.top]) != b.tau:  # b.tau != a.tau o top(a.w)
         return ProductResult(AlgebraVector.zero())
     if aw.has_trivial_factors() or bw.has_trivial_factors():
-        return ProductResult(AlgebraVector._of({BasisIndex(aw._mul_unchecked(bw), tau): 1}))
+        return ProductResult(AlgebraVector._of({BasisIndex(aw * bw, tau): 1}))
     return ProductResult(None, ((a, b),))
 
 

@@ -315,7 +315,6 @@ def induce(rho: Representation, group: WreathGroup) -> Representation:
     return Representation(group, fn, name=f"Ind({rho.name})")
 
 
-@lru_cache(maxsize=None)
 def clifford_irrep(group: WreathGroup, label: CliffordLabel) -> Representation:
     """The irreducible of the wreath group attached to a multipartition:
     induce the extension tensored with the inflation up from the block

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable, Iterator
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain, product, repeat
 from math import factorial, prod
 from operator import itemgetter
@@ -81,16 +81,6 @@ class WreathElement(NamedTuple("WreathElement", [("factors", tuple), ("top", tup
 
     def __mul__(self, other: "WreathElement") -> "WreathElement":
         self._check_compatible(other)
-        return self._mul_unchecked(other)
-
-    # Products repeat: the relation checks of the class algebra form 1,166
-    # products at (2,3) but only 540 distinct ones, and 284 of 583 at
-    # (3,2), since the `products` check forms each product that the rule
-    # answered again, as the class it compares with.  The bound holds four
-    # times the larger count, and memory stays flat at larger sizes.
-    @lru_cache(maxsize=2048)
-    def _mul_unchecked(self, other: "WreathElement") -> "WreathElement":
-        """The product, for callers that have already checked (m, d)."""
         a, b, top = self.factors, other.factors, self.top
         # slot top[j] of the product holds a[top[j]] o b[j]
         factors = [None] * len(top)
@@ -107,8 +97,7 @@ class WreathElement(NamedTuple("WreathElement", [("factors", tuple), ("top", tup
 
     def has_trivial_factors(self) -> bool:
         factors = self.factors
-        identity = all_perms(len(factors[0]))[0]  # the cached lex-first permutation
-        return factors.count(identity) == len(factors)
+        return factors.count(identity_perm(len(factors[0]))) == len(factors)
 
     def key(self):
         """Deterministic sort key: top first, then the factor tuple."""
@@ -116,7 +105,7 @@ class WreathElement(NamedTuple("WreathElement", [("factors", tuple), ("top", tup
 
 
 def wreath_identity(m: int, d: int) -> WreathElement:
-    return WreathElement(tuple(identity_perm(m) for _ in range(d)), identity_perm(d))
+    return WreathElement((identity_perm(m),) * d, identity_perm(d))
 
 
 def embed_md(x: WreathElement) -> Perm:
@@ -272,7 +261,7 @@ class WreathGroup:
         """s_i^(j): the i-th adjacent transposition in factor slot j (1-based)."""
         if not (1 <= i <= self.m - 1 and 1 <= j <= self.d):
             raise ValueError(f"generator s{i}^{j} out of range for (m,d)=({self.m},{self.d})")
-        factors = [identity_perm(self.m) for _ in range(self.d)]
+        factors = [identity_perm(self.m)] * self.d
         factors[j - 1] = adjacent_transposition(self.m, i - 1)
         return WreathElement(tuple(factors), identity_perm(self.d))
 
@@ -283,7 +272,7 @@ class WreathGroup:
         if k - 1 not in self.swaps:
             raise ValueError(f"generator t{k} crosses the blocks {self.blocks}")
         return WreathElement(
-            tuple(identity_perm(self.m) for _ in range(self.d)),
+            (identity_perm(self.m),) * self.d,
             adjacent_transposition(self.d, k - 1),
         )
 

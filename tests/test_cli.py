@@ -96,6 +96,35 @@ def test_order_parse_failure(capsys):
     assert "error" in err
 
 
+def test_order_compares_each_factor_once(capsys, monkeypatch):
+    from wreathspringer import cli, wreath
+
+    calls = []
+    compare = wreath.bruhat_leq_typeA
+
+    def counting(u, w):
+        calls.append((u, w))
+        return compare(u, w)
+
+    monkeypatch.setattr(cli, "bruhat_leq_typeA", counting)
+    monkeypatch.setattr(wreath, "bruhat_leq_typeA", counting)
+    code, out, _ = run(capsys, *shlex.split("order --m 2 --d 3 --x 's1^1 t1' --y 's1^1 s1^2 t1'"))
+    assert code == 0
+    assert out.endswith("result: true\n")
+    assert len(calls) == 3
+
+
+def test_order_result_is_the_wreath_order(capsys):
+    from wreathspringer.wreath import WreathGroup, bruhat_leq_wreath
+
+    group = WreathGroup(2, 2)
+    for x in group.elements:
+        for y in group.elements:
+            code, out, _ = run(capsys, "order", "--m", "2", "--d", "2", "--x", group.word(x), "--y", group.word(y))
+            assert code == 0
+            assert out.endswith(f"result: {str(bruhat_leq_wreath(x, y)).lower()}\n"), (x, y)
+
+
 # -- verify
 
 def test_verify_all_22(capsys):
@@ -198,7 +227,7 @@ def test_clear_caches_empties_every_cache_of_the_package(capsys):
         assert run(capsys, *shlex.split(command))[0] == 0
     caches = package_caches()
     filled = {c.__qualname__ for c in caches if c.cache_info().currsize}
-    assert {"clifford_irrep", "WreathElement._mul_unchecked"} <= filled
+    assert {"specht_rep", "symmetric_character", "bruhat_downset"} <= filled
     clear_caches()
     assert [c.__qualname__ for c in caches if c.cache_info().currsize] == []
 

@@ -170,6 +170,17 @@ def test_bruhat_s3_examples():
     assert not bruhat_leq_typeA(s1, s2)
 
 
+def test_bruhat_answers_an_equal_pair_without_sorting(monkeypatch):
+    import wreathspringer.combinatorics as combinatorics
+
+    def refuse(*args):
+        raise AssertionError("insort called")
+
+    monkeypatch.setattr(combinatorics, "insort", refuse)
+    u, w = (tuple(reversed(range(1000))) for _ in range(2))
+    assert bruhat_leq_typeA(u, w)
+
+
 def test_bruhat_degree_mismatch():
     with pytest.raises(ValueError):
         bruhat_leq_typeA((0, 1), (0, 1, 2))

@@ -383,11 +383,6 @@ def test_clifford_count_matches_classes():
         assert len(enumerate_IC(m, d)) == len(g.conjugacy_classes)
 
 
-def test_clifford_irrep_cached_per_group_value():
-    label = clifford_label(2, {(2,): (1,), (1, 1): (1,)})
-    assert clifford_irrep(WreathGroup(2, 2), label) is clifford_irrep(WreathGroup(2, 2), label)
-
-
 def test_character_table_reads_dimensions_off_the_modules():
     clear_caches()  # so that the modules are built over this group object
     group = WreathGroup(2, 3)
@@ -523,9 +518,9 @@ def test_clifford_irrep_builds_the_block_module_and_the_induced_one(monkeypatch)
         init(self, group, *args, **kwargs)
 
     for label in enumerate_IC(3, 2):
-        clifford_irrep.__wrapped__(g, label)  # the Specht modules are cached from here on
+        clifford_irrep(g, label)  # the Specht modules are cached from here on
         monkeypatch.setattr(Representation, "__init__", counting_init)
-        clifford_irrep.__wrapped__(g, label)
+        clifford_irrep(g, label)
         monkeypatch.undo()
         assert built == [block_module(g, label).group, g], label
         built.clear()
@@ -546,8 +541,8 @@ def _assert_traces_read_the_matrices(rho):
 def test_trace_is_the_trace_of_the_matrix(m, d):
     g = WreathGroup(m, d)
     for label in enumerate_IC(m, d):
-        # a fresh module: clearing its matrix cache leaves the shared one alone
-        _assert_traces_read_the_matrices(clifford_irrep.__wrapped__(g, label))
+        # each call builds a fresh module, with its own matrix cache
+        _assert_traces_read_the_matrices(clifford_irrep(g, label))
 
 
 def test_bimodule_traces_are_the_traces_of_the_matrices():

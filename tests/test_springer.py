@@ -132,6 +132,22 @@ def test_verify_springer_builds_one_model_per_orbit_and_keeps_none(monkeypatch):
         assert [ref() for _, ref in built] == [None] * len(built), (m, d)
 
 
+def test_verify_springer_keeps_no_irreducible(monkeypatch):
+    # each label's irreducible is built once, and nothing holds it after its
+    # character is compared
+    built = []
+
+    def build(group, label):
+        rho = clifford_irrep(group, label)
+        built.append(weakref.ref(rho))
+        return rho
+
+    monkeypatch.setattr(springer, "clifford_irrep", build)
+    assert verify_springer(WreathGroup(2, 3)).all_pass
+    assert len(built) == len(enumerate_IC(2, 3))
+    assert [ref() for ref in built] == [None] * len(built)
+
+
 def test_isotypic_dimensions_match_irreducible_dimensions():
     # cheaper smoke test implied by the character equality
     for m, d in [(2, 2), (3, 2)]:
