@@ -508,6 +508,7 @@ def verify_relations(group: WreathGroup) -> RelationReport:
             (
                 lambda: f"{group.word(elements[x])} * {group.word(elements[y])}",
                 _collect(chain.from_iterable(parts[u, sigma][k].items() for u in down[w])),
+                # the group's product, not read off the rule: with both sides from it, a reversed rule passes
                 sums[ids[elements[x] * elements[y]]],
             )
             for w in range(len(elements))

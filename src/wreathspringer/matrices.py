@@ -109,8 +109,9 @@ class BlockMonomial(NamedTuple):
     block k holds the square matrix ``blocks[k]`` in row block ``perm[k]``,
     and ``perm`` is a permutation of the block indices (the cosets).
 
-    Products, traces and equality are exact and read the blocks only; the
-    block products go through `mat_mul`.  `dense` gives the full matrix."""
+    Products, traces of products and equality are exact and read the blocks
+    only; the block products go through `mat_mul`.  `dense` gives the full
+    matrix."""
 
     perm: tuple[int, ...]
     blocks: tuple[Matrix, ...]
@@ -133,13 +134,6 @@ class BlockMonomial(NamedTuple):
         return BlockMonomial(
             tuple(perm[j] for j in other.perm),
             tuple(mat_mul(blocks[j], b) for j, b in zip(other.perm, other.blocks)),
-        )
-
-    def trace(self) -> Scalar:
-        """The sum of the block traces over the fixed cosets."""
-        return sum(
-            (trace(b) for k, (j, b) in enumerate(zip(self.perm, self.blocks)) if j == k),
-            0,
         )
 
     def trace_of_product(self, other: "BlockMonomial") -> Scalar:

@@ -124,15 +124,12 @@ class Representation:
         return got
 
     def trace(self, x) -> Scalar:
-        """The trace of `matrix` at x.  Unless the matrix is cached, the
-        product along x's word stops before the last letter, whose product
-        is read only on the diagonal (`BlockMonomial.trace_of_product`)."""
-        got = self._cache.get(x)
-        if got is not None:
-            return got.trace()
+        """The trace of `matrix` at x: the product along x's word stops
+        before the last letter, whose product is read only on the diagonal
+        (`BlockMonomial.trace_of_product`).  The identity's trace is `dim`."""
         word = self._word_of(x)
-        if len(word) < 2:
-            return self._product(word).trace()
+        if not word:
+            return self.dim
         return self._product(word[:-1]).trace_of_product(self.images[word[-1]])
 
 
@@ -369,8 +366,7 @@ class BimoduleModel:
         right_group = WreathGroup(1, d, tuple(gamma_of(self.profile).values()))
         self.right = Representation(right_group, right_fn, name="fiber-right")
 
-        for g in group.generators:
-            lg = self.left.matrix(g)
+        for lg in self.left.images:
             for rc in self.right.images:
                 if lg @ rc != rc @ lg:
                     raise CheckFailed("left and right actions do not commute")

@@ -171,8 +171,7 @@ def test_block_monomial_matches_dense_oracle(cosets, size, fixed):
         da, db = a.dense(), b.dense()
         assert len(da) == cosets * size
         assert (a @ b).dense() == mat_mul(da, db)
-        assert a.trace() == trace(da)
-        assert a.trace_of_product(b) == trace(mat_mul(da, db)) == (a @ b).trace()
+        assert a.trace_of_product(b) == trace(mat_mul(da, db)) == trace((a @ b).dense())
         assert a == BlockMonomial(tuple(a.perm), tuple(a.blocks))
         assert (a == b) == (da == db)
         changed = list(a.blocks)
@@ -192,7 +191,8 @@ def test_block_monomial_identity_and_one_coset():
     assert a @ one == a == one @ a
     dense = random_block(rng, 4)
     single = BlockMonomial.one_coset(dense)
-    assert single.dense() == dense and single.trace() == trace(dense)
+    assert single.dense() == dense
+    assert single.trace_of_product(BlockMonomial.identity(1, 4)) == trace(dense)
     with pytest.raises(ValueError):
         a @ BlockMonomial.identity(2, 3)
     with pytest.raises(ValueError):
@@ -290,4 +290,4 @@ def test_block_products_match_the_oracle_on_dense(pair):
     product = naive_mat_mul(a.dense(), b.dense())
     assert (a @ b).dense() == product
     assert a.trace_of_product(b) == naive_trace(product)
-    assert a.trace() == naive_trace(a.dense())
+    assert trace(a.dense()) == naive_trace(a.dense())

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import re
@@ -282,3 +283,33 @@ def test_console_script_prints_what_main_prints(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert cli.main(args) == 0
     assert out and out == capsys.readouterr().out
+
+
+FAILING_GIVEN_THEN_PASSING = '''
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n != n
+
+
+def test_passes():
+    pass
+'''
+
+
+@pytest.mark.skipif(
+    importlib.util.find_spec("libcst") is None,
+    reason="hypothesis imports libcst, whose warning this checks, only where it is installed",
+)
+def test_a_failing_hypothesis_test_does_not_stop_the_session(tmp_path):
+    # a failing @given test makes hypothesis import libcst, which warns; the
+    # configured filters must not turn that warning into an internal error
+    (tmp_path / "test_two.py").write_text(FAILING_GIVEN_THEN_PASSING, encoding="utf-8")
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", PYPROJECT, "test_two.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    ).stdout
+    assert "INTERNALERROR" not in out
+    assert out.splitlines()[-1].startswith("1 failed, 1 passed"), out

@@ -310,7 +310,7 @@ def test_induced_trace_is_the_frobenius_formula(m, d):
                 mul,
                 WreathElement.inverse,
             )
-            assert induced.matrix(x).trace() == expected, (label, x)
+            assert trace(induced.matrix(x).dense()) == expected, (label, x)
 
 
 def restrict(rho, sub):
@@ -527,14 +527,12 @@ def test_clifford_irrep_builds_the_block_module_and_the_induced_one(monkeypatch)
 
 
 def _assert_traces_read_the_matrices(rho):
-    # every trace first, while no matrix is cached (the bimodule's commuting
-    # check caches the generators' left matrices), so each one goes through
-    # the product that stops before the last letter
+    # every trace first: a trace neither reads nor fills the matrix cache,
+    # so each one goes through the product that stops before the last letter
     rho._cache.clear()
     traces = [rho.trace(x) for x in rho.group.elements]
     assert not rho._cache
-    assert traces == [rho.matrix(x).trace() for x in rho.group.elements]
-    assert traces == [rho.trace(x) for x in rho.group.elements]  # now from the cache
+    assert traces == [trace(rho.matrix(x).dense()) for x in rho.group.elements]
 
 
 @pytest.mark.parametrize("m,d", [(2, 2), (3, 2), (2, 3)])
@@ -551,6 +549,49 @@ def test_bimodule_traces_are_the_traces_of_the_matrices():
         model = BimoduleModel(g, profile)
         _assert_traces_read_the_matrices(model.left)
         _assert_traces_read_the_matrices(model.right)
+
+
+def test_trace_ignores_the_matrix_cache():
+    g = WreathGroup(2, 3)
+    checked = 0
+    for label in enumerate_IC(2, 3):
+        rho = clifford_irrep(g, label)
+        for x in g.class_reps:
+            word = rho._word_of(x)
+            expected = trace(rho._product(word).dense())
+            if len(word) < 2 or expected == rho.dim:
+                continue
+            rho._cache[x] = rho._one  # a wrong matrix, of trace dim
+            assert rho.trace(x) == expected, (label, x)
+            checked += 1
+    assert checked
+
+
+def test_identity_trace_is_the_dimension(monkeypatch):
+    g = WreathGroup(2, 3)
+    for label in enumerate_IC(2, 3):
+        rho = clifford_irrep(g, label)
+
+        def refuse(word):
+            raise AssertionError("the identity's trace formed a product")
+
+        monkeypatch.setattr(rho, "_product", refuse)
+        assert rho.trace(g.identity) == rho.dim, label
+
+
+def test_bimodule_commute_check_reads_the_generator_images(monkeypatch):
+    looked_up = []
+    matrix = Representation.matrix
+
+    def counting_matrix(self, x):
+        looked_up.append(self.name)
+        return matrix(self, x)
+
+    monkeypatch.setattr(Representation, "matrix", counting_matrix)
+    g = WreathGroup(2, 3)
+    for profile in all_orbit_labels(2, 3):
+        BimoduleModel(g, profile)
+    assert looked_up and "Ind(fiber)" not in looked_up
 
 
 def test_bimodule_refuses_a_profile_of_another_size():
