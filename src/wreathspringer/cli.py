@@ -29,6 +29,7 @@ from json.encoder import encode_basestring_ascii
 from .combinatorics import bruhat_leq_typeA, format_partition
 from .wreath import (
     BoundExceededError,
+    Check,
     CheckFailed,
     WreathGroup,
     cell_statistics,
@@ -126,25 +127,20 @@ def cmd_verify(args) -> int:
     if args.scope in ("algebra", "all"):
         from .convolution import verify_relations
 
-        checks.extend(c.to_dict() for c in verify_relations(group).checks)
+        checks.extend(verify_relations(group))
     if args.scope in ("springer", "all"):
         from .springer import verify_springer
 
-        checks.append(verify_springer(group).to_dict())
+        checks.append(verify_springer(group))
     if args.scope in ("dimensions", "all"):
         from .orbits import all_profiles, check_dimension_property
 
         profiles = all_profiles(group.m, group.d)
-        bad = [p for p in profiles if not check_dimension_property(p)]
-        checks.append(
-            {
-                "name": "dimension_property",
-                "status": "fail" if bad else "pass",
-                "instances": len(profiles),
-            }
-        )
-    status = "pass" if all(c["status"] != "fail" for c in checks) else "fail"
-    print(_json_text({"m": args.m, "d": args.d, "scope": args.scope, "checks": checks, "status": status}))
+        ok = all(map(check_dimension_property, profiles))
+        checks.append(Check("dimension_property", "pass" if ok else "fail", len(profiles)))
+    status = "fail" if any(c.failed for c in checks) else "pass"
+    printed = [c.to_dict() for c in checks]
+    print(_json_text({"m": args.m, "d": args.d, "scope": args.scope, "checks": printed, "status": status}))
     return EXIT_OK if status == "pass" else EXIT_CHECK_FAILED
 
 

@@ -38,7 +38,7 @@ from math import factorial
 from typing import TYPE_CHECKING, NamedTuple
 
 from .combinatorics import Perm, all_perms, perm_compose
-from .wreath import WreathElement, WreathGroup, wreath_downset
+from .wreath import Check, WreathElement, WreathGroup, wreath_downset
 
 if TYPE_CHECKING:
     from .matrices import Scalar
@@ -376,35 +376,13 @@ def pi0_act(eta: Perm, a: AlgebraVector) -> AlgebraVector:
 # ---------------------------------------------------------------------------
 # relation verification
 
-class Check(NamedTuple):
-    name: str
-    status: str  # "pass" | "fail" | "skipped"
-    instances: int
-    detail: str = ""
-
-    def to_dict(self) -> dict:
-        out = {"name": self.name, "status": self.status, "instances": self.instances}
-        if self.detail:
-            out["detail"] = self.detail
-        return out
-
-
-class RelationReport(NamedTuple):
-    m: int
-    d: int
-    checks: tuple[Check, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.status != "fail" for c in self.checks)
-
-
 PRODUCTS_CHECK_LIMIT = 2000  # max basis-index count for the quadratic-cost check
 
 
-def verify_relations(group: WreathGroup) -> RelationReport:
+def verify_relations(group: WreathGroup) -> tuple[Check, ...]:
     """Machine-check the defining relations of the group inside the class
-    algebra, in the forms that stay within the computable products:
+    algebra, one `Check` per relation, in the forms that stay within the
+    computable products:
 
     * quadratic: each slot swap squares to the identity class sum;
     * wreath: slot swaps conjugate factor generators across slots, checked
@@ -516,4 +494,4 @@ def verify_relations(group: WreathGroup) -> RelationReport:
             for x, y, k in ((w, sigma, 0), (sigma, w, 1))
         ))
 
-    return RelationReport(m, d, tuple(checks))
+    return tuple(checks)

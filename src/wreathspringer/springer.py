@@ -10,50 +10,20 @@ from __future__ import annotations
 
 from itertools import groupby
 from operator import attrgetter
-from typing import NamedTuple
 
 from .combinatorics import partitions_of
-from .orbits import SIGMA2_SIGNS, CliffordLabel, enumerate_IC, enumerate_IS
+from .orbits import SIGMA2_SIGNS, enumerate_IC, enumerate_IS
 from .reptheory import char_of, clifford_irrep, isotypic_character, springer_module
-from .wreath import CheckFailed, WreathGroup
+from .wreath import Check, CheckFailed, WreathGroup
 
 
-class SpringerReport(NamedTuple):
-    rows: tuple[tuple[CliffordLabel, bool], ...]
-    class_count: int
-
-    @property
-    def all_match(self) -> bool:
-        return all(ok for _, ok in self.rows)
-
-    @property
-    def counts_consistent(self) -> bool:
-        return len(self.rows) == self.class_count
-
-    @property
-    def all_pass(self) -> bool:
-        return self.all_match and self.counts_consistent
-
-    def to_dict(self) -> dict:
-        """The check as the `verify` command prints it.  `verify_springer`
-        refuses two index sets that differ, so both sides count the rows."""
-        return {
-            "name": "springer_correspondence",
-            "status": "pass" if self.all_pass else "fail",
-            "instances": len(self.rows),
-            "counts": {
-                "orbitSide": len(self.rows),
-                "cliffordSide": len(self.rows),
-                "conjugacyClasses": self.class_count,
-            },
-        }
-
-
-def verify_springer(group: WreathGroup) -> SpringerReport:
+def verify_springer(group: WreathGroup) -> Check:
     """For every orbit-side label, compare the exact character of the
     isotypic component of its fiber bimodule with the exact character of
     the matching induced irreducible; also check the global bijection
-    counts against the conjugacy classes."""
+    counts against the conjugacy classes.  The check's rows are the
+    (label, match) pairs; it refuses two index sets that differ, so both
+    sides count the rows."""
     group.check_bound()
     m, d = group.m, group.d
     labels = enumerate_IS(m, d)
@@ -67,7 +37,10 @@ def verify_springer(group: WreathGroup) -> SpringerReport:
         for label in same_orbit:
             geo = isotypic_character(model, label)
             rows.append((label, geo == char_of(clifford_irrep(group, label))))
-    return SpringerReport(tuple(rows), len(group.conjugacy_classes))
+    n, classes = len(rows), len(group.conjugacy_classes)
+    status = "pass" if all(ok for _, ok in rows) and n == classes else "fail"
+    counts = (("orbitSide", n), ("cliffordSide", n), ("conjugacyClasses", classes))
+    return Check("springer_correspondence", status, n, counts=counts, rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

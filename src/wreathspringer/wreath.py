@@ -53,6 +53,31 @@ class CheckFailed(Exception):
     """Raised when a mathematical check fails (the CLI exits with code 1)."""
 
 
+class Check(NamedTuple):
+    """One check of `verify`, beside `CheckFailed` so that a check loads no
+    other module: `counts` are (name, int) pairs, so the record stays
+    hashable; `rows` hold what the check compared, and are not printed."""
+
+    name: str
+    status: str  # "pass" | "fail" | "skipped"
+    instances: int
+    detail: str = ""
+    counts: tuple[tuple[str, int], ...] = ()
+    rows: tuple = ()
+
+    @property
+    def failed(self) -> bool:  # the one pass rule: a skipped check does not fail
+        return self.status == "fail"
+
+    def to_dict(self) -> dict:
+        out = {"name": self.name, "status": self.status, "instances": self.instances}
+        if self.detail:
+            out["detail"] = self.detail
+        if self.counts:
+            out["counts"] = dict(self.counts)
+        return out
+
+
 class WreathElement(NamedTuple("WreathElement", [("factors", tuple), ("top", tuple)])):
     """An element of Sigma_m wr Sigma_d in (factors, top) form, a named
     tuple like the package's other records: it is its (factors, top) pair."""
@@ -222,6 +247,8 @@ class WreathGroup:
             bound = int(raw)
         except ValueError:
             raise ValueError(f"{BOUND_ENV_VAR} must be an integer, got {raw!r}") from None
+        if bound < 1:
+            raise ValueError(f"{BOUND_ENV_VAR} must be a positive integer, got {raw!r}")
         order, cap = 1, max(bound, 10**30)
         for factor in self._order_factors():
             order *= factor

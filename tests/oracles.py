@@ -40,14 +40,14 @@ from math import factorial, prod
 
 from wreathspringer.combinatorics import all_perms, lower_covers, perm_compose, perm_inverse
 from wreathspringer.convolution import (
-    AlgebraVector, BasisIndex, Check, ProductResult, convolve, convolve_basis, y_bar_sum,
+    AlgebraVector, BasisIndex, ProductResult, convolve, convolve_basis, y_bar_sum,
 )
 from wreathspringer.matrices import BlockMonomial, kron, kron_all, mat_rank, trace
 from wreathspringer.orbits import all_profiles, clifford_label, enumerate_IC, orbit_label
 from wreathspringer.reptheory import (
     Representation, block_module, char_of, clifford_irrep, specht_matrix, standard_tableaux,
 )
-from wreathspringer.wreath import WreathElement, WreathGroup, hasse_covers
+from wreathspringer.wreath import Check, WreathElement, WreathGroup, hasse_covers
 
 
 # -- symmetric group characters (rim-hook recursion) ------------------------

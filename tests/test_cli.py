@@ -168,11 +168,17 @@ def test_bound_refusal_states_the_order(capsys, monkeypatch, command, stated):
 
 
 def test_verify_names_an_unreadable_bound(capsys, monkeypatch):
-    monkeypatch.setenv("WREATHSPRINGER_MAX_ELEMENTS", "abc")
-    code, out, err = run(capsys, "verify", "--scope", "algebra", "--m", "2", "--d", "2")
-    assert code == 2
-    assert out == ""
-    assert err == "error: WREATHSPRINGER_MAX_ELEMENTS must be an integer, got 'abc'\n"
+    # a bound below 1 is refused as `abc` is, not read as a bound no group meets
+    for raw, message in [
+        ("abc", "must be an integer, got 'abc'"),
+        ("0", "must be a positive integer, got '0'"),
+        ("-5", "must be a positive integer, got '-5'"),
+    ]:
+        monkeypatch.setenv("WREATHSPRINGER_MAX_ELEMENTS", raw)
+        code, out, err = run(capsys, "verify", "--scope", "algebra", "--m", "2", "--d", "2")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: WREATHSPRINGER_MAX_ELEMENTS {message}\n"
 
 
 def test_math_failure_exits_1(capsys, monkeypatch):
@@ -544,6 +550,9 @@ PINNED_OUTPUTS = [
      'f3ebfd060ea36688d1fceaf365f3402c070101c273ae39984a9affb3469249cd'),
     ('verify --scope all --m 3 --d 2',
      '892e959912e2b491a688ee0626582b41c8b5028b2c9390aa51603e1057934989'),
+    # every kind of check at (2,4): the products check is skipped there
+    ('verify --scope all --m 2 --d 4',
+     '1d38713845af32a4d9829863643b9b921bd643932411cab3fed74ffa4f0645d6'),
 ]
 
 

@@ -12,11 +12,9 @@ import pytest
 
 import wreathspringer
 from wreathspringer import cli
-from wreathspringer.convolution import Check, RelationReport
 from wreathspringer.matrices import BlockMonomial
 from wreathspringer.orbits import CliffordLabel
-from wreathspringer.springer import SpringerReport
-from wreathspringer.wreath import WreathGroup, wreath_identity
+from wreathspringer.wreath import Check, WreathGroup, wreath_identity
 
 SRC = os.path.dirname(os.path.dirname(wreathspringer.__file__))
 
@@ -91,6 +89,13 @@ def test_algebra_check_loads_no_matrix_module():
     assert loaded == {
         f"wreathspringer{name}" for name in ("", ".cli", ".combinatorics", ".convolution", ".wreath")
     }
+
+
+def test_springer_check_loads_no_convolution_module():
+    # `Check` lives in `wreath`, so the springer check compiles no class algebra
+    loaded = loaded_after('from wreathspringer import cli; cli.main(["verify", "--scope", "springer", "--m", "2", "--d", "2"])')
+    assert "wreathspringer.springer" in loaded
+    assert "wreathspringer.convolution" not in loaded
 
 
 def test_algebra_check_loads_no_fractions_module():
@@ -221,9 +226,9 @@ def test_exports_resolve_lazily_to_their_modules():
 def test_records_are_immutable_and_equal_by_their_fields():
     label = CliffordLabel(2, (((2,), (1,)), ((1, 1), (1,))))
     check = Check("products", "pass", 32)
+    springer_check = Check("springer_correspondence", "pass", 1, counts=(("orbitSide", 1),), rows=((label, True),))
     records = [
-        check, RelationReport(2, 2, (check,)), BlockMonomial((1, 0), (((1,),), ((-1,),))),
-        label, SpringerReport((), 0), wreath_identity(2, 2),
+        check, springer_check, BlockMonomial((1, 0), (((1,),), ((-1,),))), label, wreath_identity(2, 2),
     ]
     for record in records:
         twin = type(record)(**record._asdict())
@@ -232,6 +237,17 @@ def test_records_are_immutable_and_equal_by_their_fields():
         for name in [*record._fields, "extra"]:
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
+
+
+def test_check_prints_detail_and_counts_only_when_set():
+    assert Check("braid", "pass", 0).to_dict() == {"name": "braid", "status": "pass", "instances": 0}
+    skipped = Check("products", "skipped", 0, "too many", counts=(("a", 1), ("b", 2)), rows=(("x", True),))
+    assert list(skipped.to_dict().items()) == [
+        ("name", "products"), ("status", "skipped"), ("instances", 0),
+        ("detail", "too many"), ("counts", {"a": 1, "b": 2}),
+    ]
+    # the one pass rule: only a "fail" status fails
+    assert [Check("c", status, 1).failed for status in ("pass", "skipped", "fail")] == [False, False, True]
 
 
 @pytest.mark.parametrize("make, message", [

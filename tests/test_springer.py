@@ -76,7 +76,7 @@ def test_springer_label_validation():
 
 def test_verify_springer_22():
     report = verify_springer(WreathGroup(2, 2))
-    assert report.all_pass
+    assert not report.failed
     assert len(report.rows) == 5
     data = report.to_dict()
     assert data["status"] == "pass"
@@ -85,6 +85,13 @@ def test_verify_springer_22():
         "cliffordSide": 5,
         "conjugacyClasses": 5,
     }
+
+
+def test_verify_springer_is_one_check_with_its_counts_and_rows():
+    report = verify_springer(WreathGroup(2, 2))
+    assert report[:4] == ("springer_correspondence", "pass", 5, "")
+    assert len(report.rows) == 5 and all(ok for _, ok in report.rows)
+    assert dict(report.counts) == {"orbitSide": 5, "cliffordSide": 5, "conjugacyClasses": 5}
 
 
 def test_verify_springer_reports_a_mismatch(monkeypatch, capsys):
@@ -97,7 +104,7 @@ def test_verify_springer_reports_a_mismatch(monkeypatch, capsys):
         springer, "clifford_irrep", lambda group, label: true_irrep(group, sign if label == trivial else label)
     )
     report = verify_springer(WreathGroup(2, 2))
-    assert not report.all_match
+    assert not all(ok for _, ok in report.rows)
     assert [s for s, ok in report.rows if not ok] == [trivial]
     assert cli.main(["verify", "--scope", "springer", "--m", "2", "--d", "2"]) == 1
     assert '"status": "fail"' in capsys.readouterr().out
@@ -127,7 +134,7 @@ def test_verify_springer_builds_one_model_per_orbit_and_keeps_none(monkeypatch):
             return model
 
         monkeypatch.setattr(springer, "springer_module", build)
-        assert verify_springer(WreathGroup(m, d)).all_pass
+        assert not verify_springer(WreathGroup(m, d)).failed
         assert [profile for profile, _ in built] == all_orbit_labels(m, d)
         assert [ref() for _, ref in built] == [None] * len(built), (m, d)
 
@@ -143,7 +150,7 @@ def test_verify_springer_keeps_no_irreducible(monkeypatch):
         return rho
 
     monkeypatch.setattr(springer, "clifford_irrep", build)
-    assert verify_springer(WreathGroup(2, 3)).all_pass
+    assert not verify_springer(WreathGroup(2, 3)).failed
     assert len(built) == len(enumerate_IC(2, 3))
     assert [ref() for ref in built] == [None] * len(built)
 

@@ -36,7 +36,7 @@ import time
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(REPO, "BENCH_scaling.json")
 TIMEOUT_S = 300.0
-RUNS = 3
+RUNS = 5
 OVERRIDE = {"WREATHSPRINGER_MAX_ELEMENTS": "700000"}
 
 # the commands of ROADMAP.md's Recent table, the last three under the override
