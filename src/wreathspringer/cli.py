@@ -21,12 +21,16 @@ import json
 import os
 import sys
 from collections.abc import Iterable
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
-# wreath, and with it combinatorics, serves every command but `tables --kind
-# orbits`; the other modules are imported inside the commands that use them,
-# so a command loads only what it needs
-from .combinatorics import bruhat_leq_typeA, format_partition
+# every other module is reached as an attribute of the package, which loads
+# it on first use (`__init__.__getattr__`), so a command loads only what it
+# uses; wreath, and with it combinatorics, serves every command but
+# `tables --kind orbits`
+import wreathspringer
+
+from .combinatorics import bruhat_leq_typeA, format_partition, partitions_of
 from .wreath import (
     BoundExceededError,
     Check,
@@ -37,6 +41,7 @@ from .wreath import (
     dimension_polynomial_str,
     hasse_dot,
     hasse_json,
+    refuse_above,
 )
 
 EXIT_OK = 0
@@ -120,33 +125,34 @@ def cmd_order(args) -> int:
     return EXIT_OK
 
 
+def _dimension_checks(group: WreathGroup) -> tuple[Check]:
+    # the partitions of m are listed under Sigma_m's bound, as `specht_rep`
+    # lists its tableaux, and then the p(m)^d profiles under the same bound
+    WreathGroup(1, group.m).check_bound()
+    refuse_above("profile count", repeat(len(partitions_of(group.m)), group.d))
+    profiles = wreathspringer.orbits.all_profiles(group.m, group.d)
+    ok = all(map(wreathspringer.orbits.check_dimension_property, profiles))
+    return (Check("dimension_property", "pass" if ok else "fail", len(profiles)),)
+
+
+# the checks of each scope of `verify`, in the order `all` runs them; each
+# producer refuses the sizes it cannot check before doing any work, and looks
+# its library function up when called, so a rebound module attribute is seen
+SCOPES = {
+    "algebra": lambda group: wreathspringer.convolution.verify_relations(group),
+    "springer": lambda group: (wreathspringer.springer.verify_springer(group),),
+    "dimensions": _dimension_checks,
+}
+
+
 def cmd_verify(args) -> int:
     group = WreathGroup(args.m, args.d)
-    group.check_bound()
-    checks = []
-    if args.scope in ("algebra", "all"):
-        from .convolution import verify_relations
-
-        checks.extend(verify_relations(group))
-    if args.scope in ("springer", "all"):
-        from .springer import verify_springer
-
-        checks.append(verify_springer(group))
-    if args.scope in ("dimensions", "all"):
-        from .orbits import all_profiles, check_dimension_property
-
-        profiles = all_profiles(group.m, group.d)
-        ok = all(map(check_dimension_property, profiles))
-        checks.append(Check("dimension_property", "pass" if ok else "fail", len(profiles)))
+    producers = SCOPES.values() if args.scope == "all" else [SCOPES[args.scope]]
+    checks = [check for produce in producers for check in produce(group)]
     status = "fail" if any(c.failed for c in checks) else "pass"
     printed = [c.to_dict() for c in checks]
     print(_json_text({"m": args.m, "d": args.d, "scope": args.scope, "checks": printed, "status": status}))
     return EXIT_OK if status == "pass" else EXIT_CHECK_FAILED
-
-
-# the size arguments each table kind reads, and so the leading keys of its
-# JSON payload; every other kind reads m and d
-TABLE_SIZES = {"typeB": ("d",), "typeD": ("d",), "hu": ("m",)}
 
 
 # the md/csv cell of a value in a JSON row: a list joins with commas, a dict
@@ -155,113 +161,111 @@ TABLE_SIZES = {"typeB": ("d",), "typeD": ("d",), "hu": ("m",)}
 CELL_TEXT = {list: ",".join, dict: json.JSONEncoder().encode}
 
 
-def _orbit_str(orbit) -> str:
-    return "(" + ",".join(format_partition(e) for e in orbit) + ")"
+def _row_kind(key: str, records: list[dict]) -> tuple:
+    """A row kind's payload ends with its list of row objects under `key`;
+    md and csv print the keys of a row as the header, and its values as
+    cells, row by row (a generator, which the writers consume)."""
+    cells = ([CELL_TEXT.get(type(v), str)(v) for v in record.values()] for record in records)
+    return {key: records}, list(records[0]), cells
+
+
+def _partitions(entries) -> str:
+    return ",".join(map(format_partition, entries))
+
+
+def _irreps(m: int, d: int) -> tuple:
+    group = WreathGroup(m, d)
+    group.check_bound()
+    irrep = wreathspringer.reptheory.clifford_irrep
+    labels = wreathspringer.orbits.enumerate_IC(m, d)
+    return _row_kind("irreps", [{"label": str(label), "dim": irrep(group, label).dim} for label in labels])
+
+
+def _springer(m: int, d: int) -> tuple:
+    # one label names both sides, so the psi column (the component-group
+    # irreducible of the orbit) repeats the clifford column
+    return _row_kind("rows", [
+        {"clifford": str(label), "orbit": f"({_partitions(label.orbit)})", "psi": str(label)}
+        for label in wreathspringer.orbits.enumerate_IC(m, d)
+    ])
+
+
+def _typeB(d: int) -> tuple:
+    return _row_kind("rows", [
+        {"bipartition": _partitions(row["bipartition"]), "clifford": str(row["clifford"]),
+         "orbit": f"({_partitions(row['clifford'].orbit)})"}
+        for row in wreathspringer.springer.typeB_table(d)
+    ])
+
+
+def _typeD(d: int) -> tuple:
+    return _row_kind("rows", [
+        {"pair": _partitions(row["pair"]), "sign": row["sign"] or "", "psi": format_partition(row["psi"])}
+        for row in wreathspringer.springer.typeD_table(d)
+    ])
+
+
+def _orbits(m: int, d: int) -> tuple:
+    return _row_kind("orbits", wreathspringer.orbits.orbit_report(m, d)["orbits"])
+
+
+def _chars(m: int, d: int) -> tuple:
+    group = WreathGroup(m, d)
+    group.check_bound()
+    class_words = [group.word(rep) for rep in group.class_reps]
+    # each class's cycles (r, c): its label in the one block of Sigma_d,
+    # less the block entry; every value is read off the rule, no module
+    cycles = [tuple((r, c) for _, r, c in class_label(rep, (0,) * d)) for rep in group.class_reps]
+    character = wreathspringer.orbits.wreath_character
+    table = [
+        (str(label), [str(character(label.entries, rho)) for rho in cycles])
+        for label in wreathspringer.orbits.enumerate_IC(m, d)
+    ]
+    rows = [{"label": label, "values": values} for label, values in table]
+    payload = {"classes": class_words, "classSizes": list(group.class_sizes), "rows": rows}
+    return payload, ["label", *class_words], ([label, *values] for label, values in table)
+
+
+def _cells(m: int, d: int) -> tuple:
+    count, dist = cell_statistics(WreathGroup(m, d))
+    dimensions = {str(k): v for k, v in dist.items()}
+    payload = {"cellCount": count, "dimensionCounts": dimensions, "polynomial": dimension_polynomial_str(dist)}
+    return payload, ["dimension", "cells"], ([str(k), str(v)] for k, v in dist.items())
+
+
+def _hu(m: int) -> tuple:
+    # the orbit's pair, then the Sigma_2 sign of an equal pair; a distinct
+    # pair's first value is (1,), which has no sign
+    orbits = wreathspringer.orbits
+    labels = [
+        f"[{_partitions(s.orbit)}]" + orbits.SIGMA2_SIGNS.get(s.values[0], "")
+        for s in orbits.enumerate_IS(m, 2)
+    ]
+    return {"labels": labels}, ["label"], ([label] for label in labels)
+
+
+# each table kind: the sizes it reads, which lead its JSON payload, and its
+# producer, which refuses what it cannot build and then gives the payload's
+# other keys, the md/csv header and the rows
+KINDS = {
+    "irreps": (("m", "d"), _irreps),
+    "springer": (("m", "d"), _springer),
+    "typeB": (("d",), _typeB),
+    "typeD": (("d",), _typeD),
+    "orbits": (("m", "d"), _orbits),
+    "chars": (("m", "d"), _chars),
+    "cells": (("m", "d"), _cells),
+    "hu": (("m",), _hu),
+}
 
 
 def cmd_tables(args) -> int:
-    sizes = TABLE_SIZES.get(args.kind, ("m", "d"))
-    if any(getattr(args, name) < 1 for name in sizes):
+    names, produce = KINDS[args.kind]
+    sizes = {name: getattr(args, name) for name in names}
+    if min(sizes.values()) < 1:
         raise ValueError("m and d must be positive")
-    payload = {name: getattr(args, name) for name in sizes}
-    # the row kinds (irreps, springer, typeB, typeD, orbits) end their
-    # payload with a list of row objects, which md and csv print; the other
-    # kinds set their own header and rows
-    header = rows = None
-    if args.kind == "irreps":
-        from .orbits import enumerate_IC
-        from .reptheory import clifford_irrep
-
-        group = WreathGroup(args.m, args.d)
-        group.check_bound()
-        payload["irreps"] = [
-            {"label": str(label), "dim": clifford_irrep(group, label).dim}
-            for label in enumerate_IC(args.m, args.d)
-        ]
-    elif args.kind == "springer":
-        from .orbits import enumerate_IC
-
-        # one label names both sides, so the psi column (the component-group
-        # irreducible of the orbit) repeats the clifford column
-        payload["rows"] = [
-            {"clifford": str(label), "orbit": _orbit_str(label.orbit), "psi": str(label)}
-            for label in enumerate_IC(args.m, args.d)
-        ]
-    elif args.kind == "typeB":
-        from .springer import typeB_table
-
-        payload["rows"] = [
-            {
-                "bipartition": ",".join(format_partition(p) for p in row["bipartition"]),
-                "clifford": str(row["clifford"]),
-                "orbit": _orbit_str(row["clifford"].orbit),
-            }
-            for row in typeB_table(args.d)
-        ]
-    elif args.kind == "typeD":
-        from .springer import typeD_table
-
-        payload["rows"] = [
-            {
-                "pair": ",".join(format_partition(p) for p in row["pair"]),
-                "sign": row["sign"] or "",
-                "psi": format_partition(row["psi"]),
-            }
-            for row in typeD_table(args.d)
-        ]
-    elif args.kind == "orbits":
-        from .orbits import orbit_report
-
-        payload["orbits"] = orbit_report(args.m, args.d)["orbits"]
-    elif args.kind == "chars":
-        from .orbits import enumerate_IC, wreath_character
-
-        group = WreathGroup(args.m, args.d)
-        group.check_bound()
-        class_words = [group.word(rep) for rep in group.class_reps]
-        # each class's cycles (r, c): its label in the one block of Sigma_d,
-        # less the block entry; every value is read off the rule, no module
-        cycles = [tuple((r, c) for _, r, c in class_label(rep, (0,) * args.d)) for rep in group.class_reps]
-        header = ["label"] + class_words
-        table = [
-            (str(label), [str(wreath_character(label.entries, rho)) for rho in cycles])
-            for label in enumerate_IC(args.m, args.d)
-        ]
-        rows = [[label, *values] for label, values in table]
-        payload["classes"] = class_words
-        payload["classSizes"] = list(group.class_sizes)
-        payload["rows"] = [{"label": label, "values": values} for label, values in table]
-    elif args.kind == "cells":
-        group = WreathGroup(args.m, args.d)
-        count, dist = cell_statistics(group)
-        payload["cellCount"] = count
-        payload["dimensionCounts"] = {str(k): v for k, v in dist.items()}
-        payload["polynomial"] = dimension_polynomial_str(dist)
-        header = ["dimension", "cells"]
-        rows = [[str(k), str(v)] for k, v in dist.items()]
-    elif args.kind == "hu":
-        from .orbits import SIGMA2_SIGNS, enumerate_IS
-
-        # the orbit's pair, then the Sigma_2 sign of an equal pair; a
-        # distinct pair's first value is (1,), which has no sign
-        payload["labels"] = [
-            "[" + ",".join(map(format_partition, s.orbit)) + "]" + SIGMA2_SIGNS.get(s.values[0], "")
-            for s in enumerate_IS(args.m, 2)
-        ]
-        header = ["label"]
-        rows = [[label] for label in payload["labels"]]
-    else:  # pragma: no cover - argparse restricts the choices
-        raise ValueError(args.kind)
-
-    if args.format == "json":
-        print(_json_text(payload))
-        return EXIT_OK
-    if header is None:
-        *_, records = payload.values()
-        header = list(records[0])
-        # a generator: the md and csv writers consume it row by row
-        rows = ([CELL_TEXT.get(type(v), str)(v) for v in record.values()] for record in records)
-    print(_render_table(header, rows, args.format))
+    payload, header, rows = produce(*sizes.values())
+    print(_json_text({**sizes, **payload}) if args.format == "json" else _render_table(header, rows, args.format))
     return EXIT_OK
 
 
@@ -272,34 +276,26 @@ def build_parser() -> argparse.ArgumentParser:
         "relation checks, correspondence verification, and tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # hasse, order and verify each need both sizes
+    sizes = argparse.ArgumentParser(add_help=False)
+    sizes.add_argument("--m", type=int, required=True)
+    sizes.add_argument("--d", type=int, required=True)
 
-    p_hasse = sub.add_parser("hasse", help="emit the order diagram")
-    p_hasse.add_argument("--m", type=int, required=True)
-    p_hasse.add_argument("--d", type=int, required=True)
+    p_hasse = sub.add_parser("hasse", parents=[sizes], help="emit the order diagram")
     p_hasse.add_argument("--format", choices=["dot", "json"], default="dot")
     p_hasse.set_defaults(fn=cmd_hasse)
 
-    p_order = sub.add_parser("order", help="compare two elements")
-    p_order.add_argument("--m", type=int, required=True)
-    p_order.add_argument("--d", type=int, required=True)
+    p_order = sub.add_parser("order", parents=[sizes], help="compare two elements")
     p_order.add_argument("--x", required=True, help="element word, e.g. 's1^1 t1'")
     p_order.add_argument("--y", required=True)
     p_order.set_defaults(fn=cmd_order)
 
-    p_verify = sub.add_parser("verify", help="run the machine checks")
-    p_verify.add_argument("--m", type=int, required=True)
-    p_verify.add_argument("--d", type=int, required=True)
-    p_verify.add_argument(
-        "--scope", choices=["algebra", "springer", "dimensions", "all"], default="all"
-    )
+    p_verify = sub.add_parser("verify", parents=[sizes], help="run the machine checks")
+    p_verify.add_argument("--scope", choices=[*SCOPES, "all"], default="all")
     p_verify.set_defaults(fn=cmd_verify)
 
     p_tables = sub.add_parser("tables", help="emit a table")
-    p_tables.add_argument(
-        "--kind",
-        choices=["irreps", "springer", "typeB", "typeD", "orbits", "chars", "cells", "hu"],
-        required=True,
-    )
+    p_tables.add_argument("--kind", choices=list(KINDS), required=True)
     p_tables.add_argument("--m", type=int, default=2)
     p_tables.add_argument("--d", type=int, default=2)
     p_tables.add_argument("--format", choices=["md", "csv", "json"], default="md")

@@ -53,6 +53,31 @@ class CheckFailed(Exception):
     """Raised when a mathematical check fails (the CLI exits with code 1)."""
 
 
+def refuse_above(what: str, factors: Iterable[int]) -> None:
+    """Refuse a count of more than the bound, stated as ``what``.  The
+    count's factors are multiplied one at a time, and the product stops once
+    past both the bound and 10^30, so a count too large to multiply out is
+    refused at once; a count of up to 30 digits is stated exactly."""
+    raw = os.environ.get(BOUND_ENV_VAR, DEFAULT_MAX_ELEMENTS)
+    try:
+        bound = int(raw)
+    except ValueError:
+        raise ValueError(f"{BOUND_ENV_VAR} must be an integer, got {raw!r}") from None
+    if bound < 1:
+        raise ValueError(f"{BOUND_ENV_VAR} must be a positive integer, got {raw!r}")
+    count, cap = 1, max(bound, 10**30)
+    for factor in factors:
+        count *= factor
+        if count > cap:
+            stated = "over 10^30" if cap == 10**30 else f"over {cap}"
+            break
+    else:
+        if count <= bound:
+            return
+        stated = count
+    raise BoundExceededError(f"{what} {stated} exceeds the enumeration bound {bound} (override with {BOUND_ENV_VAR})")
+
+
 class Check(NamedTuple):
     """One check of `verify`, beside `CheckFailed` so that a check loads no
     other module: `counts` are (name, int) pairs, so the record stays
@@ -238,31 +263,8 @@ class WreathGroup:
         return wreath_identity(self.m, self.d)
 
     def check_bound(self) -> None:
-        """Refuse a group of more elements than the bound.  The order's
-        factors are multiplied one at a time, and the product stops once
-        past both the bound and 10^30, so a group too large to multiply out
-        is refused at once; an order of up to 30 digits is stated exactly."""
-        raw = os.environ.get(BOUND_ENV_VAR, DEFAULT_MAX_ELEMENTS)
-        try:
-            bound = int(raw)
-        except ValueError:
-            raise ValueError(f"{BOUND_ENV_VAR} must be an integer, got {raw!r}") from None
-        if bound < 1:
-            raise ValueError(f"{BOUND_ENV_VAR} must be a positive integer, got {raw!r}")
-        order, cap = 1, max(bound, 10**30)
-        for factor in self._order_factors():
-            order *= factor
-            if order > cap:
-                stated = "over 10^30" if cap == 10**30 else f"over {cap}"
-                break
-        else:
-            if order <= bound:
-                return
-            stated = order
-        raise BoundExceededError(
-            f"group of order {stated} exceeds the enumeration bound "
-            f"{bound} (override with {BOUND_ENV_VAR})"
-        )
+        """Refuse a group of more elements than the bound."""
+        refuse_above("group of order", self._order_factors())
 
     @cached_property
     def tops(self) -> tuple[Perm, ...]:

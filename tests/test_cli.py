@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import wreathspringer
-from wreathspringer import clear_caches, reptheory
+from wreathspringer import clear_caches, cli, convolution, orbits, reptheory, springer
 from wreathspringer.cli import _json_text, main
 
 
@@ -150,21 +150,55 @@ def test_verify_bound_exceeded(capsys):
     assert "bound" in err
 
 
-@pytest.mark.parametrize("command, stated", [
-    ("verify --scope springer --m 2 --d 9", "185794560"),
-    ("tables --kind chars --m 9 --d 1", "362880"),
+BOUND_REFUSALS = [
+    ("verify --scope springer --m 2 --d 9", "group of order", "185794560"),
+    ("tables --kind chars --m 9 --d 1", "group of order", "362880"),
     # orders of thousands of digits: Python refuses to print one past 4,300
-    ("tables --kind chars --m 2 --d 1500", "over 10^30"),
-    ("hasse --m 1500 --d 1500", "over 10^30"),
-])
-def test_bound_refusal_states_the_order(capsys, monkeypatch, command, stated):
+    ("tables --kind chars --m 2 --d 1500", "group of order", "over 10^30"),
+    ("hasse --m 1500 --d 1500", "group of order", "over 10^30"),
+    # dimensions lists the partitions of m under Sigma_m's bound (30! is
+    # over 10^30), then refuses its p(m)^d profiles: 22^4 at (8,4)
+    ("verify --scope dimensions --m 30 --d 30", "group of order", "over 10^30"),
+    ("verify --scope dimensions --m 8 --d 4", "profile count", "234256"),
+]
+
+
+@pytest.mark.parametrize("command, what, stated", BOUND_REFUSALS, ids=[f"{c}-{s}" for c, _, s in BOUND_REFUSALS])
+def test_bound_refusal_states_the_order(capsys, monkeypatch, command, what, stated):
     monkeypatch.delenv("WREATHSPRINGER_MAX_ELEMENTS", raising=False)
     code, out, err = run(capsys, *shlex.split(command))
     assert (code, out) == (2, "")
     assert err == (
-        f"error: group of order {stated} exceeds the enumeration bound 50000 "
+        f"error: {what} {stated} exceeds the enumeration bound 50000 "
         "(override with WREATHSPRINGER_MAX_ELEMENTS)\n"
     )
+
+
+def test_commands_call_the_functions_the_tracer_rebinds(capsys, monkeypatch):
+    # perfbench/tracer.py rebinds a library function in every loaded module
+    # of the package; a command that kept the function objects it was built
+    # with would run outside the tracer's spans
+    called = []
+    for module, name in [
+        (springer, "verify_springer"), (convolution, "verify_relations"),
+        (reptheory, "clifford_irrep"), (orbits, "enumerate_IC"),
+    ]:
+        original = getattr(module, name)
+
+        def recording(*args, _name=name, _original=original, **kwargs):
+            called.append(_name)
+            return _original(*args, **kwargs)
+
+        for loaded in list(sys.modules.values()):
+            if loaded is not None and loaded.__name__.startswith("wreathspringer"):
+                for attr, value in list(vars(loaded).items()):
+                    if value is original:
+                        monkeypatch.setattr(loaded, attr, recording)
+    assert run(capsys, "verify", "--scope", "all", "--m", "2", "--d", "2")[0] == 0
+    assert {"verify_relations", "verify_springer"} <= set(called)
+    called.clear()
+    assert run(capsys, "tables", "--kind", "irreps", "--m", "2", "--d", "2")[0] == 0
+    assert set(called) == {"clifford_irrep", "enumerate_IC"}
 
 
 def test_verify_names_an_unreadable_bound(capsys, monkeypatch):
@@ -553,7 +587,25 @@ PINNED_OUTPUTS = [
     # every kind of check at (2,4): the products check is skipped there
     ('verify --scope all --m 2 --d 4',
      '1d38713845af32a4d9829863643b9b921bd643932411cab3fed74ffa4f0645d6'),
+    # the 2,401 profiles at (5,4), under the profile count's bound and not
+    # the group's; the digest is what 1a20aa1 printed with the bound raised
+    ('verify --scope dimensions --m 5 --d 4',
+     'cc4a2d87f87a0d218a0626f71ddd4afa86fbd3513c4dab0cb1f1216d275fa084'),
 ]
+
+
+def test_every_scope_and_kind_of_the_tables_prints_the_pinned_bytes(capsys):
+    # every command that SCOPES and KINDS name, at (2,2) in every format; the
+    # digest of their joined stdout was taken before the two tables existed
+    commands = [f"verify --scope {scope} --m 2 --d 2" for scope in [*cli.SCOPES, "all"]]
+    commands += [f"tables --kind {kind} --m 2 --d 2 --format {f}" for kind in cli.KINDS for f in ("md", "csv", "json")]
+    assert len(commands) == 28
+    digest = hashlib.sha256()
+    for command in commands:
+        code, out, _ = run(capsys, *command.split())
+        assert code == 0
+        digest.update(out.encode("utf-8"))
+    assert digest.hexdigest() == "ee220dd66d49632f52d7d3cb23559bfc2b234888f491c1c0641a3e94f44a5d3e"
 
 
 @pytest.mark.parametrize("command, digest", PINNED_OUTPUTS, ids=[c for c, _ in PINNED_OUTPUTS])

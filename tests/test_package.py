@@ -128,11 +128,11 @@ def test_orbit_labels_load_no_representation_module():
 
 
 def test_no_module_imports_the_package_inside_a_function():
-    # the package's import graph has no cycle to break; only the CLI and the
-    # lazy `__init__` defer their imports
+    # the package's import graph has no cycle to break; only the lazy
+    # `__init__` defers its imports, and the CLI reaches a module through it
     package = os.path.dirname(wreathspringer.__file__)
     for filename in sorted(os.listdir(package)):
-        if not filename.endswith(".py") or filename in ("cli.py", "__init__.py"):
+        if not filename.endswith(".py") or filename == "__init__.py":
             continue
         with open(os.path.join(package, filename), encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
